@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the four end-to-end biconnected-components
-//! algorithms (a compact, statistically-tracked companion to the fig3
-//! binary).
+//! algorithms (a compact, statistically-tracked companion to the
+//! `bcc-bench paper fig3` preset).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

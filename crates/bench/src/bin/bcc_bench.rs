@@ -1,57 +1,61 @@
-//! `bcc-bench` — the paper's experiment grid in one command.
+//! `bcc-bench` — the paper's experiments, one subcommand per cell set.
 //!
 //! ```text
-//! bcc-bench [--smoke] [--n <vertices>] [--p <max threads>]
+//! bcc-bench [grid|serve|prims] [--smoke] [--n <vertices>] [--p <max threads>]
 //!           [--trials <k>] [--seed <u64>] [--tuning <spec,spec,...>]
-//!           [--workspace on|off|both] [--store on|off]
-//!           [--serve on|off|only] [--prims on|off|only]
-//!           [--input <graph file>] [--out <path>]
-//! bcc-bench prims [grid flags]
+//!           [--workspace on|off|both] [--input <graph file>] [--out <path>]
+//! bcc-bench paper <preset> [--n <vertices>] [--p <max threads>] [--trials <k>]
+//!           [--seed <u64>] [--out <path>]
+//! bcc-bench xl --graph <family>=<path> [--graph ...] [--p <max threads>]
+//!           [--trials <k>] [--tv-cap <n>] [--smoke] [--out <path>]
 //! bcc-bench compare <baseline.json> <candidate.json> [--threshold <pct>]
 //!           [--rss-threshold <pct>]
 //! bcc-bench ingest <graph file> [--keep <out.bccsr>]
-//! bcc-bench xl --graph <family>=<path> [--graph ...] [--p <max threads>]
-//!           [--trials <k>] [--tv-cap <n>] [--smoke] [--out <path>]
 //! ```
 //!
-//! The default run sweeps every graph family × every algorithm ×
-//! p ∈ {1, 2, 4, …, max} with median-of-k timing and writes
-//! `BENCH_bcc.json` (schema in `bcc_bench::grid`). `--smoke` shrinks
-//! the grid to CI size. `--tuning` takes a comma-separated list of
-//! traversal ablation points (each a `+`-joined spec, e.g.
-//! `--tuning topdown,hybrid` or `--tuning topdown+classic-sv,hybrid`);
-//! the parallel algorithms run once per point. `--workspace` selects
-//! the allocation-ablation axis: `on` (default) shares one scratch
-//! arena per cell across trials so warm trials run in the
-//! zero-allocation steady state, `off` allocates fresh per run, `both`
-//! emits the two as separate series. `--store off` skips the
-//! `store-multi` commit-latency cells (incremental vs from-scratch
-//! `IndexStore` commits across batch sizes; on by default).
-//! `--serve` controls the `serve` SLO cells (the `bcc-serve` daemon
-//! under closed- and open-loop workload profiles, reporting queries/s
-//! and latency/snapshot-lag quantiles): `on` (default) runs them after
-//! the grid, `off` skips them, `only` runs nothing else — the CI
-//! serve-smoke mode.
-//! `--prims` controls the primitive-kernel cells (vectorized scan /
-//! compaction / bitmap / radix kernels against their frozen scalar
-//! references) the same way; the `prims` subcommand is shorthand for
-//! `--prims only` — the CI prims-smoke mode.
-//! `--input` benches a real on-disk dataset (text edge list or mapped
-//! `.bccsr`) as the single `file` family instead of the generators.
-//! `compare` exits non-zero when the candidate document is more than
-//! `--threshold` percent slower than the baseline on any matching cell.
-//! `ingest` is the out-of-core equivalence check: it converts a text
-//! edge list to `.bccsr` (or takes one directly), builds biconnected
-//! components from both the in-memory and the mmap-backed graph, and
-//! exits non-zero unless the labelings match bit-for-bit — reporting
-//! peak RSS of the from-disk build against the CSR file size.
-//! `xl` is the 10M-vertex-class tier (`bcc_bench::xl`): it sweeps
-//! mmap-backed `.bccsr` inputs from `bcc-convert gen`, gates
-//! `peak_rss_bytes` alongside time, and caps the O(m)-scratch
-//! pipelines at `--tv-cap` vertices while FAST-BCC runs everywhere.
+//! Every BENCH document comes from one trial-major runner
+//! (`bcc_bench::runner`); the subcommand picks its cells:
+//!
+//! * `grid` — every graph family × every algorithm × p ∈ {1, 2, 4, …,
+//!   max} × ablation point, plus the `store-multi` commit-latency cells
+//!   (incremental vs from-scratch `IndexStore` commits across batch
+//!   sizes). `--tuning` takes a comma-separated list of traversal
+//!   ablation points (each a `+`-joined spec, e.g.
+//!   `--tuning topdown+classic-sv,hybrid`); the parallel algorithms run
+//!   once per point. `--workspace` selects the allocation-ablation
+//!   axis: `on` (default) shares one scratch arena per cell across
+//!   trials so warm trials run in the zero-allocation steady state,
+//!   `off` allocates fresh per run, `both` emits the two as separate
+//!   series. `--input` benches a real on-disk dataset (text edge list
+//!   or mapped `.bccsr`) as the single `file` family instead of the
+//!   generators.
+//! * `serve` — the `bcc-serve` daemon under closed- and open-loop
+//!   workload profiles, in-process and over loopback TCP, reporting
+//!   queries/s and latency/snapshot-lag quantiles.
+//! * `prims` — the primitive kernels (vectorized scan / compaction /
+//!   bitmap / radix) against their frozen scalar references.
+//! * no subcommand — all three into one `BENCH_bcc.json`; `--smoke`
+//!   shrinks any of them to CI size.
+//! * `paper` — one of the paper's figures, table or ablations as a
+//!   named preset (`bcc_bench::paper`).
+//! * `xl` — the 10M-vertex-class tier (`bcc_bench::xl`): it sweeps
+//!   mmap-backed `.bccsr` inputs from `bcc-convert gen`, gates
+//!   `peak_rss_bytes` alongside time, and caps the O(m)-scratch
+//!   pipelines at `--tv-cap` vertices while FAST-BCC runs everywhere.
+//! * `compare` exits non-zero when the candidate document is more than
+//!   `--threshold` percent slower than the baseline on any matching
+//!   cell (or `--rss-threshold` percent larger in peak RSS).
+//! * `ingest` is the out-of-core equivalence check: it converts a text
+//!   edge list to `.bccsr` (or takes one directly), builds biconnected
+//!   components from both the in-memory and the mmap-backed graph, and
+//!   exits non-zero unless the labelings match bit-for-bit — reporting
+//!   peak RSS of the from-disk build against the CSR file size.
 
-use bcc_bench::grid::{self, GridConfig};
-use bcc_bench::json;
+use bcc_bench::grid::{self, CellSet, GridConfig};
+use bcc_bench::json::{self, Json};
+use bcc_bench::paper::{self, PaperConfig, Preset};
+use bcc_bench::runner::thread_sweep;
+use bcc_bench::xl::{self, XlConfig, XlInput};
 use bcc_core::{Algorithm, BccConfig, TraversalTuning};
 use bcc_graph::{bccsr, io, GraphBuilder};
 use bcc_smp::{rss, Pool};
@@ -60,212 +64,206 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("compare") {
-        return run_compare(&args[1..]);
+    let (cmd, rest) = match args.first() {
+        Some(c) if !c.starts_with('-') => (c.as_str(), &args[1..]),
+        _ => ("", &args[..]),
+    };
+    match cmd {
+        "" => run_grid_cli(rest, &CellSet::ALL),
+        "grid" => run_grid_cli(rest, &[CellSet::Grid]),
+        "serve" => run_grid_cli(rest, &[CellSet::Serve]),
+        "prims" => run_grid_cli(rest, &[CellSet::Prims]),
+        "paper" => run_paper_cli(rest),
+        "xl" => run_xl_cli(rest),
+        "compare" => run_compare(rest),
+        "ingest" => run_ingest(rest),
+        other => bad_usage(&format!("unknown subcommand {other}")),
     }
-    if args.first().map(String::as_str) == Some("ingest") {
-        return run_ingest(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("prims") {
-        return run_grid_cli(&args[1..], true);
-    }
-    if args.first().map(String::as_str) == Some("xl") {
-        return run_xl_cli(&args[1..]);
-    }
-    run_grid_cli(&args, false)
 }
 
 fn bad_usage(msg: &str) -> ExitCode {
     eprintln!("{msg}");
-    eprintln!("usage: bcc-bench [--smoke] [--n <vertices>] [--p <max threads>] [--trials <k>] [--seed <u64>] [--tuning <spec,spec,...>] [--workspace on|off|both] [--store on|off] [--serve on|off|only] [--prims on|off|only] [--input <graph file>] [--out <path>]");
-    eprintln!("       bcc-bench prims [grid flags]   (shorthand for --prims only)");
+    eprintln!("usage: bcc-bench [grid|serve|prims] [--smoke] [--n <vertices>] [--p <max threads>] [--trials <k>] [--seed <u64>] [--tuning <spec,spec,...>] [--workspace on|off|both] [--input <graph file>] [--out <path>]");
+    eprintln!("       bcc-bench paper <{}> [--n <vertices>] [--p <max threads>] [--trials <k>] [--seed <u64>] [--out <path>]", Preset::ALL.map(Preset::name).join("|"));
+    eprintln!("       bcc-bench xl --graph <family>=<path> [--graph ...] [--p <max threads>] [--trials <k>] [--tv-cap <n>] [--smoke] [--out <path>]");
     eprintln!("       bcc-bench compare <baseline.json> <candidate.json> [--threshold <pct>] [--rss-threshold <pct>]");
     eprintln!("       bcc-bench ingest <graph file> [--keep <out.bccsr>]");
-    eprintln!("       bcc-bench xl --graph <family>=<path> [--graph ...] [--p <max threads>] [--trials <k>] [--tv-cap <n>] [--smoke] [--out <path>]");
     ExitCode::from(2)
 }
 
-fn run_xl_cli(args: &[String]) -> ExitCode {
-    let mut cfg = bcc_bench::xl::XlConfig::default();
-    let mut out = String::from("BENCH_xl.json");
+/// Walks `--key value` flags (`--smoke` takes no value), handing each
+/// pair to `set`, which returns whether the value parsed or an error
+/// message for a flag it does not know.
+fn parse_flags(
+    args: &[String],
+    mut set: impl FnMut(&str, &str) -> Result<bool, String>,
+) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         let key = args[i].as_str();
         if key == "--smoke" {
-            cfg.smoke = true;
             i += 1;
             continue;
         }
-        let Some(val) = args.get(i + 1) else {
-            return bad_usage(&format!("missing value for {key}"));
-        };
-        let parsed = match key {
-            "--graph" => match val.split_once('=') {
-                Some((family, path)) if !family.is_empty() && !path.is_empty() => {
-                    cfg.inputs.push(bcc_bench::xl::XlInput {
-                        family: family.to_string(),
-                        path: PathBuf::from(path),
-                    });
-                    true
-                }
-                _ => return bad_usage(&format!("--graph needs <family>=<path>, got {val:?}")),
-            },
-            "--p" => val
-                .parse()
-                .map(|p| cfg.threads = grid::thread_sweep(p))
-                .is_ok(),
-            "--trials" => val.parse().map(|t| cfg.trials = t).is_ok(),
-            "--tv-cap" => val.parse().map(|c| cfg.tv_cap = c).is_ok(),
-            "--out" => {
-                out = val.clone();
-                true
-            }
-            other => return bad_usage(&format!("unknown flag {other}")),
-        };
-        if !parsed {
-            return bad_usage(&format!("bad value for {key}: {val}"));
+        let val = args.get(i + 1).ok_or(format!("missing value for {key}"))?;
+        if !set(key, val)? {
+            return Err(format!("bad value for {key}: {val}"));
         }
         i += 2;
     }
-    if cfg.inputs.is_empty() {
-        return bad_usage("xl needs at least one --graph <family>=<path>");
-    }
-    let doc = bcc_bench::xl::run_xl(&cfg, |line| eprintln!("{line}"));
-    if let Err(e) = std::fs::write(&out, doc.pretty()) {
-        eprintln!("writing {out}: {e}");
+    Ok(())
+}
+
+/// Writes `doc` to `out` and reports its cell count.
+fn write_doc(doc: &Json, out: &str) -> ExitCode {
+    if let Err(e) = std::fs::write(out, doc.pretty()) {
+        eprintln!("failed to write {out}: {e}");
         return ExitCode::FAILURE;
     }
-    eprintln!("wrote {out}");
+    let cells = doc
+        .get("entries")
+        .and_then(Json::as_arr)
+        .map_or(0, <[Json]>::len);
+    eprintln!("wrote {cells} cells to {out}");
     ExitCode::SUCCESS
 }
 
-fn run_grid_cli(args: &[String], prims_only: bool) -> ExitCode {
+fn run_grid_cli(args: &[String], sets: &[CellSet]) -> ExitCode {
     let machine = Pool::default_threads();
-    let mut cfg = GridConfig::full(machine);
+    let mut cfg = if args.iter().any(|a| a == "--smoke") {
+        GridConfig::smoke(machine)
+    } else {
+        GridConfig::full(machine)
+    };
     let mut out = String::from("BENCH_bcc.json");
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].as_str();
-        if key == "--smoke" {
-            let threads = cfg.threads.clone();
-            let tunings = cfg.tunings.clone();
-            let workspace = cfg.workspace;
-            let store = cfg.store;
-            let serve = cfg.serve;
-            let prims = cfg.prims;
-            let input = cfg.input.take();
-            cfg = GridConfig::smoke(machine);
-            cfg.threads = threads;
-            cfg.tunings = tunings;
-            cfg.workspace = workspace;
-            cfg.store = store;
-            cfg.serve = serve;
-            cfg.prims = prims;
-            cfg.input = input;
-            i += 1;
-            continue;
-        }
-        if key == "--help" || key == "-h" {
-            return bad_usage("bcc-bench: run the full experiment grid");
-        }
-        let Some(val) = args.get(i + 1) else {
-            return bad_usage(&format!("missing value for {key}"));
-        };
-        let parsed = match key {
+    let parsed = parse_flags(args, |key, val| {
+        Ok(match key {
             "--n" => val.parse().map(|n| cfg.n = n).is_ok(),
-            "--p" => val
-                .parse()
-                .map(|p| cfg.threads = grid::thread_sweep(p))
-                .is_ok(),
+            "--p" => val.parse().map(|p| cfg.threads = thread_sweep(p)).is_ok(),
             "--trials" => val.parse().map(|t| cfg.trials = t).is_ok(),
             "--seed" => val.parse().map(|s| cfg.seed = s).is_ok(),
-            "--tuning" => match parse_tunings(val) {
-                Ok(ts) => {
-                    cfg.tunings = ts;
-                    true
-                }
-                Err(e) => return bad_usage(&format!("bad value for --tuning: {e}")),
-            },
-            "--workspace" => match val.parse() {
-                Ok(mode) => {
-                    cfg.workspace = mode;
-                    true
-                }
-                Err(e) => return bad_usage(&format!("bad value for --workspace: {e}")),
-            },
-            "--store" => match val.as_str() {
-                "on" => {
-                    cfg.store = true;
-                    true
-                }
-                "off" => {
-                    cfg.store = false;
-                    true
-                }
-                _ => false,
-            },
-            "--serve" => match val.parse() {
-                Ok(mode) => {
-                    cfg.serve = mode;
-                    true
-                }
-                Err(e) => return bad_usage(&format!("bad value for --serve: {e}")),
-            },
-            "--prims" => match val.parse() {
-                Ok(mode) => {
-                    cfg.prims = mode;
-                    true
-                }
-                Err(e) => return bad_usage(&format!("bad value for --prims: {e}")),
-            },
+            "--tuning" => {
+                cfg.tunings =
+                    parse_tunings(val).map_err(|e| format!("bad value for --tuning: {e}"))?;
+                true
+            }
+            "--workspace" => {
+                cfg.workspace = val
+                    .parse()
+                    .map_err(|e| format!("bad value for --workspace: {e}"))?;
+                true
+            }
             "--input" => {
-                cfg.input = Some(std::path::PathBuf::from(val));
+                cfg.input = Some(PathBuf::from(val));
                 true
             }
             "--out" => {
-                out = val.clone();
+                out = val.to_string();
                 true
             }
-            other => return bad_usage(&format!("unknown flag {other}")),
-        };
-        if !parsed {
-            return bad_usage(&format!("bad value for {key}: {val}"));
-        }
-        i += 2;
+            other => return Err(format!("unknown flag {other}")),
+        })
+    });
+    if let Err(e) = parsed {
+        return bad_usage(&e);
     }
-    if prims_only {
-        cfg.prims = bcc_bench::prims::PrimsMode::Only;
-    }
-
     let specs: Vec<String> = cfg.tunings.iter().map(TraversalTuning::spec).collect();
+    let names: Vec<&str> = sets.iter().map(|s| s.name()).collect();
     eprintln!(
-        "bcc-bench grid: n={} threads={:?} trials={} seed={} tunings={:?} workspace={} store={} serve={} prims={}{}{}",
+        "bcc-bench {}: n={} threads={:?} trials={} seed={} tunings={specs:?} workspace={}{}{}",
+        names.join("+"),
         cfg.n,
         cfg.threads,
         cfg.trials,
         cfg.seed,
-        specs,
         cfg.workspace.name(),
-        if cfg.store { "on" } else { "off" },
-        cfg.serve.name(),
-        cfg.prims.name(),
         cfg.input
             .as_deref()
             .map(|p| format!(" input={}", p.display()))
             .unwrap_or_default(),
         if cfg.smoke { " (smoke)" } else { "" }
     );
-    let doc = grid::run_grid(&cfg, |line| eprintln!("  {line}"));
-    if let Err(e) = std::fs::write(&out, doc.pretty()) {
-        eprintln!("failed to write {out}: {e}");
-        return ExitCode::FAILURE;
+    write_doc(
+        &grid::run_grid(&cfg, sets, |line| eprintln!("  {line}")),
+        &out,
+    )
+}
+
+fn run_paper_cli(args: &[String]) -> ExitCode {
+    let Some(preset) = args.first() else {
+        return bad_usage("paper needs a preset");
+    };
+    let preset: Preset = match preset.parse() {
+        Ok(p) => p,
+        Err(e) => return bad_usage(&e),
+    };
+    let mut cfg = PaperConfig::default();
+    let mut out = format!("BENCH_{}.json", preset.name());
+    let parsed = parse_flags(&args[1..], |key, val| {
+        Ok(match key {
+            "--n" => val.parse().map(|n| cfg.n = Some(n)).is_ok(),
+            "--p" => val.parse().map(|p| cfg.threads = thread_sweep(p)).is_ok(),
+            "--trials" => val.parse().map(|t| cfg.trials = t).is_ok(),
+            "--seed" => val.parse().map(|s| cfg.seed = s).is_ok(),
+            "--out" => {
+                out = val.to_string();
+                true
+            }
+            other => return Err(format!("unknown flag {other}")),
+        })
+    });
+    if let Err(e) = parsed {
+        return bad_usage(&e);
     }
-    let cells = doc
-        .get("entries")
-        .and_then(json::Json::as_arr)
-        .map_or(0, <[json::Json]>::len);
-    eprintln!("wrote {cells} cells to {out}");
-    ExitCode::SUCCESS
+    eprintln!(
+        "bcc-bench paper {}: n={} threads={:?} trials={} seed={}",
+        preset.name(),
+        cfg.n.unwrap_or(preset.default_n()),
+        cfg.threads,
+        cfg.trials,
+        cfg.seed
+    );
+    write_doc(
+        &paper::run_paper(preset, &cfg, |line| eprintln!("  {line}")),
+        &out,
+    )
+}
+
+fn run_xl_cli(args: &[String]) -> ExitCode {
+    let mut cfg = XlConfig {
+        smoke: args.iter().any(|a| a == "--smoke"),
+        ..XlConfig::default()
+    };
+    let mut out = String::from("BENCH_xl.json");
+    let parsed = parse_flags(args, |key, val| {
+        Ok(match key {
+            "--graph" => match val.split_once('=') {
+                Some((family, path)) if !family.is_empty() && !path.is_empty() => {
+                    cfg.inputs.push(XlInput {
+                        family: family.to_string(),
+                        path: PathBuf::from(path),
+                    });
+                    true
+                }
+                _ => return Err(format!("--graph needs <family>=<path>, got {val:?}")),
+            },
+            "--p" => val.parse().map(|p| cfg.threads = thread_sweep(p)).is_ok(),
+            "--trials" => val.parse().map(|t| cfg.trials = t).is_ok(),
+            "--tv-cap" => val.parse().map(|c| cfg.tv_cap = c).is_ok(),
+            "--out" => {
+                out = val.to_string();
+                true
+            }
+            other => return Err(format!("unknown flag {other}")),
+        })
+    });
+    if let Err(e) = parsed {
+        return bad_usage(&e);
+    }
+    if cfg.inputs.is_empty() {
+        return bad_usage("xl needs at least one --graph <family>=<path>");
+    }
+    write_doc(&xl::run_xl(&cfg, |line| eprintln!("{line}")), &out)
 }
 
 /// Parses `--tuning`'s comma-separated ablation list; each element is a

@@ -1,58 +1,28 @@
-//! The paper's experiment grid as a library: graph families ×
-//! algorithms × thread counts × trials, reduced to a `BENCH_bcc.json`
-//! document, plus the regression comparator behind `bcc-bench compare`.
+//! The experiment grid — graph families × algorithms × thread counts ×
+//! ablation points, the `store-multi` commit cells, and the `serve` /
+//! `serve-net` SLO cells — reduced to a `BENCH_bcc.json` document, plus
+//! the regression comparator behind `bcc-bench compare`.
 //!
 //! Keeping this in the library (rather than the binary) makes the
 //! schema testable: the golden-schema test emits a grid, parses it
 //! back, and checks every field the plotting and CI tooling relies on.
 
 use crate::json::Json;
-use crate::prims::{run_prims_cells, PrimsMode};
-use bcc_connectivity::bfs::bfs_tree_seq;
-use bcc_core::{Algorithm, BccConfig, BccWorkspace, PhaseReport, TraversalTuning};
-use bcc_graph::{gen, Csr, Edge, Graph, GraphBuilder};
-use bcc_query::{CommitStats, IndexStore};
-use bcc_serve::{
-    component_grid, run_net_workload, run_workload, Admission, Daemon, Mode, NetFrontend,
-    NetWorkloadReport, Profile, ServeConfig, ShardedStore, WorkloadConfig, WorkloadReport, Writers,
+use crate::runner::{
+    document, fill_speedups, median_entry, run_cells, telemetry_pools, thread_sweep, Cell, Cells,
+    Instance, PipelineCell, Sample, COMPAT_SCHEMA_VERSIONS,
 };
-use bcc_smp::{Pool, Telemetry};
+use bcc_core::{Algorithm, TraversalTuning};
+use bcc_graph::{gen, Edge, Graph, GraphBuilder};
+use bcc_query::IndexStore;
+use bcc_serve::{
+    component_grid, run_net_workload, run_workload, Admission, Daemon, Mode, NetFrontend, Profile,
+    ServeConfig, ShardedStore, WorkloadConfig, Writers,
+};
+use bcc_smp::Pool;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Version stamp for the `BENCH_bcc.json` layout; bump on breaking
-/// schema changes. `compare` reads any version listed in
-/// [`COMPAT_SCHEMA_VERSIONS`].
-///
-/// v2 adds the `geo` family, the per-entry `tuning` spec and traversal
-/// work counters (`sv_rounds_*`, `bfs_*`), and the per-family shape
-/// summary (`families[].effective_diameter_90`). The workspace ablation
-/// fields (`workspace`, `alloc_bytes`, `arena_hit_rate`, and the
-/// `/ws-off` key suffix) are additive within v2: documents without them
-/// stay comparable on the shared cells. The `store-multi` commit-latency
-/// cells (`batch`, `batch_effective`, the [`CommitStats`] medians, and
-/// the `/batch<k>` key suffix) are additive within v2 the same way.
-/// So are the `serve` SLO cells (queries/s, latency/lag quantiles, the
-/// `mode` field and its `/closed` / `/open` key suffix): their
-/// `seconds` is the p99 query latency, the tail statement a serving
-/// SLO is written against. The out-of-core ingestion fields are
-/// additive within v2 the same way: algorithm cells gain
-/// `peak_rss_bytes` (per-trial peak resident set, max over trials,
-/// Linux only — omitted where the kernel does not expose it), and a
-/// `--input` run replaces the generated families with a single `file`
-/// family loaded from disk (text edge list or mapped `.bccsr`).
-/// The `prims` kernel cells (see [`crate::prims`]) are additive within
-/// v2 the same way: one entry per primitive kernel × thread count,
-/// carrying `reps` (timed invocations per sample) and `simd` (the
-/// dispatch tier the build selected — `avx2`, `sse2`, or `scalar`),
-/// with the frozen pre-vectorization kernels riding along as
-/// `-generic`/`-ref` algorithm series.
-pub const SCHEMA_VERSION: u64 = 2;
-
-/// Schema versions [`compare`] can still read (v1 documents predate the
-/// tuning/diameter fields; their entries simply carry fewer keys).
-pub const COMPAT_SCHEMA_VERSIONS: [u64; 2] = [1, 2];
 
 /// Graph families the grid sweeps — the paper's three workload shapes
 /// (random sparse graphs, regular meshes, the articulation-heavy chain
@@ -69,10 +39,6 @@ pub enum Family {
     Torus,
     /// `cycle_chain(n/8, 8)` — many small blocks joined by bridges.
     CycleChain,
-    /// A graph loaded from disk via [`bcc_graph::io::load`] (`--input`):
-    /// a real dataset instead of the generated families. Not part of
-    /// [`Family::ALL`]; it cannot be generated.
-    File,
 }
 
 impl Family {
@@ -91,7 +57,6 @@ impl Family {
             Family::Geo => "geo",
             Family::Torus => "torus",
             Family::CycleChain => "cycle-chain",
-            Family::File => "file",
         }
     }
 
@@ -105,7 +70,6 @@ impl Family {
                 gen::torus(k, k)
             }
             Family::CycleChain => gen::cycle_chain((n / 8).max(2), 8, seed),
-            Family::File => unreachable!("the file family is loaded from --input, not generated"),
         }
     }
 }
@@ -159,39 +123,33 @@ impl std::str::FromStr for WorkspaceMode {
     }
 }
 
-/// Whether the grid runs the `serve` SLO cells — the `bcc-serve` daemon
-/// driven closed- and open-loop over its workload profiles, reduced to
-/// latency/lag quantile entries.
+/// The cell sets a grid document can carry, one `bcc-bench` subcommand
+/// each; `bcc-bench` without a subcommand runs all three.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Skip the serve cells.
-    Off,
-    /// Run them after the algorithm grid (the default).
-    On,
-    /// Run *only* the serve cells — what the CI serve-smoke job uses,
-    /// so its wall time is the daemon runs and nothing else.
-    Only,
+pub enum CellSet {
+    /// `bcc-bench grid`: the algorithm cells plus the `store-multi`
+    /// commit-latency cells (incremental vs from-scratch
+    /// [`IndexStore`] commits across batch sizes).
+    Grid,
+    /// `bcc-bench serve`: the `bcc-serve` daemon under its workload
+    /// profiles, in-process (`serve/*`) and over loopback TCP
+    /// (`serve-net/*`), swept over reader counts.
+    Serve,
+    /// `bcc-bench prims`: the vectorized primitives against their
+    /// frozen scalar references (see [`crate::prims`]).
+    Prims,
 }
 
-impl ServeMode {
+impl CellSet {
+    /// Every set, in document order.
+    pub const ALL: [CellSet; 3] = [CellSet::Grid, CellSet::Serve, CellSet::Prims];
+
     /// Name used in the JSON document and on the CLI.
     pub fn name(self) -> &'static str {
         match self {
-            ServeMode::Off => "off",
-            ServeMode::On => "on",
-            ServeMode::Only => "only",
-        }
-    }
-}
-
-impl std::str::FromStr for ServeMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "off" => Ok(ServeMode::Off),
-            "on" => Ok(ServeMode::On),
-            "only" => Ok(ServeMode::Only),
-            other => Err(format!("unknown serve mode {other:?} (on|off|only)")),
+            CellSet::Grid => "grid",
+            CellSet::Serve => "serve",
+            CellSet::Prims => "prims",
         }
     }
 }
@@ -215,19 +173,7 @@ pub struct GridConfig {
     /// Allocation-ablation axis: whether parallel cells share one arena
     /// across trials, allocate fresh per run, or run both series.
     pub workspace: WorkspaceMode,
-    /// Whether to run the `store-multi` commit-latency cells: an
-    /// [`IndexStore`] over a many-component instance, timing
-    /// incremental (`Txn::commit`) against from-scratch
-    /// (`Txn::commit_full`) commits across batch sizes.
-    pub store: bool,
-    /// Whether (and how) to run the `serve` SLO cells: the `bcc-serve`
-    /// daemon under its workload profiles, swept over reader counts.
-    pub serve: ServeMode,
-    /// Whether (and how) to run the `prims` kernel cells: the
-    /// vectorized primitives against their frozen scalar references
-    /// (see [`crate::prims`]).
-    pub prims: PrimsMode,
-    /// When set, the algorithm grid runs on this one on-disk graph
+    /// When set, the algorithm cells run on this one on-disk graph
     /// (text edge list or `.bccsr`, sniffed by [`bcc_graph::io::load`])
     /// as the single `file` family instead of the generated families.
     /// The store/serve cells still use their generated instances.
@@ -248,9 +194,6 @@ impl GridConfig {
             smoke: false,
             tunings: vec![TraversalTuning::fast()],
             workspace: WorkspaceMode::On,
-            store: true,
-            serve: ServeMode::On,
-            prims: PrimsMode::On,
             input: None,
         }
     }
@@ -259,179 +202,122 @@ impl GridConfig {
     pub fn smoke(max_threads: usize) -> GridConfig {
         GridConfig {
             n: 600,
-            threads: thread_sweep(max_threads),
             trials: 2,
-            seed: 42,
             smoke: true,
-            tunings: vec![TraversalTuning::fast()],
-            workspace: WorkspaceMode::On,
-            store: true,
-            serve: ServeMode::On,
-            prims: PrimsMode::On,
-            input: None,
+            ..GridConfig::full(max_threads)
         }
     }
 }
 
-/// 1, 2, 4, ... up to and always including `max` (and always at least
-/// {1, 2}, so speedup columns exist even on one-core machines).
-pub fn thread_sweep(max: usize) -> Vec<usize> {
-    let max = max.max(2);
-    let mut ps = vec![];
-    let mut p = 1;
-    while p < max {
-        ps.push(p);
-        p *= 2;
+/// Runs `sets` of the grid and returns the `BENCH_bcc.json` document.
+/// `progress` receives one line per trial round and per finished cell
+/// (pass `|_| {}` to silence it).
+pub fn run_grid(cfg: &GridConfig, sets: &[CellSet], mut progress: impl FnMut(&str)) -> Json {
+    assert!(cfg.threads.contains(&1), "thread sweep must include 1");
+    assert!(!cfg.tunings.is_empty(), "at least one tuning is required");
+    let mut families: Vec<Json> = vec![];
+    let mut entries: Vec<Json> = vec![];
+    for set in sets {
+        let (f, e) = match set {
+            CellSet::Grid => grid_cells(cfg, &mut progress),
+            CellSet::Serve => serve_cells(cfg, &mut progress),
+            CellSet::Prims => crate::prims::prims_cells(cfg, &mut progress),
+        };
+        families.extend(f);
+        entries.extend(e);
     }
-    ps.push(max);
-    ps.dedup();
-    ps
+    document(
+        "bcc-grid",
+        &cfg.threads,
+        cfg.trials,
+        vec![
+            ("smoke", Json::Bool(cfg.smoke)),
+            ("n", Json::num(cfg.n)),
+            ("seed", Json::num(cfg.seed as f64)),
+            (
+                "tunings",
+                Json::Arr(cfg.tunings.iter().map(|t| Json::str(t.spec())).collect()),
+            ),
+            ("workspace", Json::str(cfg.workspace.name())),
+            (
+                "cells",
+                Json::Arr(sets.iter().map(|s| Json::str(s.name())).collect()),
+            ),
+        ],
+        families,
+        entries,
+    )
 }
 
-pub(crate) fn median_f64(mut xs: Vec<f64>) -> f64 {
-    assert!(!xs.is_empty());
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[(xs.len() - 1) / 2]
-}
-
-/// Field-wise medians over one cell's trial reports, flattened to the
-/// JSON entry layout. Shared with the xl tier ([`crate::xl`]), which
-/// names its families after the streamed inputs rather than [`Family`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cell_json(
-    family: &str,
-    g: &Graph,
-    threads: usize,
-    reports: &[PhaseReport],
-    seq_baseline: f64,
-    tuning: Option<&TraversalTuning>,
-    workspace: Option<bool>,
-    peak_rss: Option<u64>,
-) -> Json {
-    let med = |f: &dyn Fn(&PhaseReport) -> f64| median_f64(reports.iter().map(f).collect());
-    let seconds = med(&|r| r.total.as_secs_f64());
-    // Per-phase medians, keyed by step name in first-seen order.
-    let mut phase_names: Vec<&'static str> = vec![];
-    for r in reports {
-        for s in &r.steps {
-            if !phase_names.contains(&s.name()) {
-                phase_names.push(s.name());
+/// The algorithm cells (families × threads × algorithms × ablation
+/// points) and then the `store-multi` cells, as (family summaries,
+/// entries). Instances and pools are built once; every trial round
+/// reuses them.
+fn grid_cells(cfg: &GridConfig, progress: &mut dyn FnMut(&str)) -> (Vec<Json>, Vec<Json>) {
+    let instances: Vec<Instance> = match &cfg.input {
+        Some(path) => {
+            let g = bcc_graph::io::load(path)
+                .unwrap_or_else(|e| panic!("loading {}: {e}", path.display()));
+            vec![Instance::new("file", g)]
+        }
+        None => Family::ALL
+            .iter()
+            .map(|f| Instance::new(f.name(), f.generate(cfg.n, cfg.seed)))
+            .collect(),
+    };
+    let pools = telemetry_pools(&cfg.threads);
+    // Tarjan's DFS has no traversal or arena knobs: one cell per
+    // thread count; the parallel pipelines get one per ablation point.
+    let mut cells: Cells = vec![];
+    for inst in &instances {
+        for pool in &pools {
+            for alg in Algorithm::ALL {
+                if alg == Algorithm::Sequential {
+                    cells.push(Box::new(PipelineCell::new(inst, pool, alg, None, None)));
+                    continue;
+                }
+                for &t in &cfg.tunings {
+                    for ws in cfg.workspace.points() {
+                        let cell = PipelineCell::new(inst, pool, alg, Some(t), Some(ws));
+                        cells.push(Box::new(cell));
+                    }
+                }
             }
         }
     }
-    let phases: Vec<Json> = phase_names
-        .iter()
-        .map(|&name| {
-            let samples: Vec<f64> = reports
-                .iter()
-                .map(|r| {
-                    r.steps
-                        .iter()
-                        .find(|s| s.name() == name)
-                        .map_or(0.0, |s| s.duration.as_secs_f64())
-                })
-                .collect();
-            Json::Arr(vec![Json::str(name), Json::num(median_f64(samples))])
-        })
-        .collect();
-    let mut fields = vec![
-        ("family", Json::str(family)),
-        ("algorithm", Json::str(reports[0].algorithm)),
-        ("n", Json::num(g.n())),
-        ("m", Json::num(g.m() as f64)),
-        ("threads", Json::num(threads as f64)),
-        ("seconds", Json::num(seconds)),
-        // Minimum across trials: the regression gate's metric. Host
-        // noise (scheduler bursts, oversubscription) only ever adds
-        // time, so the min converges to the true cost long before the
-        // median settles on a shared CI runner.
-        (
-            "seconds_min",
-            Json::num(
-                reports
-                    .iter()
-                    .map(|r| r.total.as_secs_f64())
-                    .fold(f64::INFINITY, f64::min),
-            ),
-        ),
-        (
-            "speedup_vs_sequential",
-            Json::num(if seconds > 0.0 {
-                seq_baseline / seconds
-            } else {
-                0.0
-            }),
-        ),
-        ("phases", Json::Arr(phases)),
-        ("phase_runs", Json::num(med(&|r| r.phase_runs as f64))),
-        (
-            "barrier_episodes",
-            Json::num(med(&|r| r.barrier_episodes as f64)),
-        ),
-        (
-            "barrier_wait_seconds",
-            Json::num(med(&|r| r.barrier_wait.as_secs_f64())),
-        ),
-        ("imbalance", Json::num(med(&|r| r.imbalance))),
-        // Allocation telemetry: bytes the run's arena had to freshly
-        // allocate (0 once warm) and the arena's hit rate. Medians, so
-        // a shared-arena cell with ≥2 trials reports its steady state.
-        ("alloc_bytes", Json::num(med(&|r| r.alloc_bytes as f64))),
-        ("arena_hit_rate", Json::num(med(&|r| r.arena_hit_rate))),
-    ];
-    if let Some(on) = workspace {
-        fields.push(("workspace", Json::str(if on { "on" } else { "off" })));
-    }
-    // Space telemetry for the out-of-core ingestion work: the run's
-    // peak resident set (max over trials — a high-water metric), from
-    // the kernel watermark reset before each trial. Omitted where the
-    // platform does not expose it.
-    if let Some(peak) = peak_rss {
-        fields.push(("peak_rss_bytes", Json::num(peak as f64)));
-    }
-    if let Some(t) = tuning {
-        // Work counters are deterministic per (graph, tuning) except SV
-        // rounds under races; take the last trial (all trials agree in
-        // practice, and the last is past any warm-up).
-        let stats = &reports[reports.len() - 1].stats;
-        fields.push(("tuning", Json::str(t.spec())));
-        fields.push(("sv_rounds_spanning", Json::num(stats.sv_rounds_spanning)));
-        fields.push(("sv_rounds_cc", Json::num(stats.sv_rounds_cc)));
-        fields.push(("bfs_levels", Json::num(stats.bfs_levels)));
-        fields.push((
-            "bfs_bottom_up_levels",
-            Json::num(stats.bfs_bottom_up_levels),
-        ));
-        // One char per BFS level; a pathological-diameter input would
-        // otherwise dump megabytes of 'T's into the document, so cap it
-        // (the level count is always exact in `bfs_levels`).
-        let mut dirs = stats.bfs_directions.clone();
-        if dirs.len() > 96 {
-            dirs.truncate(96);
-            dirs.push('+');
-        }
-        fields.push(("bfs_directions", Json::str(dirs)));
-    }
-    Json::obj(fields)
-}
+    let mut entries = run_cells("grid", &mut cells, cfg.trials, progress);
+    fill_speedups(&mut entries);
+    let mut families: Vec<Json> = instances.iter().map(Instance::summary).collect();
 
-/// Shape summary for one family instance: the 90th-percentile effective
-/// diameter (smallest BFS depth from vertex 0 reaching 90% of the
-/// reachable vertices), the statistic the direction-optimizing
-/// heuristic's payoff depends on.
-fn family_json(family: Family, g: &Graph) -> Json {
-    let csr = Csr::build(g);
-    let tree = bfs_tree_seq(&csr, 0);
-    Json::obj(vec![
-        ("family", Json::str(family.name())),
+    let g = store_family_graph(cfg.n, cfg.seed);
+    let part_n = (cfg.n / STORE_PARTS).max(8);
+    let mut cells: Cells = vec![];
+    for (i, pool) in pools.iter().enumerate() {
+        for batch in STORE_BATCHES {
+            for full in [false, true] {
+                let seed = cfg.seed ^ (((i as u64) << 32) | ((batch as u64) << 1));
+                cells.push(Box::new(StoreCell {
+                    g: &g,
+                    p: pool.threads(),
+                    batch,
+                    full,
+                    part_n,
+                    store: IndexStore::new(pool.clone(), g.clone())
+                        .expect("store family instance indexes"),
+                    state: seed | full as u64,
+                    samples: vec![],
+                }));
+            }
+        }
+    }
+    entries.extend(run_cells("store", &mut cells, cfg.trials, progress));
+    families.push(Json::obj(vec![
+        ("family", Json::str("store-multi")),
         ("n", Json::num(g.n())),
         ("m", Json::num(g.m() as f64)),
-        ("bfs_levels", Json::num(tree.levels)),
-        (
-            "effective_diameter_90",
-            Json::num(tree.effective_diameter(0.9)),
-        ),
-    ])
+        ("components", Json::num(f64::from(STORE_PARTS))),
+    ]));
+    (families, entries)
 }
 
 /// Connected components in the store-commit benchmark instance. With
@@ -494,147 +380,76 @@ fn absent_chords(g: &Graph, part_n: u32, want: usize, state: &mut u64) -> Vec<(u
     out
 }
 
-/// Runs the `store-multi` commit-latency cells: one [`IndexStore`] per
-/// (threads × batch × mode) cell over the same many-component instance.
-/// Each trial inserts a batch of absent chords confined to the first
-/// component, times the commit (incremental or full), and reverts
-/// untimed so every round commits against the same steady-state graph.
-/// Returns the family summary and the entry list.
-fn run_store_cells(
-    cfg: &GridConfig,
-    pools: &[Pool],
-    progress: &mut impl FnMut(&str),
-) -> (Json, Vec<Json>) {
-    let trials = cfg.trials.max(1);
-    let g = store_family_graph(cfg.n, cfg.seed);
-    let part_n = (cfg.n / STORE_PARTS).max(8);
+/// One `store-multi` cell: an [`IndexStore`] over the many-component
+/// instance. Each trial inserts a batch of absent chords confined to
+/// the first component, times the commit (incremental or full), and
+/// reverts untimed so every round commits against the same
+/// steady-state graph.
+struct StoreCell<'a> {
+    g: &'a Graph,
+    p: usize,
+    batch: usize,
+    full: bool,
+    part_n: u32,
+    store: IndexStore,
+    state: u64,
+    samples: Vec<Sample>,
+}
 
-    struct StoreCell {
-        pool: usize,
-        batch: usize,
-        full: bool,
-        store: IndexStore,
-        state: u64,
-        secs: Vec<f64>,
-        effective: Vec<usize>,
-        stats: Vec<CommitStats>,
-    }
-    let mut cells: Vec<StoreCell> = vec![];
-    for (pool, pool_ref) in pools.iter().enumerate() {
-        for &batch in &STORE_BATCHES {
-            for full in [false, true] {
-                cells.push(StoreCell {
-                    pool,
-                    batch,
-                    full,
-                    store: IndexStore::new(pool_ref.clone(), g.clone())
-                        .expect("store family instance indexes"),
-                    state: cfg.seed ^ (((pool as u64) << 32) | ((batch as u64) << 1) | full as u64),
-                    secs: Vec::with_capacity(trials),
-                    effective: Vec::with_capacity(trials),
-                    stats: Vec::with_capacity(trials),
-                });
-            }
+impl Cell for StoreCell<'_> {
+    fn trial(&mut self) {
+        let before = self.store.load();
+        let chords = absent_chords(&before.graph, self.part_n, self.batch, &mut self.state);
+        let mut txn = self.store.begin();
+        for &(u, v) in &chords {
+            txn.insert(u, v);
         }
-    }
-
-    // Trial-major for the same reason as the main grid: spread each
-    // cell's samples past any single host-scheduler burst.
-    for round in 0..trials {
-        for cell in &mut cells {
-            let before = cell.store.load();
-            let chords = absent_chords(&before.graph, part_n, cell.batch, &mut cell.state);
-            let mut txn = cell.store.begin();
-            for &(u, v) in &chords {
-                txn.insert(u, v);
-            }
-            let t = Instant::now();
-            let snap = if cell.full {
-                txn.commit_full()
-            } else {
-                txn.commit()
-            }
-            .expect("store commit");
-            cell.secs.push(t.elapsed().as_secs_f64());
-            cell.effective.push(chords.len());
-            cell.stats.push(snap.stats);
-            let mut txn = cell.store.begin();
-            for &(u, v) in &chords {
-                txn.remove(u, v);
-            }
-            txn.commit().expect("store revert");
+        let t = Instant::now();
+        let snap = if self.full {
+            txn.commit_full()
+        } else {
+            txn.commit()
         }
-        progress(&format!(
-            "store trial round {}/{trials} complete",
-            round + 1
-        ));
+        .expect("store commit");
+        let secs = t.elapsed().as_secs_f64();
+        let s = &snap.stats;
+        // The median batch actually committed (smaller than `batch`
+        // only when a tiny smoke component runs out of absent chords),
+        // then how much of the index the commit rebuilt.
+        self.samples.push(vec![
+            ("batch_effective", chords.len() as f64),
+            ("seconds", secs),
+            ("components_rebuilt", f64::from(s.components_rebuilt)),
+            ("components_reused", f64::from(s.components_reused)),
+            ("vertices_rebuilt", f64::from(s.vertices_rebuilt)),
+            ("edges_rebuilt", s.edges_rebuilt as f64),
+            ("reused_fraction", s.reused_fraction),
+        ]);
+        let mut txn = self.store.begin();
+        for &(u, v) in &chords {
+            txn.remove(u, v);
+        }
+        txn.commit().expect("store revert");
     }
 
-    let mut entries = Vec::with_capacity(cells.len());
-    for cell in &cells {
-        let p = cfg.threads[cell.pool];
-        let algorithm = if cell.full {
+    fn entry(&self) -> Json {
+        let alg = if self.full {
             "commit-full"
         } else {
             "commit-incremental"
         };
-        let seconds = median_f64(cell.secs.clone());
-        let med = |f: &dyn Fn(&CommitStats) -> f64| median_f64(cell.stats.iter().map(f).collect());
-        entries.push(Json::obj(vec![
-            ("family", Json::str("store-multi")),
-            ("algorithm", Json::str(algorithm)),
-            ("n", Json::num(g.n())),
-            ("m", Json::num(g.m() as f64)),
-            ("threads", Json::num(p as f64)),
-            // Nominal batch size (the entry-key axis) and the median
-            // batch actually committed (smaller only when a tiny smoke
-            // component runs out of absent chords).
-            ("batch", Json::num(cell.batch as f64)),
-            (
-                "batch_effective",
-                Json::num(median_f64(
-                    cell.effective.iter().map(|&b| b as f64).collect(),
-                )),
-            ),
-            ("seconds", Json::num(seconds)),
-            (
-                "seconds_min",
-                Json::num(cell.secs.iter().copied().fold(f64::INFINITY, f64::min)),
-            ),
-            // CommitStats medians: how much of the index each commit
-            // actually rebuilt.
-            (
-                "components_rebuilt",
-                Json::num(med(&|s| f64::from(s.components_rebuilt))),
-            ),
-            (
-                "components_reused",
-                Json::num(med(&|s| f64::from(s.components_reused))),
-            ),
-            (
-                "vertices_rebuilt",
-                Json::num(med(&|s| f64::from(s.vertices_rebuilt))),
-            ),
-            ("edges_rebuilt", Json::num(med(&|s| s.edges_rebuilt as f64))),
-            ("reused_fraction", Json::num(med(&|s| s.reused_fraction))),
-        ]));
-        progress(&format!(
-            "{:>13} {:>10} p={p} batch={}: {:>9.3?} ({} trials)",
-            "store-multi",
-            algorithm,
-            cell.batch,
-            Duration::from_secs_f64(seconds),
-            trials,
-        ));
+        median_entry(
+            vec![
+                ("family", Json::str("store-multi")),
+                ("algorithm", Json::str(alg)),
+                ("n", Json::num(self.g.n())),
+                ("m", Json::num(self.g.m() as f64)),
+                ("threads", Json::num(self.p as f64)),
+                ("batch", Json::num(self.batch as f64)),
+            ],
+            &self.samples,
+        )
     }
-
-    let family = Json::obj(vec![
-        ("family", Json::str("store-multi")),
-        ("n", Json::num(g.n())),
-        ("m", Json::num(g.m() as f64)),
-        ("components", Json::num(f64::from(STORE_PARTS))),
-    ]);
-    (family, entries)
 }
 
 /// Components in the serve-cell instance (each a contiguous ring plus
@@ -643,6 +458,16 @@ pub const SERVE_PARTS: u32 = 8;
 
 /// Shards the serve cells split the store across.
 pub const SERVE_SHARDS: usize = 4;
+
+/// Per-shard commit-p99 field names (`w1` cells feed all four shards
+/// from one thread; per-shard cells from one thread each — where the
+/// writers=1 vs per-shard commit-tail gap is read from).
+const SHARD_COMMIT_P99: [&str; SERVE_SHARDS] = [
+    "commit_p99_seconds_shard0",
+    "commit_p99_seconds_shard1",
+    "commit_p99_seconds_shard2",
+    "commit_p99_seconds_shard3",
+];
 
 /// One serve-cell scenario: drive profile and mode, plus the
 /// writer-topology and admission-control knobs the ablation cells
@@ -657,57 +482,42 @@ struct ServeScenario {
     shed: bool,
 }
 
-/// The scenarios each reader count runs: the read-heavy profile under
-/// both drive modes, then the churn-heavy and adversarial hot-component
-/// profiles open-loop — the mode where queueing behind commits shows up
-/// as tail latency instead of silently reducing the offered load.
-/// Riding along: the churn-heavy cell with the writer pool collapsed
-/// to one thread (the `writers=1` ablation the per-shard commit path
-/// is justified against) and the overload cell with admission
-/// watermarks armed.
-fn serve_scenarios(rate: f64) -> [ServeScenario; 6] {
-    let cell = |profile, mode, writers, shed| ServeScenario {
+/// The scenarios each reader count runs, at open-loop arrival `rate`.
+/// In-process: the read-heavy profile under both drive modes, then the
+/// churn-heavy and adversarial hot-component profiles open-loop — the
+/// mode where queueing behind commits shows up as tail latency instead
+/// of silently reducing the offered load — plus the churn-heavy cell
+/// with the writer pool collapsed to one thread (the `writers=1`
+/// ablation the per-shard commit path is justified against) and an
+/// update storm (10/90 mix) at 4x the rate against armed admission
+/// watermarks: sheds must be nonzero and reads must survive.
+///
+/// Over loopback TCP (`net`): the read-heavy SLO path and the storm,
+/// proving the daemon sheds with typed `Rejected(Overloaded)` frames on
+/// the wire. The storm's multiplier is higher there because one client
+/// connection sends serially — the wire rate must still outrun the
+/// backlog watermark.
+fn serve_scenarios(net: bool, rate: f64) -> Vec<ServeScenario> {
+    use Profile::*;
+    let cell = |profile, rate: Option<f64>, writers, shed| ServeScenario {
         profile,
-        mode,
+        mode: rate.map_or(Mode::Closed, |rate| Mode::Open { rate }),
         writers,
         shed,
     };
-    [
-        cell(Profile::ReadHeavy, Mode::Closed, Writers::PerShard, false),
-        cell(
-            Profile::ReadHeavy,
-            Mode::Open { rate },
-            Writers::PerShard,
-            false,
-        ),
-        cell(
-            Profile::ChurnHeavy,
-            Mode::Open { rate },
-            Writers::PerShard,
-            false,
-        ),
-        cell(
-            Profile::HotComponent,
-            Mode::Open { rate },
-            Writers::PerShard,
-            false,
-        ),
-        // Writer-topology ablation: same churn, one writer thread.
-        cell(
-            Profile::ChurnHeavy,
-            Mode::Open { rate },
-            Writers::Single,
-            false,
-        ),
-        // Overload: an update storm (10/90 mix) at 4x the arrival rate
-        // against armed admission watermarks — sheds must be nonzero
-        // and reads must survive.
-        cell(
-            Profile::UpdateStorm,
-            Mode::Open { rate: rate * 4.0 },
-            Writers::PerShard,
-            true,
-        ),
+    if net {
+        return vec![
+            cell(ReadHeavy, Some(rate), Writers::PerShard, false),
+            cell(UpdateStorm, Some(rate * 16.0), Writers::PerShard, true),
+        ];
+    }
+    vec![
+        cell(ReadHeavy, None, Writers::PerShard, false),
+        cell(ReadHeavy, Some(rate), Writers::PerShard, false),
+        cell(ChurnHeavy, Some(rate), Writers::PerShard, false),
+        cell(HotComponent, Some(rate), Writers::PerShard, false),
+        cell(ChurnHeavy, Some(rate), Writers::Single, false),
+        cell(UpdateStorm, Some(rate * 4.0), Writers::PerShard, true),
     ]
 }
 
@@ -722,658 +532,198 @@ const SHED_ADMISSION: Admission = Admission {
     shed_backlog: Some(48),
 };
 
-/// Runs the `serve` SLO cells: one [`ShardedStore`] per (readers ×
-/// scenario) cell — reused across trials, so churn runs against a warm,
-/// steady-state store — each trial spawning a fresh [`Daemon`] and
-/// driving it with [`run_workload`]. The gate metric (`seconds`) is the
-/// p99 query latency; throughput and snapshot-lag quantiles ride along.
-fn run_serve_cells(cfg: &GridConfig, progress: &mut impl FnMut(&str)) -> (Json, Vec<Json>) {
-    let trials = cfg.trials.max(1);
-    // Arrival rate and measurement window, sized so the smoke grid
-    // stays CI-friendly while the full grid queues for real.
-    let (rate, duration) = if cfg.smoke {
-        (20_000.0, Duration::from_millis(120))
-    } else {
-        (100_000.0, Duration::from_millis(400))
-    };
+/// The `serve` cells, then the `serve-net` cells, as (family
+/// summaries, entries). Each cell owns one [`ShardedStore`], reused
+/// across trials so churn runs against a warm, steady-state store.
+fn serve_cells(cfg: &GridConfig, progress: &mut dyn FnMut(&str)) -> (Vec<Json>, Vec<Json>) {
     let n = cfg.n.max(3 * SERVE_PARTS);
     let g = component_grid(n, SERVE_PARTS, cfg.seed);
-
-    struct ServeCell {
-        pool: usize,
-        scenario: ServeScenario,
-        store: Arc<ShardedStore>,
-        reports: Vec<WorkloadReport>,
-    }
-    let mut cells: Vec<ServeCell> = vec![];
-    for pool in 0..cfg.threads.len() {
-        let p = cfg.threads[pool];
-        for scenario in serve_scenarios(rate) {
-            cells.push(ServeCell {
-                pool,
-                scenario,
-                store: Arc::new(
-                    ShardedStore::new(&Pool::new(p), &g, SERVE_SHARDS)
-                        .expect("serve instance shards"),
-                ),
-                reports: Vec::with_capacity(trials),
-            });
-        }
-    }
-
-    // Trial-major, like the rest of the grid: spread each cell's
-    // samples past any single host-scheduler burst.
-    for round in 0..trials {
-        for cell in &mut cells {
-            let sc = cell.scenario;
-            let daemon = Daemon::spawn(
-                Arc::clone(&cell.store),
-                ServeConfig::builder()
-                    .readers(cfg.threads[cell.pool])
-                    .flush_interval(Duration::from_millis(1))
-                    .writers(sc.writers)
-                    .admission(if sc.shed {
-                        SHED_ADMISSION
-                    } else {
-                        Admission::default()
-                    })
-                    .build(),
-            );
-            let report = run_workload(
-                daemon,
-                &WorkloadConfig {
-                    profile: sc.profile,
-                    mode: sc.mode,
-                    duration,
-                    parts: SERVE_PARTS,
-                    seed: cfg.seed,
-                },
-            );
-            if let Some(e) = &report.serve.writer_error {
-                panic!(
-                    "serve writer failed ({} / {} p={}): {e}",
-                    sc.profile.name(),
-                    sc.mode.name(),
-                    cfg.threads[cell.pool]
-                );
-            }
-            cell.reports.push(report);
-        }
-        progress(&format!(
-            "serve trial round {}/{trials} complete",
-            round + 1
-        ));
-    }
-
-    const NS: f64 = 1e-9;
-    let mut entries = Vec::with_capacity(cells.len());
-    for cell in &cells {
-        let p = cfg.threads[cell.pool];
-        let sc = cell.scenario;
-        let med =
-            |f: &dyn Fn(&WorkloadReport) -> f64| median_f64(cell.reports.iter().map(f).collect());
-        let p99s: Vec<f64> = cell
-            .reports
-            .iter()
-            .map(|r| r.serve.latency.quantile(0.99) as f64 * NS)
-            .collect();
-        let seconds = median_f64(p99s.clone());
-        let mut fields = vec![
-            ("family", Json::str("serve")),
-            ("algorithm", Json::str(sc.profile.name())),
-            ("n", Json::num(g.n())),
-            ("m", Json::num(g.m() as f64)),
-            ("threads", Json::num(p as f64)),
-            ("mode", Json::str(sc.mode.name())),
-            (
-                "rate",
-                Json::num(match sc.mode {
-                    Mode::Open { rate } => rate,
-                    Mode::Closed => 0.0,
-                }),
-            ),
-            // Writer topology and admission policy: part of the cell's
-            // identity (they land in the entry key) so the writers=1
-            // ablation and the overload cell gate against themselves.
-            ("writers", Json::str(sc.writers.name())),
-            (
-                "admission",
-                Json::str(if sc.shed { "shed" } else { "open" }),
-            ),
-            // The gate metric: p99 query latency, median over trials
-            // (and its min, which the comparator prefers).
-            ("seconds", Json::num(seconds)),
-            (
-                "seconds_min",
-                Json::num(p99s.iter().copied().fold(f64::INFINITY, f64::min)),
-            ),
-            ("queries_per_sec", Json::num(med(&|r| r.queries_per_sec()))),
-            ("answered", Json::num(med(&|r| r.serve.answered as f64))),
-            (
-                "latency_p50_seconds",
-                Json::num(med(&|r| r.serve.latency.quantile(0.50) as f64 * NS)),
-            ),
-            (
-                "latency_p999_seconds",
-                Json::num(med(&|r| r.serve.latency.quantile(0.999) as f64 * NS)),
-            ),
-            (
-                "latency_max_seconds",
-                Json::num(med(&|r| r.serve.latency.max() as f64 * NS)),
-            ),
-            (
-                "lag_commits_p50",
-                Json::num(med(&|r| r.serve.lag_commits.quantile(0.50) as f64)),
-            ),
-            (
-                "lag_commits_p99",
-                Json::num(med(&|r| r.serve.lag_commits.quantile(0.99) as f64)),
-            ),
-            (
-                "lag_commits_max",
-                Json::num(med(&|r| r.serve.lag_commits.max() as f64)),
-            ),
-            (
-                "lag_wall_p99_seconds",
-                Json::num(med(&|r| r.serve.lag_wall.quantile(0.99) as f64 * NS)),
-            ),
-            (
-                "updates_applied",
-                Json::num(med(&|r| r.serve.updates_applied as f64)),
-            ),
-            ("commits", Json::num(med(&|r| r.serve.commits as f64))),
-            ("migrations", Json::num(med(&|r| r.serve.migrations as f64))),
-            // v2-additive: writer topology, shed accounting, and the
-            // commit tail the per-shard writers are justified by.
-            (
-                "writer_threads",
-                Json::num(med(&|r| r.serve.writer_threads as f64)),
-            ),
-            (
-                "shed_count",
-                Json::num(med(&|r| r.serve.shed_updates as f64)),
-            ),
-            (
-                "commit_p50_seconds",
-                Json::num(med(&|r| r.serve.commit_latency.quantile(0.50) as f64 * NS)),
-            ),
-            (
-                "commit_p99_seconds",
-                Json::num(med(&|r| r.serve.commit_latency.quantile(0.99) as f64 * NS)),
-            ),
-        ];
-        // Per-shard commit-latency p99s, keyed by the shard committed
-        // to (w1 cells feed all four from one thread; per-shard cells
-        // from one thread each) — where the writers=1 vs per-shard
-        // commit-tail gap is read from.
-        let shard_p99s: Vec<(String, Json)> = (0..SERVE_SHARDS)
-            .map(|s| {
-                (
-                    format!("commit_p99_seconds_shard{s}"),
-                    Json::num(med(&|r| {
-                        r.serve
-                            .shard_commit_latency
-                            .get(s)
-                            .map_or(0.0, |h| h.quantile(0.99) as f64 * NS)
-                    })),
-                )
-            })
-            .collect();
-        for (k, v) in &shard_p99s {
-            fields.push((k.as_str(), v.clone()));
-        }
-        entries.push(Json::obj(fields));
-        progress(&format!(
-            "{:>13} {:>13} p={p} [{} {} {}]: p99 {:>9.3?}, {:.0} q/s, shed {:.0} ({} trials)",
-            "serve",
-            sc.profile.name(),
-            sc.mode.name(),
-            sc.writers.name(),
-            if sc.shed { "shed" } else { "open" },
-            Duration::from_secs_f64(seconds),
-            med(&|r| r.queries_per_sec()),
-            med(&|r| r.serve.shed_updates as f64),
-            trials,
-        ));
-    }
-
-    let family = Json::obj(vec![
-        ("family", Json::str("serve")),
-        ("n", Json::num(g.n())),
-        ("m", Json::num(g.m() as f64)),
-        ("components", Json::num(f64::from(SERVE_PARTS))),
-        ("shards", Json::num(SERVE_SHARDS as f64)),
-        ("duration_seconds", Json::num(duration.as_secs_f64())),
-        ("open_rate", Json::num(rate)),
-    ]);
-    (family, entries)
-}
-
-/// The scenarios the loopback-TCP cells run: the read-heavy SLO path
-/// over a real socket, and the update-storm overload cell proving the
-/// daemon sheds with typed `Rejected(Overloaded)` frames on the wire
-/// (not just in-process) while reads keep flowing. The storm's
-/// multiplier is higher than the in-process cell's because one client
-/// connection sends serially — the wire rate must still outrun the
-/// backlog watermark.
-fn serve_net_scenarios(rate: f64) -> [ServeScenario; 2] {
-    [
-        ServeScenario {
-            profile: Profile::ReadHeavy,
-            mode: Mode::Open { rate },
-            writers: Writers::PerShard,
-            shed: false,
-        },
-        ServeScenario {
-            profile: Profile::UpdateStorm,
-            mode: Mode::Open { rate: rate * 16.0 },
-            writers: Writers::PerShard,
-            shed: true,
-        },
-    ]
-}
-
-/// Runs the `serve-net` cells: the same open-loop drivers as
-/// [`run_serve_cells`], but over a real loopback TCP socket through
-/// [`NetFrontend`] — one connection, length-prefixed frames, responses
-/// matched by request id. The gate metric (`seconds`) is the round-trip
-/// p99 (scheduled arrival to response on the client), so it prices the
-/// codec and the socket alongside the daemon.
-fn run_serve_net_cells(cfg: &GridConfig, progress: &mut impl FnMut(&str)) -> (Json, Vec<Json>) {
-    let trials = cfg.trials.max(1);
-    // Loopback round-trips are ~10x a queue hop, so drive at a rate the
-    // single client connection can sustain without self-queueing.
-    let (rate, duration) = if cfg.smoke {
-        (5_000.0, Duration::from_millis(120))
-    } else {
-        (20_000.0, Duration::from_millis(400))
-    };
-    let n = cfg.n.max(3 * SERVE_PARTS);
-    let g = component_grid(n, SERVE_PARTS, cfg.seed);
-
-    struct NetCell {
-        pool: usize,
-        scenario: ServeScenario,
-        store: Arc<ShardedStore>,
-        reports: Vec<NetWorkloadReport>,
-    }
-    let mut cells: Vec<NetCell> = vec![];
-    for pool in 0..cfg.threads.len() {
-        let p = cfg.threads[pool];
-        for scenario in serve_net_scenarios(rate) {
-            cells.push(NetCell {
-                pool,
-                scenario,
-                store: Arc::new(
-                    ShardedStore::new(&Pool::new(p), &g, SERVE_SHARDS)
-                        .expect("serve-net instance shards"),
-                ),
-                reports: Vec::with_capacity(trials),
-            });
-        }
-    }
-
-    for round in 0..trials {
-        for cell in &mut cells {
-            let sc = cell.scenario;
-            let daemon = Daemon::spawn(
-                Arc::clone(&cell.store),
-                ServeConfig::builder()
-                    .readers(cfg.threads[cell.pool])
-                    .flush_interval(Duration::from_millis(1))
-                    .writers(sc.writers)
-                    .admission(if sc.shed {
-                        SHED_ADMISSION
-                    } else {
-                        Admission::default()
-                    })
-                    .build(),
-            );
-            let frontend = NetFrontend::spawn(daemon, "127.0.0.1:0").expect("loopback listener");
-            let addr = frontend.local_addr();
-            let report = run_net_workload(
-                addr,
-                &WorkloadConfig {
-                    profile: sc.profile,
-                    mode: sc.mode,
-                    duration,
-                    parts: SERVE_PARTS,
-                    seed: cfg.seed,
-                },
-                g.n(),
-            )
-            .expect("loopback workload");
-            let serve = frontend.shutdown();
-            if let Some(e) = &serve.writer_error {
-                panic!(
-                    "serve-net writer failed ({} / {} p={}): {e}",
-                    sc.profile.name(),
-                    sc.mode.name(),
-                    cfg.threads[cell.pool]
-                );
-            }
-            cell.reports.push(report);
-        }
-        progress(&format!(
-            "serve-net trial round {}/{trials} complete",
-            round + 1
-        ));
-    }
-
-    const NS: f64 = 1e-9;
-    let mut entries = Vec::with_capacity(cells.len());
-    for cell in &cells {
-        let p = cfg.threads[cell.pool];
-        let sc = cell.scenario;
-        let med = |f: &dyn Fn(&NetWorkloadReport) -> f64| {
-            median_f64(cell.reports.iter().map(f).collect())
+    let mut families = vec![];
+    let mut entries = vec![];
+    for net in [false, true] {
+        // Arrival rate and measurement window, sized so the smoke grid
+        // stays CI-friendly while the full grid queues for real.
+        // Loopback round-trips are ~10x a queue hop, so the socket
+        // cells drive at a rate one client connection can sustain
+        // without self-queueing.
+        let rate = match (net, cfg.smoke) {
+            (false, true) => 20_000.0,
+            (false, false) => 100_000.0,
+            (true, true) => 5_000.0,
+            (true, false) => 20_000.0,
         };
-        let p99s: Vec<f64> = cell
-            .reports
-            .iter()
-            .map(|r| r.latency.quantile(0.99) as f64 * NS)
-            .collect();
-        let seconds = median_f64(p99s.clone());
-        entries.push(Json::obj(vec![
-            ("family", Json::str("serve-net")),
-            ("algorithm", Json::str(sc.profile.name())),
+        let duration = Duration::from_millis(if cfg.smoke { 120 } else { 400 });
+        let mut cells: Cells = vec![];
+        for &p in &cfg.threads {
+            for sc in serve_scenarios(net, rate) {
+                cells.push(Box::new(ServeCell {
+                    g: &g,
+                    p,
+                    net,
+                    sc,
+                    load: WorkloadConfig {
+                        profile: sc.profile,
+                        mode: sc.mode,
+                        duration,
+                        parts: SERVE_PARTS,
+                        seed: cfg.seed,
+                    },
+                    store: Arc::new(
+                        ShardedStore::new(&Pool::new(p), &g, SERVE_SHARDS)
+                            .expect("serve instance shards"),
+                    ),
+                    samples: vec![],
+                }));
+            }
+        }
+        let family = if net { "serve-net" } else { "serve" };
+        entries.extend(run_cells(family, &mut cells, cfg.trials, progress));
+        let mut summary = vec![
+            ("family", Json::str(family)),
             ("n", Json::num(g.n())),
             ("m", Json::num(g.m() as f64)),
-            ("threads", Json::num(p as f64)),
-            ("mode", Json::str(sc.mode.name())),
-            (
-                "rate",
-                Json::num(match sc.mode {
-                    Mode::Open { rate } => rate,
-                    Mode::Closed => 0.0,
-                }),
-            ),
-            ("writers", Json::str(sc.writers.name())),
-            (
-                "admission",
-                Json::str(if sc.shed { "shed" } else { "open" }),
-            ),
-            // The gate metric: round-trip p99 over the socket.
-            ("seconds", Json::num(seconds)),
-            (
-                "seconds_min",
-                Json::num(p99s.iter().copied().fold(f64::INFINITY, f64::min)),
-            ),
-            (
-                "responses_per_sec",
-                Json::num(med(&|r| r.responses_per_sec())),
-            ),
-            ("answered", Json::num(med(&|r| r.answered as f64))),
-            ("accepted", Json::num(med(&|r| r.accepted as f64))),
-            ("shed_count", Json::num(med(&|r| r.shed as f64))),
-            (
-                "rejected_other",
-                Json::num(med(&|r| r.rejected_other as f64)),
-            ),
-            (
-                "latency_p50_seconds",
-                Json::num(med(&|r| r.latency.quantile(0.50) as f64 * NS)),
-            ),
-            (
-                "latency_p999_seconds",
-                Json::num(med(&|r| r.latency.quantile(0.999) as f64 * NS)),
-            ),
-            (
-                "latency_max_seconds",
-                Json::num(med(&|r| r.latency.max() as f64 * NS)),
-            ),
-        ]));
-        progress(&format!(
-            "{:>13} {:>13} p={p} [{} {}]: rt p99 {:>9.3?}, {:.0} resp/s, shed {:.0} ({} trials)",
-            "serve-net",
-            sc.profile.name(),
-            sc.mode.name(),
-            if sc.shed { "shed" } else { "open" },
-            Duration::from_secs_f64(seconds),
-            med(&|r| r.responses_per_sec()),
-            med(&|r| r.shed as f64),
-            trials,
-        ));
-    }
-
-    let family = Json::obj(vec![
-        ("family", Json::str("serve-net")),
-        ("n", Json::num(g.n())),
-        ("m", Json::num(g.m() as f64)),
-        ("components", Json::num(f64::from(SERVE_PARTS))),
-        ("shards", Json::num(SERVE_SHARDS as f64)),
-        ("duration_seconds", Json::num(duration.as_secs_f64())),
-        ("open_rate", Json::num(rate)),
-        ("transport", Json::str("tcp-loopback")),
-    ]);
-    (family, entries)
-}
-
-/// Runs the full grid and returns the `BENCH_bcc.json` document.
-/// `progress` receives one line per trial round and per finished cell
-/// (pass `|_| {}` to silence it).
-///
-/// Trials run **trial-major** (round-robin over every cell, repeated
-/// `trials` times) rather than back-to-back per cell: a host-scheduler
-/// burst lasts far longer than one cell's handful of consecutive
-/// trials, so per-cell batching lets a burst poison *all* of a cell's
-/// samples at once. Spreading each cell's trials across the whole run
-/// lets the min-of-trials gate metric escape any single burst.
-pub fn run_grid(cfg: &GridConfig, mut progress: impl FnMut(&str)) -> Json {
-    assert!(cfg.threads.contains(&1), "thread sweep must include 1");
-    assert!(!cfg.tunings.is_empty(), "at least one tuning is required");
-    let mut families: Vec<Json> = vec![];
-    let mut entries: Vec<Json> = vec![];
-    // The `only` modes are exclusive smoke shortcuts: `--serve only`
-    // runs just the daemon cells, `--prims only` just the kernel cells.
-    let serve_only = cfg.serve == ServeMode::Only;
-    let prims_only = cfg.prims == PrimsMode::Only;
-    if !serve_only && !prims_only {
-        let (f, e) = run_algorithm_cells(cfg, &mut progress);
-        families.extend(f);
-        entries.extend(e);
-    }
-    if cfg.serve != ServeMode::Off && !prims_only {
-        let (fam, mut serve_entries) = run_serve_cells(cfg, &mut progress);
-        families.push(fam);
-        entries.append(&mut serve_entries);
-        let (fam, mut net_entries) = run_serve_net_cells(cfg, &mut progress);
-        families.push(fam);
-        entries.append(&mut net_entries);
-    }
-    if cfg.prims != PrimsMode::Off && !serve_only {
-        let (fam, mut prims_entries) = run_prims_cells(cfg, &mut progress);
-        families.push(fam);
-        entries.append(&mut prims_entries);
-    }
-    Json::obj(vec![
-        ("schema_version", Json::num(SCHEMA_VERSION as f64)),
-        ("experiment", Json::str("bcc-grid")),
-        ("smoke", Json::Bool(cfg.smoke)),
-        ("n", Json::num(cfg.n)),
-        (
-            "threads",
-            Json::Arr(cfg.threads.iter().map(|&p| Json::num(p as f64)).collect()),
-        ),
-        ("trials", Json::num(cfg.trials.max(1) as f64)),
-        ("seed", Json::num(cfg.seed as f64)),
-        (
-            "tunings",
-            Json::Arr(cfg.tunings.iter().map(|t| Json::str(t.spec())).collect()),
-        ),
-        ("workspace", Json::str(cfg.workspace.name())),
-        ("store", Json::Bool(cfg.store)),
-        ("serve", Json::str(cfg.serve.name())),
-        ("prims", Json::str(cfg.prims.name())),
-        ("families", Json::Arr(families)),
-        ("entries", Json::Arr(entries)),
-    ])
-}
-
-/// The algorithm grid proper (families × algorithms × threads ×
-/// ablation points) plus the `store-multi` cells, as (family summaries,
-/// entries).
-fn run_algorithm_cells(
-    cfg: &GridConfig,
-    progress: &mut impl FnMut(&str),
-) -> (Vec<Json>, Vec<Json>) {
-    let trials = cfg.trials.max(1);
-
-    // Instances and pools are built once; every trial round reuses
-    // them. PhaseRecorder reads telemetry *deltas*, so sharing a pool
-    // (and its sink) across cells is safe.
-    let graphs: Vec<(Family, Graph)> = match &cfg.input {
-        Some(path) => {
-            let g = bcc_graph::io::load(path)
-                .unwrap_or_else(|e| panic!("loading {}: {e}", path.display()));
-            vec![(Family::File, g)]
+            ("components", Json::num(f64::from(SERVE_PARTS))),
+            ("shards", Json::num(SERVE_SHARDS as f64)),
+            ("duration_seconds", Json::num(duration.as_secs_f64())),
+            ("open_rate", Json::num(rate)),
+        ];
+        if net {
+            summary.push(("transport", Json::str("tcp-loopback")));
         }
-        None => Family::ALL
-            .into_iter()
-            .map(|f| {
-                let g = f.generate(cfg.n, cfg.seed);
-                (f, g)
-            })
-            .collect(),
-    };
-    let pools: Vec<Pool> = cfg
-        .threads
-        .iter()
-        .map(|&p| {
-            Pool::builder()
-                .threads(p)
-                .telemetry(Arc::new(Telemetry::new(p)))
-                .build()
-        })
-        .collect();
-
-    // Cell order matches the reducer's expectations below: family-major
-    // (Sequential at p = 1 leads each family, providing the speedup
-    // denominator), then threads, algorithm, ablation point. Tarjan's
-    // DFS has no traversal knobs: one cell; the parallel pipelines get
-    // one cell per tuning.
-    struct Cell {
-        fam: usize,
-        pool: usize,
-        alg: Algorithm,
-        tuning: Option<TraversalTuning>,
-        /// `Some(arena)` for shared-arena ablation cells (the arena
-        /// persists across this cell's trial rounds, so trials past the
-        /// first run in the zero-allocation steady state), `Some(None)`
-        /// → `workspace: "off"` cells, `None` for Sequential (no
-        /// ablation axis, like tunings).
-        workspace: Option<Option<Arc<BccWorkspace>>>,
-    }
-    let mut cells: Vec<Cell> = vec![];
-    for fam in 0..graphs.len() {
-        for pool in 0..cfg.threads.len() {
-            for alg in Algorithm::ALL {
-                let cell_tunings: Vec<Option<TraversalTuning>> = if alg == Algorithm::Sequential {
-                    vec![None]
-                } else {
-                    cfg.tunings.iter().copied().map(Some).collect()
-                };
-                let ws_points: Vec<Option<bool>> = if alg == Algorithm::Sequential {
-                    vec![None]
-                } else {
-                    cfg.workspace.points().into_iter().map(Some).collect()
-                };
-                for tuning in cell_tunings {
-                    for ws in &ws_points {
-                        cells.push(Cell {
-                            fam,
-                            pool,
-                            alg,
-                            tuning,
-                            workspace: ws.map(|on| on.then(|| Arc::new(BccWorkspace::new()))),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    let mut trial_reports: Vec<Vec<PhaseReport>> = (0..cells.len())
-        .map(|_| Vec::with_capacity(trials))
-        .collect();
-    let mut trial_peaks: Vec<Vec<u64>> = vec![vec![]; cells.len()];
-    for round in 0..trials {
-        for (i, cell) in cells.iter().enumerate() {
-            let (family, g) = &graphs[cell.fam];
-            let mut config = BccConfig::new(cell.alg);
-            if let Some(t) = cell.tuning {
-                config = config.tuning(t);
-            }
-            if let Some(Some(ws)) = &cell.workspace {
-                config = config.workspace(Arc::clone(ws));
-            }
-            // Reset the kernel's peak-RSS watermark so the post-run
-            // reading reflects this trial's high-water mark (no-op off
-            // Linux; the cell then omits the field).
-            let rss = bcc_smp::rss::reset_peak().is_ok();
-            let run = config
-                .run(&pools[cell.pool], g)
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", cell.alg.name(), family.name()));
-            if rss {
-                if let Some(peak) = bcc_smp::rss::peak_rss_bytes() {
-                    trial_peaks[i].push(peak);
-                }
-            }
-            trial_reports[i].push(run.report);
-        }
-        progress(&format!("trial round {}/{trials} complete", round + 1));
-    }
-
-    let mut entries: Vec<Json> = vec![];
-    let mut families: Vec<Json> = vec![];
-    let mut current_fam = usize::MAX;
-    let mut seq_baseline = f64::INFINITY;
-    for ((cell, reports), peaks) in cells.iter().zip(&trial_reports).zip(&trial_peaks) {
-        let (family, g) = &graphs[cell.fam];
-        if cell.fam != current_fam {
-            current_fam = cell.fam;
-            families.push(family_json(*family, g));
-            // Sequential at p = 1 is the speedup denominator for the
-            // family; it is always this family's first cell.
-            seq_baseline = f64::INFINITY;
-        }
-        let p = cfg.threads[cell.pool];
-        let seconds = median_f64(reports.iter().map(|r| r.total.as_secs_f64()).collect());
-        if cell.alg == Algorithm::Sequential && p == 1 {
-            seq_baseline = seconds;
-        }
-        let ws_on = cell.workspace.as_ref().map(Option::is_some);
-        entries.push(cell_json(
-            family.name(),
-            g,
-            p,
-            reports,
-            seq_baseline,
-            cell.tuning.as_ref(),
-            ws_on,
-            peaks.iter().copied().max(),
-        ));
-        progress(&format!(
-            "{:>13} {:>10} p={p}{}{}: {:>9.3?} ({} trials)",
-            family.name(),
-            cell.alg.name(),
-            cell.tuning
-                .map(|t| format!(" [{}]", t.spec()))
-                .unwrap_or_default(),
-            match ws_on {
-                Some(false) => " [ws-off]",
-                _ => "",
-            },
-            Duration::from_secs_f64(seconds),
-            trials,
-        ));
-    }
-    if cfg.store {
-        let (fam, mut store_entries) = run_store_cells(cfg, &pools, progress);
-        families.push(fam);
-        entries.append(&mut store_entries);
+        families.push(Json::obj(summary));
     }
     (families, entries)
+}
+
+/// One serve cell: each trial spawns a fresh [`Daemon`] over the cell's
+/// store and drives it with [`run_workload`] — or, for `net` cells,
+/// through a [`NetFrontend`] on loopback with [`run_net_workload`]: one
+/// connection, length-prefixed frames, responses matched by request id.
+/// The gate metric (`seconds`) is the p99 query latency; for `net`
+/// cells the round-trip p99 (scheduled arrival to response on the
+/// client), so it prices the codec and the socket alongside the daemon.
+struct ServeCell<'a> {
+    g: &'a Graph,
+    p: usize,
+    net: bool,
+    sc: ServeScenario,
+    load: WorkloadConfig,
+    store: Arc<ShardedStore>,
+    samples: Vec<Sample>,
+}
+
+impl Cell for ServeCell<'_> {
+    fn trial(&mut self) {
+        const NS: f64 = 1e-9;
+        let sc = self.sc;
+        let daemon = Daemon::spawn(
+            Arc::clone(&self.store),
+            ServeConfig::builder()
+                .readers(self.p)
+                .flush_interval(Duration::from_millis(1))
+                .writers(sc.writers)
+                .admission(if sc.shed {
+                    SHED_ADMISSION
+                } else {
+                    Admission::default()
+                })
+                .build(),
+        );
+        let (sample, serve) = if self.net {
+            let frontend = NetFrontend::spawn(daemon, "127.0.0.1:0").expect("loopback listener");
+            let r = run_net_workload(frontend.local_addr(), &self.load, self.g.n())
+                .expect("loopback workload");
+            let l = &r.latency;
+            let sample = vec![
+                ("seconds", l.quantile(0.99) as f64 * NS),
+                ("responses_per_sec", r.responses_per_sec()),
+                ("answered", r.answered as f64),
+                ("accepted", r.accepted as f64),
+                ("shed_count", r.shed as f64),
+                ("rejected_other", r.rejected_other as f64),
+                ("latency_p50_seconds", l.quantile(0.50) as f64 * NS),
+                ("latency_p999_seconds", l.quantile(0.999) as f64 * NS),
+                ("latency_max_seconds", l.max() as f64 * NS),
+            ];
+            (sample, frontend.shutdown())
+        } else {
+            let r = run_workload(daemon, &self.load);
+            let s = &r.serve;
+            let mut sample = vec![
+                ("seconds", s.latency.quantile(0.99) as f64 * NS),
+                ("queries_per_sec", r.queries_per_sec()),
+                ("answered", s.answered as f64),
+                ("latency_p50_seconds", s.latency.quantile(0.50) as f64 * NS),
+                (
+                    "latency_p999_seconds",
+                    s.latency.quantile(0.999) as f64 * NS,
+                ),
+                ("latency_max_seconds", s.latency.max() as f64 * NS),
+                ("lag_commits_p50", s.lag_commits.quantile(0.50) as f64),
+                ("lag_commits_p99", s.lag_commits.quantile(0.99) as f64),
+                ("lag_commits_max", s.lag_commits.max() as f64),
+                (
+                    "lag_wall_p99_seconds",
+                    s.lag_wall.quantile(0.99) as f64 * NS,
+                ),
+                ("updates_applied", s.updates_applied as f64),
+                ("commits", s.commits as f64),
+                ("migrations", s.migrations as f64),
+                ("writer_threads", s.writer_threads as f64),
+                ("shed_count", s.shed_updates as f64),
+                (
+                    "commit_p50_seconds",
+                    s.commit_latency.quantile(0.50) as f64 * NS,
+                ),
+                (
+                    "commit_p99_seconds",
+                    s.commit_latency.quantile(0.99) as f64 * NS,
+                ),
+            ];
+            for (shard, name) in SHARD_COMMIT_P99.into_iter().enumerate() {
+                let h = s.shard_commit_latency.get(shard);
+                sample.push((name, h.map_or(0.0, |h| h.quantile(0.99) as f64 * NS)));
+            }
+            (sample, r.serve)
+        };
+        if let Some(e) = &serve.writer_error {
+            let (profile, mode) = (sc.profile.name(), sc.mode.name());
+            panic!("serve writer failed ({profile} / {mode} p={}): {e}", self.p);
+        }
+        self.samples.push(sample);
+    }
+
+    fn entry(&self) -> Json {
+        let sc = self.sc;
+        let rate = match sc.mode {
+            Mode::Open { rate } => rate,
+            Mode::Closed => 0.0,
+        };
+        median_entry(
+            vec![
+                (
+                    "family",
+                    Json::str(if self.net { "serve-net" } else { "serve" }),
+                ),
+                ("algorithm", Json::str(sc.profile.name())),
+                ("n", Json::num(self.g.n())),
+                ("m", Json::num(self.g.m() as f64)),
+                ("threads", Json::num(self.p as f64)),
+                ("mode", Json::str(sc.mode.name())),
+                ("rate", Json::num(rate)),
+                // Writer topology and admission policy: part of the
+                // cell's identity (they land in the entry key) so the
+                // writers=1 ablation and the overload cell gate against
+                // themselves.
+                ("writers", Json::str(sc.writers.name())),
+                (
+                    "admission",
+                    Json::str(if sc.shed { "shed" } else { "open" }),
+                ),
+            ],
+            &self.samples,
+        )
+    }
 }
 
 /// One regression found by [`compare`].
@@ -1421,7 +771,10 @@ impl std::fmt::Display for CompareError {
 
 impl std::error::Error for CompareError {}
 
-fn entry_key(e: &Json) -> Option<String> {
+/// The key `compare` matches entries by:
+/// `family/algorithm/n<n>/p<threads>` plus the ablation suffixes the
+/// entry's fields dictate (`None` for an entry missing a key field).
+pub fn entry_key(e: &Json) -> Option<String> {
     let mut key = format!(
         "{}/{}/n{}/p{}",
         e.get("family")?.as_str()?,
@@ -1659,18 +1012,21 @@ mod tests {
             threads: vec![1, 2],
             trials,
             seed: 7,
-            smoke: true,
             tunings,
             workspace,
-            // The entry-count and rescale-by-index assertions below
-            // predate the store and serve cells; they run on the plain
-            // grid.
-            store: false,
-            serve: ServeMode::Off,
-            prims: PrimsMode::Off,
-            input: None,
+            ..GridConfig::smoke(2)
         };
-        run_grid(&cfg, |_| {})
+        run_grid(&cfg, &[CellSet::Grid], |_| {})
+    }
+
+    /// The algorithm cells of a `grid` document (the `store-multi`
+    /// cells ride along in the same set).
+    fn pipeline_entries(doc: &Json) -> Vec<&Json> {
+        let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
+        entries
+            .iter()
+            .filter(|e| e.get("phases").is_some())
+            .collect()
     }
 
     #[test]
@@ -1678,18 +1034,11 @@ mod tests {
         let cfg = GridConfig {
             n: 320,
             threads: vec![1, 2],
-            trials: 2,
             seed: 7,
-            smoke: true,
-            tunings: vec![TraversalTuning::fast()],
-            workspace: WorkspaceMode::On,
-            store: true,
-            serve: ServeMode::Off,
-            prims: PrimsMode::Off,
-            input: None,
+            ..GridConfig::smoke(2)
         };
-        let doc = run_grid(&cfg, |_| {});
-        assert_eq!(doc.get("store"), Some(&Json::Bool(true)));
+        let doc = run_grid(&cfg, &[CellSet::Grid], |_| {});
+        assert_eq!(doc.get("cells"), Some(&Json::Arr(vec![Json::str("grid")])));
         // The family summary rides along with the per-algorithm ones.
         let fams = doc.get("families").and_then(Json::as_arr).unwrap();
         let store_fam = fams
@@ -1759,20 +1108,12 @@ mod tests {
         let cfg = GridConfig {
             n: 320,
             threads: vec![1, 2],
-            trials: 2,
             seed: 7,
-            smoke: true,
-            tunings: vec![TraversalTuning::fast()],
-            workspace: WorkspaceMode::On,
-            store: false,
-            serve: ServeMode::Only,
-            prims: PrimsMode::Off,
-            input: None,
+            ..GridConfig::smoke(2)
         };
-        let doc = run_grid(&cfg, |_| {});
-        assert_eq!(doc.get("serve").and_then(Json::as_str), Some("only"));
-        // `only` skips the algorithm grid: the serve and serve-net
-        // family summaries are the whole families array.
+        let doc = run_grid(&cfg, &[CellSet::Serve], |_| {});
+        // The serve and serve-net family summaries are the whole
+        // families array.
         let fams = doc.get("families").and_then(Json::as_arr).unwrap();
         assert_eq!(fams.len(), 2);
         for f in fams {
@@ -1791,7 +1132,7 @@ mod tests {
         // threads × (in-process scenarios + loopback-TCP scenarios).
         assert_eq!(
             entries.len(),
-            2 * (serve_scenarios(1.0).len() + serve_net_scenarios(1.0).len())
+            2 * (serve_scenarios(false, 1.0).len() + serve_scenarios(true, 1.0).len())
         );
         let keys: std::collections::BTreeSet<String> =
             entries.iter().map(|e| entry_key(e).unwrap()).collect();
@@ -1883,10 +1224,11 @@ mod tests {
             parsed.get("experiment").and_then(Json::as_str),
             Some("bcc-grid")
         );
-        // Per-family shape summaries carry the effective diameter.
+        // Per-family shape summaries carry the effective diameter; the
+        // store-multi summary follows them.
         let fams = parsed.get("families").and_then(Json::as_arr).unwrap();
-        assert_eq!(fams.len(), Family::ALL.len());
-        for f in fams {
+        assert_eq!(fams.len(), Family::ALL.len() + 1);
+        for f in &fams[..Family::ALL.len()] {
             let d = f
                 .get("effective_diameter_90")
                 .and_then(Json::as_u64)
@@ -1894,11 +1236,11 @@ mod tests {
             let levels = f.get("bfs_levels").and_then(Json::as_u64).unwrap();
             assert!(d >= 1 && d <= levels, "diameter {d} vs levels {levels}");
         }
-        let entries = parsed.get("entries").and_then(Json::as_arr).unwrap();
+        let entries = pipeline_entries(&parsed);
         // families × threads × (Sequential + 4 parallel × |tunings|).
         assert_eq!(entries.len(), 4 * 2 * (1 + 4));
         let mut algs_seen = std::collections::BTreeSet::new();
-        for e in entries {
+        for e in &entries {
             algs_seen.insert(e.get("algorithm").and_then(Json::as_str).unwrap());
             for field in [
                 "seconds",
@@ -1909,6 +1251,9 @@ mod tests {
                 "imbalance",
                 "alloc_bytes",
                 "arena_hit_rate",
+                "effective_edges",
+                "aux_vertices",
+                "aux_edges",
             ] {
                 assert!(
                     e.get(field).and_then(Json::as_f64).is_some(),
@@ -1955,7 +1300,7 @@ mod tests {
             "topdown+classic-sv".parse().unwrap(),
             TraversalTuning::fast(),
         ]);
-        let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
+        let entries = pipeline_entries(&doc);
         // Sequential once, 4 parallel algorithms × 2 tunings.
         assert_eq!(entries.len(), 4 * 2 * (1 + 4 * 2));
         // Keys stay unique (the tuning disambiguates the ablation cells).
@@ -1964,12 +1309,12 @@ mod tests {
         assert_eq!(keys.len(), entries.len());
         // FastSV finishes its step-6 run in strictly fewer graft rounds
         // than classic SV on at least one family.
-        let rounds = |e: &&Json| e.get("sv_rounds_cc").and_then(Json::as_u64).unwrap();
+        let rounds = |e: &Json| e.get("sv_rounds_cc").and_then(Json::as_u64).unwrap();
         let of = |tuning: &str| -> Vec<u64> {
             entries
                 .iter()
                 .filter(|e| e.get("tuning").and_then(Json::as_str) == Some(tuning))
-                .map(|e| rounds(&e))
+                .map(|e| rounds(e))
                 .collect()
         };
         let classic = of("topdown+classic-sv");
@@ -1986,7 +1331,7 @@ mod tests {
     fn workspace_ablation_emits_on_and_off_series() {
         let doc = tiny_grid_full(vec![TraversalTuning::fast()], WorkspaceMode::Both, 2);
         assert_eq!(doc.get("workspace").and_then(Json::as_str), Some("both"));
-        let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
+        let entries = pipeline_entries(&doc);
         // Sequential once, 4 parallel algorithms × 2 workspace points.
         assert_eq!(entries.len(), 4 * 2 * (1 + 4 * 2));
         // Keys stay unique; exactly the off-cells carry the suffix.
@@ -1995,7 +1340,7 @@ mod tests {
             keys.iter().collect::<std::collections::BTreeSet<_>>().len(),
             entries.len()
         );
-        for (e, key) in entries.iter().zip(&keys) {
+        for (e, key) in entries.into_iter().zip(&keys) {
             let ws = e.get("workspace").and_then(Json::as_str);
             assert_eq!(ws == Some("off"), key.ends_with("/ws-off"), "{key}");
             let alloc = e.get("alloc_bytes").and_then(Json::as_f64).unwrap();
@@ -2014,7 +1359,8 @@ mod tests {
     fn file_input_replaces_generated_families() {
         // A real on-disk dataset: write a text edge list, point the
         // grid at it, and the algorithm cells run on the single `file`
-        // family instead of the four generated ones.
+        // family instead of the four generated ones (the store cells
+        // keep their generated instance).
         let dir = std::env::temp_dir().join(format!("bcc-grid-input-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("input.txt");
@@ -2025,20 +1371,18 @@ mod tests {
             threads: vec![1, 2],
             trials: 1,
             seed: 7,
-            smoke: true,
-            tunings: vec![TraversalTuning::fast()],
-            workspace: WorkspaceMode::On,
-            store: false,
-            serve: ServeMode::Off,
-            prims: PrimsMode::Off,
             input: Some(path.clone()),
+            ..GridConfig::smoke(2)
         };
-        let doc = run_grid(&cfg, |_| {});
+        let doc = run_grid(&cfg, &[CellSet::Grid], |_| {});
         let fams = doc.get("families").and_then(Json::as_arr).unwrap();
-        assert_eq!(fams.len(), 1);
         assert_eq!(fams[0].get("family").and_then(Json::as_str), Some("file"));
         assert_eq!(fams[0].get("n").and_then(Json::as_u64), Some(60));
-        let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
+        assert_eq!(
+            fams[1].get("family").and_then(Json::as_str),
+            Some("store-multi")
+        );
+        let entries = pipeline_entries(&doc);
         // One family × 2 thread counts × (Sequential + 4 parallel).
         assert_eq!(entries.len(), 2 * (1 + 4));
         let rss_available = bcc_smp::rss::reset_peak().is_ok();

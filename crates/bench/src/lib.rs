@@ -1,218 +1,22 @@
-//! Shared harness for the experiment binaries: CLI parsing, repeated
-//! timing, table formatting, and JSON result records.
+//! Benchmark harness regenerating every figure and table of the paper.
 //!
-//! Every binary accepts the same core flags so paper-scale runs are one
-//! command away:
+//! Every BENCH document comes from one trial-major runner
+//! (`runner::run_cells`) over cells built by four front-ends, each a
+//! `bcc-bench` subcommand:
 //!
-//! ```text
-//! --n <vertices>    problem size (default: scaled-down)
-//! --p <threads>     max thread count to sweep (default: 8)
-//! --seed <u64>      workload seed (default: 42)
-//! --runs <k>        timed repetitions, median reported (default: 3)
-//! --json <path>     also dump machine-readable results
-//! ```
-
-use std::time::{Duration, Instant};
+//! * [`grid`] — graph families × algorithms × thread counts × ablation
+//!   points, the `store-multi` commit cells, and the `serve` SLO cells
+//!   (`bcc-bench grid` / `serve`), plus the `compare` regression gate;
+//! * [`prims`] — per-kernel cells for the vectorized primitives
+//!   (`bcc-bench prims`);
+//! * [`xl`] — 10M-vertex-class sweeps over mmap-backed inputs with
+//!   peak RSS gated beside time (`bcc-bench xl`);
+//! * [`paper`] — the paper's figures, table and ablations as named
+//!   presets (`bcc-bench paper fig4`).
 
 pub mod grid;
 pub mod json;
+pub mod paper;
 pub mod prims;
+pub mod runner;
 pub mod xl;
-
-use json::Json;
-
-/// Parsed common CLI options.
-#[derive(Clone, Debug)]
-pub struct Options {
-    /// Vertex count.
-    pub n: u32,
-    /// Max thread count for sweeps.
-    pub max_threads: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// Timed repetitions (median reported).
-    pub runs: usize,
-    /// Optional JSON output path.
-    pub json: Option<String>,
-}
-
-impl Options {
-    /// Parses `--key value` style flags; unknown flags abort with usage.
-    pub fn parse(default_n: u32) -> Options {
-        let mut opts = Options {
-            n: default_n,
-            max_threads: 8,
-            seed: 42,
-            runs: 3,
-            json: None,
-        };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i].as_str();
-            let val = args.get(i + 1).cloned();
-            let need = |v: Option<String>| -> String {
-                v.unwrap_or_else(|| {
-                    eprintln!("missing value for {key}");
-                    std::process::exit(2);
-                })
-            };
-            match key {
-                "--n" => opts.n = need(val).parse().expect("--n"),
-                "--p" => opts.max_threads = need(val).parse().expect("--p"),
-                "--seed" => opts.seed = need(val).parse().expect("--seed"),
-                "--runs" => opts.runs = need(val).parse().expect("--runs"),
-                "--json" => opts.json = Some(need(val)),
-                "--help" | "-h" => {
-                    eprintln!("flags: --n <vertices> --p <max threads> --seed <u64> --runs <k> --json <path>");
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown flag {other}; try --help");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        }
-        opts
-    }
-
-    /// Thread counts to sweep: 1, 2, 4, ..., up to `max_threads`,
-    /// always including `max_threads` itself.
-    pub fn thread_sweep(&self) -> Vec<usize> {
-        let mut ps = vec![];
-        let mut p = 1;
-        while p < self.max_threads {
-            ps.push(p);
-            p *= 2;
-        }
-        ps.push(self.max_threads);
-        ps.dedup();
-        ps
-    }
-}
-
-/// Runs `f` `runs` times and returns the lower-median wall-clock
-/// duration (for even `runs` this picks the faster of the middle pair,
-/// biasing against one-off page-fault/first-touch artifacts).
-pub fn time_median<F: FnMut()>(runs: usize, mut f: F) -> Duration {
-    let runs = runs.max(1);
-    let mut samples: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[(samples.len() - 1) / 2]
-}
-
-/// One measurement row for JSON output.
-#[derive(Clone, Debug)]
-pub struct Record {
-    /// Experiment id (e.g. "fig3").
-    pub experiment: String,
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Vertices.
-    pub n: u32,
-    /// Edges.
-    pub m: usize,
-    /// Threads.
-    pub threads: usize,
-    /// Seconds (median).
-    pub seconds: f64,
-    /// Optional per-step breakdown in seconds, Fig. 4 order.
-    pub steps: Option<Vec<(String, f64)>>,
-}
-
-impl Record {
-    /// This record as a JSON object (`steps` omitted when absent,
-    /// matching the previous serde `skip_serializing_if` layout).
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("experiment", Json::str(&*self.experiment)),
-            ("algorithm", Json::str(&*self.algorithm)),
-            ("n", Json::num(self.n)),
-            ("m", Json::num(self.m as f64)),
-            ("threads", Json::num(self.threads as f64)),
-            ("seconds", Json::num(self.seconds)),
-        ];
-        if let Some(steps) = &self.steps {
-            pairs.push((
-                "steps",
-                Json::Arr(
-                    steps
-                        .iter()
-                        .map(|(name, secs)| Json::Arr(vec![Json::str(&**name), Json::num(*secs)]))
-                        .collect(),
-                ),
-            ));
-        }
-        Json::obj(pairs)
-    }
-}
-
-/// Writes records as JSON if `--json` was given.
-pub fn maybe_write_json(opts: &Options, records: &[Record]) {
-    if let Some(path) = &opts.json {
-        let payload = Json::Arr(records.iter().map(Record::to_json).collect()).pretty();
-        std::fs::write(path, payload).unwrap_or_else(|e| {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {} records to {path}", records.len());
-    }
-}
-
-/// Formats a `Duration` compactly for tables.
-pub fn fmt_dur(d: Duration) -> String {
-    let s = d.as_secs_f64();
-    if s >= 1.0 {
-        format!("{s:.2}s")
-    } else if s >= 1e-3 {
-        format!("{:.1}ms", s * 1e3)
-    } else {
-        format!("{:.0}us", s * 1e6)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn median_of_odd_runs() {
-        let mut k = 0;
-        let d = time_median(3, || {
-            k += 1;
-            std::thread::sleep(Duration::from_millis(1));
-        });
-        assert_eq!(k, 3);
-        assert!(d >= Duration::from_millis(1));
-    }
-
-    #[test]
-    fn thread_sweep_shapes() {
-        let mut o = Options {
-            n: 0,
-            max_threads: 8,
-            seed: 0,
-            runs: 1,
-            json: None,
-        };
-        assert_eq!(o.thread_sweep(), vec![1, 2, 4, 8]);
-        o.max_threads = 12;
-        assert_eq!(o.thread_sweep(), vec![1, 2, 4, 8, 12]);
-        o.max_threads = 1;
-        assert_eq!(o.thread_sweep(), vec![1]);
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_dur(Duration::from_secs(2)), "2.00s");
-        assert_eq!(fmt_dur(Duration::from_millis(5)), "5.0ms");
-        assert_eq!(fmt_dur(Duration::from_micros(7)), "7us");
-    }
-}

@@ -30,54 +30,19 @@
 //! an add-scan does one add per element, so even an L2 working set
 //! drowns the in-register prefix in load/store traffic. Each sample
 //! times `reps` back-to-back invocations and reports the
-//! per-invocation mean; trials are trial-major like the rest of the
-//! grid, and `seconds_min` is the gate metric.
+//! per-invocation mean (a `KernelCell`, whose set-up runs one untimed
+//! round so every timed trial is steady state); trials are trial-major
+//! like the rest of the grid, and `seconds_min` is the gate metric.
 
-use crate::grid::{median_f64, GridConfig};
+use crate::grid::GridConfig;
 use crate::json::Json;
+use crate::runner::{run_cells, Cells, KernelCell};
 use bcc_primitives::compact::{compact_with_ws, reference};
 use bcc_primitives::kernels;
 use bcc_primitives::scan::{inclusive_scan_par_ws, ScanElem};
 use bcc_primitives::sort::par_radix_sort_u64_ws;
 use bcc_smp::{BccWorkspace, Bitmap, Pool};
 use std::hint::black_box;
-use std::time::Instant;
-
-/// Whether the grid runs the `prims` kernel cells.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum PrimsMode {
-    /// Skip the kernel cells.
-    Off,
-    /// Run them after the algorithm grid (the default).
-    On,
-    /// Run *only* the kernel cells — what `bcc-bench prims` and the CI
-    /// prims-smoke job use, so their wall time is the kernels and
-    /// nothing else.
-    Only,
-}
-
-impl PrimsMode {
-    /// Name used in the JSON document and on the CLI.
-    pub fn name(self) -> &'static str {
-        match self {
-            PrimsMode::Off => "off",
-            PrimsMode::On => "on",
-            PrimsMode::Only => "only",
-        }
-    }
-}
-
-impl std::str::FromStr for PrimsMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "off" => Ok(PrimsMode::Off),
-            "on" => Ok(PrimsMode::On),
-            "only" => Ok(PrimsMode::Only),
-            other => Err(format!("unknown prims mode {other:?} (on|off|only)")),
-        }
-    }
-}
 
 /// Base element count: L2-resident at full size (1 MiB of u32), tiny
 /// for the CI smoke grid.
@@ -153,216 +118,142 @@ fn fill_u64(n: usize, seed: u64) -> Vec<u64> {
     (0..n).map(|_| splitmix64(&mut s)).collect()
 }
 
-/// One kernel cell's identity and working set. Scan and sort kernels
+/// Kernel names, in cell order; the `-generic`/`-ref` suffix marks a
+/// frozen reference series. The first four are the scan kernels
+/// [`kernel_shape`] runs L1-resident.
+const KERNELS: [&str; 9] = [
+    "scan-u32",
+    "scan-u32-generic",
+    "scan-u64",
+    "scan-u64-generic",
+    "compact-u32",
+    "compact-u32-scan-ref",
+    "radix-u64",
+    "bitmap-foreach",
+    "bitmap-iter-ref",
+];
+
+/// Bitmap of `n` half-dense random bits — the regime the BFS sweep and
+/// compaction scatter see — with the tail past `n` masked off.
+fn random_bitmap(words: &[u64], n: usize) -> Bitmap {
+    let bm = Bitmap::new(n);
+    for (w, &bits) in words.iter().take(bm.words()).enumerate() {
+        let hi = n - w * 64;
+        let mask = if hi >= 64 { !0 } else { (1u64 << hi) - 1 };
+        bm.store_word_unsync(w, bits & mask);
+    }
+    bm
+}
+
+/// One invocation of kernel `which` over its own ~`n`-element working
+/// set (deterministic in `seed`) and arena. Scan and sort kernels
 /// mutate their buffer in place; the result of one rep is a valid input
 /// for the next (wrapping adds, already-sorted keys cost the same as
 /// shuffled ones through a radix pass), so the timed region is the
-/// kernel alone — no per-rep re-initialization.
-enum Kernel {
-    ScanU32(Vec<u32>),
-    ScanU32Generic(Vec<GenericU32>),
-    ScanU64(Vec<u64>),
-    ScanU64Generic(Vec<GenericU64>),
-    CompactU32(Vec<u32>),
-    CompactU32ScanRef(Vec<u32>),
-    RadixU64(Vec<u64>),
-    BitmapForeach(Bitmap),
-    BitmapIterRef(Bitmap),
-}
-
-impl Kernel {
-    /// Display/JSON name; the `-generic`/`-ref` suffix marks a frozen
-    /// reference series.
-    fn name(&self) -> &'static str {
-        match self {
-            Kernel::ScanU32(_) => "scan-u32",
-            Kernel::ScanU32Generic(_) => "scan-u32-generic",
-            Kernel::ScanU64(_) => "scan-u64",
-            Kernel::ScanU64Generic(_) => "scan-u64-generic",
-            Kernel::CompactU32(_) => "compact-u32",
-            Kernel::CompactU32ScanRef(_) => "compact-u32-scan-ref",
-            Kernel::RadixU64(_) => "radix-u64",
-            Kernel::BitmapForeach(_) => "bitmap-foreach",
-            Kernel::BitmapIterRef(_) => "bitmap-iter-ref",
+/// kernel alone — no per-rep re-initialization. The compaction
+/// predicate keeps ~half the elements (low bit of random data),
+/// matching the tree/nontree splits the pipeline compacts.
+fn kernel<'a>(which: usize, n: usize, seed: u64, pool: &'a Pool) -> Box<dyn FnMut() + 'a> {
+    let words = fill_u64(n, seed ^ (which as u64) << 32);
+    let mut u32s: Vec<u32> = words.iter().map(|&x| x as u32).collect();
+    let ws = BccWorkspace::new();
+    match which {
+        0 => Box::new(move || inclusive_scan_par_ws(pool, &mut u32s, &ws)),
+        1 => {
+            let mut v: Vec<GenericU32> = u32s.into_iter().map(GenericU32).collect();
+            Box::new(move || inclusive_scan_par_ws(pool, &mut v, &ws))
         }
-    }
-
-    /// Whether the kernel runs on the pool (swept over thread counts)
-    /// or on the calling thread (one cell at p = 1).
-    fn parallel(&self) -> bool {
-        !matches!(self, Kernel::BitmapForeach(_) | Kernel::BitmapIterRef(_))
-    }
-
-    /// Builds the kernel's working set (~`n` elements, deterministic in
-    /// `seed`). Bitmaps are half-dense random words — the regime the
-    /// BFS sweep and compaction scatter see.
-    fn build(which: usize, n: usize, seed: u64) -> Kernel {
-        let words = fill_u64(n, seed ^ (which as u64) << 32);
-        let u32s = || words.iter().map(|&x| x as u32).collect::<Vec<u32>>();
-        let bitmap = || {
-            let bm = Bitmap::new(n);
-            for (w, &bits) in words.iter().take(bm.words()).enumerate() {
-                let hi = n - w * 64;
-                let mask = if hi >= 64 { !0 } else { (1u64 << hi) - 1 };
-                bm.store_word_unsync(w, bits & mask);
-            }
-            bm
-        };
-        match which {
-            0 => Kernel::ScanU32(u32s()),
-            1 => Kernel::ScanU32Generic(words.iter().map(|&x| GenericU32(x as u32)).collect()),
-            2 => Kernel::ScanU64(words.clone()),
-            3 => Kernel::ScanU64Generic(words.iter().map(|&x| GenericU64(x)).collect()),
-            4 => Kernel::CompactU32(u32s()),
-            5 => Kernel::CompactU32ScanRef(u32s()),
-            6 => Kernel::RadixU64(words.clone()),
-            7 => Kernel::BitmapForeach(bitmap()),
-            8 => Kernel::BitmapIterRef(bitmap()),
-            _ => unreachable!("kernel index out of range"),
+        2 => {
+            let mut v = words;
+            Box::new(move || inclusive_scan_par_ws(pool, &mut v, &ws))
         }
-    }
-
-    /// The number of kernel variants [`Kernel::build`] knows.
-    const COUNT: usize = 9;
-
-    /// One invocation. The compaction predicate keeps ~half the
-    /// elements (low bit of random data), matching the tree/nontree
-    /// splits the pipeline compacts.
-    fn run_once(&mut self, pool: &Pool, ws: &BccWorkspace) {
-        match self {
-            Kernel::ScanU32(v) => inclusive_scan_par_ws(pool, v, ws),
-            Kernel::ScanU32Generic(v) => inclusive_scan_par_ws(pool, v, ws),
-            Kernel::ScanU64(v) => inclusive_scan_par_ws(pool, v, ws),
-            Kernel::ScanU64Generic(v) => inclusive_scan_par_ws(pool, v, ws),
-            Kernel::CompactU32(v) => {
-                let out = compact_with_ws(pool, v, |_, &x| x & 1 == 0, ws);
-                black_box(out.len());
-                ws.give(out);
-            }
-            Kernel::CompactU32ScanRef(v) => {
-                let out = reference::compact_with_scan(pool, v, |_, &x| x & 1 == 0);
-                black_box(out.len());
-            }
-            Kernel::RadixU64(v) => par_radix_sort_u64_ws(pool, v, ws),
-            Kernel::BitmapForeach(bm) => {
+        3 => {
+            let mut v: Vec<GenericU64> = words.into_iter().map(GenericU64).collect();
+            Box::new(move || inclusive_scan_par_ws(pool, &mut v, &ws))
+        }
+        4 => Box::new(move || {
+            let out = compact_with_ws(pool, &u32s, |_, &x| x & 1 == 0, &ws);
+            black_box(out.len());
+            ws.give(out);
+        }),
+        5 => Box::new(move || {
+            let out = reference::compact_with_scan(pool, &u32s, |_, &x| x & 1 == 0);
+            black_box(out.len());
+        }),
+        6 => {
+            let mut v = words;
+            Box::new(move || par_radix_sort_u64_ws(pool, &mut v, &ws))
+        }
+        7 => {
+            let bm = random_bitmap(&words, n);
+            Box::new(move || {
                 let mut acc = 0u64;
                 bm.for_each_one(|i| acc = acc.wrapping_add(i as u64));
                 black_box(acc);
-            }
-            Kernel::BitmapIterRef(bm) => {
-                let acc = bm.iter_ones().fold(0u64, |a, i| a.wrapping_add(i as u64));
-                black_box(acc);
-            }
+            })
         }
+        8 => {
+            let bm = random_bitmap(&words, n);
+            Box::new(move || {
+                black_box(bm.iter_ones().fold(0u64, |a, i| a.wrapping_add(i as u64)));
+            })
+        }
+        _ => unreachable!("kernel index out of range"),
     }
 }
 
-/// Runs the kernel cells and returns `(family summary, entries)` in the
-/// grid's document shape. Parallel kernels sweep `cfg.threads`; the
-/// serial bitmap drains emit one cell at p = 1. Each cell owns its
-/// input and a shared arena across trials (the zero-allocation
-/// steady state, same regime as `WorkspaceMode::On`).
-pub fn run_prims_cells(cfg: &GridConfig, progress: &mut impl FnMut(&str)) -> (Json, Vec<Json>) {
-    let trials = cfg.trials.max(1);
-
-    struct PrimsCell {
-        kernel: Kernel,
-        n: usize,
-        reps: u32,
-        threads: usize,
-        ws: BccWorkspace,
-        samples: Vec<f64>,
-    }
+/// The kernel cells as `(family summaries, entries)` in the grid's
+/// document shape. Parallel kernels sweep `cfg.threads`; the serial
+/// bitmap drains (the last two kernels) emit one cell at p = 1.
+pub(crate) fn prims_cells(
+    cfg: &GridConfig,
+    progress: &mut dyn FnMut(&str),
+) -> (Vec<Json>, Vec<Json>) {
     let pools: Vec<Pool> = cfg.threads.iter().map(|&p| Pool::new(p)).collect();
-    let mut cells: Vec<PrimsCell> = vec![];
-    for which in 0..Kernel::COUNT {
-        let probe = Kernel::build(which, 0, 0);
-        let sweep: &[usize] = if probe.parallel() { &cfg.threads } else { &[1] };
-        let (n, reps) = kernel_shape(which, cfg);
-        for &p in sweep {
-            cells.push(PrimsCell {
-                kernel: Kernel::build(which, n, cfg.seed),
-                n,
-                reps,
-                threads: p,
-                ws: BccWorkspace::new(),
-                samples: Vec::with_capacity(trials),
-            });
-        }
-    }
-
-    // Trial-major, like the rest of the grid: spread each cell's
-    // samples past any single host-scheduler burst. One untimed warmup
-    // round populates the arenas, so every timed trial runs steady
-    // state.
-    for round in 0..=trials {
-        for cell in &mut cells {
-            let pool = &pools[cfg.threads.iter().position(|&p| p == cell.threads).unwrap()];
-            let t = Instant::now();
-            for _ in 0..cell.reps {
-                cell.kernel.run_once(pool, &cell.ws);
-            }
-            if round > 0 {
-                cell.samples
-                    .push(t.elapsed().as_secs_f64() / f64::from(cell.reps));
-            }
-        }
-        if round > 0 {
-            progress(&format!("prims trial round {round}/{trials} complete"));
-        }
-    }
-
     let simd = kernels::simd_level();
-    let mut entries = Vec::with_capacity(cells.len());
-    for cell in &cells {
-        let seconds = median_f64(cell.samples.clone());
-        let min = cell.samples.iter().copied().fold(f64::INFINITY, f64::min);
-        entries.push(Json::obj(vec![
-            ("family", Json::str("prims")),
-            ("algorithm", Json::str(cell.kernel.name())),
-            ("n", Json::num(cell.n as f64)),
-            ("threads", Json::num(cell.threads as f64)),
-            ("reps", Json::num(f64::from(cell.reps))),
-            ("simd", Json::str(simd)),
-            ("seconds", Json::num(seconds)),
-            ("seconds_min", Json::num(min)),
-        ]));
-        progress(&format!(
-            "{:>13} {:>20} p={} [{simd}]: {:>11.3?} per call ({trials} trials x {} reps)",
-            "prims",
-            cell.kernel.name(),
-            cell.threads,
-            std::time::Duration::from_secs_f64(seconds),
-            cell.reps,
-        ));
+    let mut cells: Cells = vec![];
+    for (which, name) in KERNELS.into_iter().enumerate() {
+        let sweep = if which < 7 { &pools[..] } else { &pools[..1] };
+        let (n, reps) = kernel_shape(which, cfg);
+        for pool in sweep {
+            let fields = vec![
+                ("family", Json::str("prims")),
+                ("algorithm", Json::str(name)),
+                ("n", Json::num(n as f64)),
+                ("threads", Json::num(pool.threads() as f64)),
+                ("reps", Json::num(f64::from(reps))),
+                ("simd", Json::str(simd)),
+            ];
+            let run = kernel(which, n, cfg.seed, pool);
+            cells.push(Box::new(KernelCell::new(fields, reps, run)));
+        }
     }
-
+    let entries = run_cells("prims", &mut cells, cfg.trials, progress);
     let family = Json::obj(vec![
         ("family", Json::str("prims")),
         ("n", Json::num(elems(cfg) as f64)),
         ("reps", Json::num(f64::from(reps(cfg)))),
         ("simd", Json::str(simd)),
     ]);
-    (family, entries)
+    (vec![family], entries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every kernel variant constructs, names itself, and runs.
+    /// Every kernel variant constructs and runs, and the names are
+    /// unique.
     #[test]
     fn kernels_build_and_run() {
         let pool = Pool::new(2);
-        let ws = BccWorkspace::new();
-        let mut names = std::collections::BTreeSet::new();
-        for which in 0..Kernel::COUNT {
-            let mut k = Kernel::build(which, 130, 7);
-            k.run_once(&pool, &ws);
-            k.run_once(&pool, &ws);
-            assert!(names.insert(k.name()), "duplicate kernel name {}", k.name());
+        for which in 0..KERNELS.len() {
+            let mut k = kernel(which, 130, 7, &pool);
+            k();
+            k();
         }
-        assert_eq!(names.len(), Kernel::COUNT);
+        let names: std::collections::BTreeSet<_> = KERNELS.iter().collect();
+        assert_eq!(names.len(), KERNELS.len());
     }
 
     /// The generic newtypes really take the default (naive) block
@@ -385,9 +276,7 @@ mod tests {
     #[test]
     fn bitmap_build_respects_length() {
         for n in [1usize, 63, 64, 65, 130] {
-            let Kernel::BitmapForeach(bm) = Kernel::build(7, n, 9) else {
-                panic!("kernel 7 should be bitmap-foreach");
-            };
+            let bm = random_bitmap(&fill_u64(n, 9), n);
             let mut max_seen = 0;
             bm.for_each_one(|i| max_seen = max_seen.max(i));
             assert!(max_seen < n, "bit {max_seen} >= len {n}");

@@ -22,19 +22,20 @@
 //! floor — at xl sizes every scratch buffer is past the allocator's
 //! mmap threshold and returns to the kernel on drop.
 //!
-//! The emitted document is schema-v2 ([`crate::grid::SCHEMA_VERSION`])
+//! The emitted document is schema-v2 ([`crate::runner::SCHEMA_VERSION`])
 //! with `experiment: "bcc-xl"`: `bcc-bench compare` gates its cells —
 //! `seconds_min` under the calibrated time thresholds and
 //! `peak_rss_bytes` under the uncalibrated space threshold — exactly
 //! like grid cells.
 
-use crate::grid::{cell_json, median_f64, SCHEMA_VERSION};
 use crate::json::Json;
-use bcc_core::{Algorithm, BccConfig, BccWorkspace, PhaseReport, TraversalTuning};
-use bcc_smp::{rss, Pool, Telemetry};
+use crate::runner::{
+    document, fill_speedups, run_cells, telemetry_pools, thread_sweep, Cells, Instance,
+    PipelineCell,
+};
+use bcc_core::{Algorithm, TraversalTuning};
+use bcc_smp::Pool;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Duration;
 
 /// One on-disk input: `--graph <family>=<path>` on the CLI. The family
 /// string names the entry series (`rmat/FAST-BCC/n.../p...`), so two
@@ -70,7 +71,7 @@ impl Default for XlConfig {
     fn default() -> Self {
         XlConfig {
             inputs: vec![],
-            threads: crate::grid::thread_sweep(Pool::default_threads()),
+            threads: thread_sweep(Pool::default_threads()),
             trials: 2,
             tv_cap: u64::MAX,
             smoke: false,
@@ -83,29 +84,28 @@ impl Default for XlConfig {
 pub fn run_xl(cfg: &XlConfig, mut progress: impl FnMut(&str)) -> Json {
     assert!(!cfg.inputs.is_empty(), "xl needs at least one --graph");
     assert!(cfg.threads.contains(&1), "thread sweep must include 1");
-    let trials = cfg.trials.max(1);
-    let pools: Vec<Pool> = cfg
-        .threads
-        .iter()
-        .map(|&p| {
-            Pool::builder()
-                .threads(p)
-                .telemetry(Arc::new(Telemetry::new(p)))
-                .build()
-        })
-        .collect();
-
+    let pools = telemetry_pools(&cfg.threads);
     let mut families: Vec<Json> = vec![];
     let mut entries: Vec<Json> = vec![];
     for input in &cfg.inputs {
-        let g = bcc_graph::io::load(&input.path)
-            .unwrap_or_else(|e| panic!("loading {}: {e}", input.path.display()));
+        let inst = Instance::new(
+            input.family.as_str(),
+            bcc_graph::io::load(&input.path)
+                .unwrap_or_else(|e| panic!("loading {}: {e}", input.path.display())),
+        );
+        let g = &inst.graph;
+        let capped = u64::from(g.n()) > cfg.tv_cap;
         progress(&format!(
-            "{}: n = {}, m = {} ({})",
+            "{}: n = {}, m = {} ({}){}",
             input.family,
             g.n(),
             g.m(),
-            input.path.display()
+            input.path.display(),
+            if capped {
+                "; n > tv-cap, FAST-BCC only"
+            } else {
+                ""
+            },
         ));
         families.push(Json::obj(vec![
             ("family", Json::str(input.family.as_str())),
@@ -114,93 +114,44 @@ pub fn run_xl(cfg: &XlConfig, mut progress: impl FnMut(&str)) -> Json {
             ("path", Json::str(input.path.display().to_string())),
             ("mapped", Json::Bool(g.is_mapped())),
         ]));
-
-        let capped = u64::from(g.n()) > cfg.tv_cap;
-        let algs: Vec<Algorithm> = Algorithm::ALL
-            .into_iter()
-            .filter(|&a| a == Algorithm::FastBcc || !capped)
-            .collect();
-        if capped {
-            progress(&format!(
-                "{}: n > tv-cap {}, running FAST-BCC only",
-                input.family, cfg.tv_cap
-            ));
-        }
-        // Algorithm::ALL leads with Sequential, so the p = 1 baseline
-        // (when it runs at all) is set before any parallel cell reads
-        // it; without it, speedup columns report 0.
-        let mut seq_baseline = 0.0f64;
-        for &alg in &algs {
-            let seq = alg == Algorithm::Sequential;
-            for (pi, pool) in pools.iter().enumerate() {
-                let p = cfg.threads[pi];
-                if seq && p != 1 {
+        // Sequential runs at p = 1 only (without it, speedup columns
+        // report 0); every parallel cell shares one arena across its
+        // trials.
+        let mut cells: Cells = vec![];
+        for alg in Algorithm::ALL {
+            for pool in &pools {
+                let seq = alg == Algorithm::Sequential;
+                if (capped && alg != Algorithm::FastBcc) || (seq && pool.threads() != 1) {
                     continue;
                 }
-                let mut config = BccConfig::new(alg);
-                let ws = Arc::new(BccWorkspace::new());
-                if !seq {
-                    config = config
-                        .tuning(TraversalTuning::fast())
-                        .workspace(Arc::clone(&ws));
-                }
-                let mut reports: Vec<PhaseReport> = Vec::with_capacity(trials);
-                let mut peaks: Vec<u64> = vec![];
-                for _ in 0..trials {
-                    let rss_ok = rss::reset_peak().is_ok();
-                    let run = config
-                        .run(pool, &g)
-                        .unwrap_or_else(|e| panic!("{} on {}: {e}", alg.name(), input.family));
-                    if rss_ok {
-                        if let Some(peak) = rss::peak_rss_bytes() {
-                            peaks.push(peak);
-                        }
-                    }
-                    reports.push(run.report);
-                }
-                drop(ws);
-                let seconds = median_f64(reports.iter().map(|r| r.total.as_secs_f64()).collect());
-                if seq && p == 1 {
-                    seq_baseline = seconds;
-                }
-                let peak = peaks.iter().copied().max();
-                entries.push(cell_json(
-                    &input.family,
-                    &g,
-                    p,
-                    &reports,
-                    seq_baseline,
-                    (!seq).then(TraversalTuning::fast).as_ref(),
-                    (!seq).then_some(true),
-                    peak,
-                ));
-                progress(&format!(
-                    "{:>13} {:>10} p={p}: {:>9.3?}, peak rss {} ({} trials)",
-                    input.family,
-                    alg.name(),
-                    Duration::from_secs_f64(seconds),
-                    peak.map_or("n/a".to_string(), |b| {
-                        format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0))
-                    }),
-                    trials,
-                ));
+                let (tuning, ws) = ((!seq).then(TraversalTuning::fast), (!seq).then_some(true));
+                let cell = PipelineCell::new(&inst, pool, alg, tuning, ws);
+                cells.push(Box::new(cell));
             }
         }
+        // One cell at a time: each cell, arena included, drops before
+        // the next one's first trial.
+        for cell in cells {
+            entries.extend(run_cells(
+                &input.family,
+                &mut [cell],
+                cfg.trials,
+                &mut progress,
+            ));
+        }
     }
-
-    Json::obj(vec![
-        ("schema_version", Json::num(SCHEMA_VERSION as f64)),
-        ("experiment", Json::str("bcc-xl")),
-        ("smoke", Json::Bool(cfg.smoke)),
-        (
-            "threads",
-            Json::Arr(cfg.threads.iter().map(|&p| Json::num(p as f64)).collect()),
-        ),
-        ("trials", Json::num(trials as f64)),
-        ("tv_cap", Json::num(cfg.tv_cap as f64)),
-        ("families", Json::Arr(families)),
-        ("entries", Json::Arr(entries)),
-    ])
+    fill_speedups(&mut entries);
+    document(
+        "bcc-xl",
+        &cfg.threads,
+        cfg.trials,
+        vec![
+            ("smoke", Json::Bool(cfg.smoke)),
+            ("tv_cap", Json::num(cfg.tv_cap as f64)),
+        ],
+        families,
+        entries,
+    )
 }
 
 #[cfg(test)]
@@ -208,6 +159,7 @@ mod tests {
     use super::*;
     use crate::grid::compare;
     use bcc_graph::gen_stream;
+    use bcc_smp::rss;
 
     fn xl_smoke_doc() -> Json {
         let dir = std::env::temp_dir();

@@ -24,10 +24,8 @@
 //!    compacted candidate copy, no id-remap table — the masked run
 //!    reports original edge ids.
 //! 4. **Tail** — the shared low/high → fused label-edge → FastSV tail
-//!    on the certificate, with the low/high kernel pinned to the O(n)
-//!    level sweep (the auto heuristic may pick the O(n log n) table on
-//!    deep trees, which would break the space bound; the sweep's
-//!    O(depth) rounds are the documented trade).
+//!    on the certificate; its low/high kernel is the O(n)-space level
+//!    sweep (the O(n log n) range table would break the space bound).
 //! 5. **Placement** — every edge outside the certificate is a nontree
 //!    edge of T, and aux-graph condition 1 links each nontree edge's
 //!    larger-preorder endpoint x to that edge's aux vertex, so after
@@ -41,7 +39,6 @@
 //! result itself (one label per edge) — with zero O(m) scratch stacked
 //! on top. This is what the `bcc-bench xl` tier measures at n = 10M+.
 
-use crate::low_high::LowHighMethod;
 use crate::phase::{PhaseRecorder, PipelineStats, Step};
 use crate::pipeline::{finalize, trivial_result, tv_tail, BccError, BccResult};
 use bcc_connectivity::bfs::bfs_tree_ws;
@@ -51,7 +48,6 @@ use bcc_connectivity::BfsDirection;
 use bcc_euler::bfs_tree_info_ws;
 use bcc_graph::{Csr, Edge, Graph};
 use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
-use std::time::Instant;
 
 /// The FAST-BCC pipeline on a connected graph (dispatched from
 /// [`crate::pipeline::run_connected`] for [`crate::Algorithm::FastBcc`]).
@@ -62,10 +58,9 @@ pub(crate) fn fast_bcc_impl(
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
-    let start = Instant::now();
     let n = g.n();
     let m = g.m();
-    if let Some(r) = trivial_result(g, start, rec.phases()) {
+    if let Some(r) = trivial_result(g) {
         return Ok(r);
     }
 
@@ -131,18 +126,8 @@ pub(crate) fn fast_bcc_impl(
         (cert_edges, cert_is_tree, forest_rounds)
     });
 
-    // Steps 4–6 on the certificate, low/high pinned to the level sweep.
-    let tail = tv_tail(
-        pool,
-        n,
-        &cert_edges,
-        &cert_is_tree,
-        &info,
-        tuning,
-        LowHighMethod::LevelSweep,
-        ws,
-        rec,
-    );
+    // Steps 4–6 on the certificate.
+    let tail = tv_tail(pool, n, &cert_edges, &cert_is_tree, &info, tuning, ws, rec);
 
     // Placement: tree edges take their child endpoint's aux label;
     // every other edge — certificate-F and filtered alike — takes its
@@ -202,7 +187,7 @@ pub(crate) fn fast_bcc_impl(
     // the placement pass; it is a plain allocation, so drop it.
     drop(tail.edge_labels);
     ws.give(tail.aux_vertex_labels);
-    Ok(finalize(comp, rec.phases().clone(), stats, start))
+    Ok(finalize(comp, stats))
 }
 
 #[cfg(test)]

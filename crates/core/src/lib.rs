@@ -56,7 +56,7 @@ pub use low_high::{
     compute_low_high_ws, LowHigh, LowHighMethod,
 };
 pub use per_component::component_pipeline;
-pub use phase::{PhaseRecorder, PhaseReport, PhaseTimes, PipelineStats, Step, StepReport};
+pub use phase::{PhaseRecorder, PhaseReport, PipelineStats, Step, StepReport};
 pub use pipeline::{Algorithm, BccConfig, BccError, BccResult, BccRun};
 pub use schmidt::{chain_decomposition, ChainDecomposition};
 pub use tarjan::tarjan_bcc;

@@ -47,17 +47,25 @@ impl LowHigh {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum LowHighMethod {
     /// Sparse-table range min/max over preorder intervals: O(n log n)
-    /// work, O(1) aggregation rounds — insensitive to tree depth.
+    /// work and space, O(1) aggregation rounds.
     RangeTable,
-    /// Level-synchronous bottom-up sweep: O(n + m) work but one
-    /// parallel round per tree level — wins on shallow (BFS) trees,
-    /// loses on deep ones (see the `ablation_lowhigh` bench).
+    /// Level-synchronous bottom-up sweep: O(n + m) work and O(n) space.
+    /// Levels wide enough to pay for a pool round run in parallel;
+    /// narrower ones are folded on the calling thread, so a deep,
+    /// narrow tree costs O(n) serial folds rather than one barrier per
+    /// level (see `bcc-bench paper ablation-lowhigh`). What every
+    /// pipeline uses: one method whatever the tree's depth, which for
+    /// TV-SMP's SV tree varies from run to run — a depth-based choice
+    /// would switch methods between reruns of one input, and a warm
+    /// workspace would then miss the other method's scratch.
     LevelSweep,
-    /// Depth-based choice: the sweep while the tree is shallower than
-    /// `4·log2(n) + 32` levels, the table otherwise. What the pipelines
-    /// use.
-    Auto,
 }
+
+/// Levels narrower than this are folded on the calling thread instead
+/// of paying a pool round (wake, block split, barrier). At this value
+/// the sweep beat the range table in every pipeline on both repository
+/// benchmark workloads (R-MAT and road lattice) at p = 2.
+const SERIAL_LEVEL: usize = 4096;
 
 /// Computes low/high for all vertices in one fused sweep.
 ///
@@ -238,22 +246,13 @@ fn compute_low_high_with_impl(
     match method {
         LowHighMethod::RangeTable => compute_low_high_impl(pool, edges, is_tree_edge, info, ws),
         LowHighMethod::LevelSweep => low_high_level_sweep(pool, edges, is_tree_edge, info, ws),
-        LowHighMethod::Auto => {
-            let n = info.preorder.len() as u32;
-            let depth = info.depth.iter().copied().max().unwrap_or(0);
-            let budget = 4 * (32 - n.max(2).leading_zeros()) + 32;
-            if depth <= budget {
-                low_high_level_sweep(pool, edges, is_tree_edge, info, ws)
-            } else {
-                compute_low_high_impl(pool, edges, is_tree_edge, info, ws)
-            }
-        }
     }
 }
 
 /// Level-synchronous bottom-up aggregation: vertices are bucketed by
 /// depth; sweeping levels deepest-first, each vertex folds its value
-/// into its parent with an atomic min/max. One barrier per level.
+/// into its parent with an atomic min/max. One barrier per level of at
+/// least [`SERIAL_LEVEL`] vertices; narrower levels run serially.
 fn low_high_level_sweep(
     pool: &Pool,
     edges: &[Edge],
@@ -322,20 +321,23 @@ fn low_high_level_sweep(
         give_opt(ws, cursor);
     }
 
-    // Sweep levels deepest-first; one parallel round per level.
+    // Sweep levels deepest-first.
     {
         let lo = as_atomic_u32(&mut low);
         let hi = as_atomic_u32(&mut high);
+        let fold = |v: u32| {
+            let v = v as usize;
+            let p = info.parent[v] as usize;
+            fetch_min_u32(&lo[p], lo[v].load(std::sync::atomic::Ordering::Relaxed));
+            fetch_max_u32(&hi[p], hi[v].load(std::sync::atomic::Ordering::Relaxed));
+        };
         for d in (1..=max_depth).rev() {
             let level = &by_level[bucket_of[d] as usize..bucket_of[d + 1] as usize];
-            pool.run(|ctx| {
-                for k in ctx.block_range(level.len()) {
-                    let v = level[k] as usize;
-                    let p = info.parent[v] as usize;
-                    fetch_min_u32(&lo[p], lo[v].load(std::sync::atomic::Ordering::Relaxed));
-                    fetch_max_u32(&hi[p], hi[v].load(std::sync::atomic::Ordering::Relaxed));
-                }
-            });
+            if level.len() < SERIAL_LEVEL {
+                level.iter().for_each(|&v| fold(v));
+            } else {
+                pool.run(|ctx| ctx.block_range(level.len()).for_each(|k| fold(level[k])));
+            }
         }
     }
 

@@ -16,7 +16,6 @@ use bcc_connectivity::tuning::TraversalTuning;
 use bcc_euler::Ranker;
 use bcc_graph::{Edge, Graph, GraphBuilder};
 use bcc_smp::{BccWorkspace, Pool};
-use std::time::Instant;
 
 /// Biconnected components of an arbitrary simple graph: per connected
 /// component, using `alg`; labels are canonical over the whole edge
@@ -35,7 +34,6 @@ pub(crate) fn run_per_component(
     if alg == Algorithm::Sequential {
         return run_connected(pool, g, alg, ranker, tuning, ws, rec);
     }
-    let start = Instant::now();
     let cc = connected_components_with_ws(pool, g.n(), g.edges(), tuning.sv, ws);
     if cc.num_components <= 1 {
         // Connected (or empty): run directly.
@@ -108,12 +106,9 @@ pub(crate) fn run_per_component(
     ws.give(local);
     let num_components = canonicalize_edge_labels(&mut edge_comp);
     debug_assert_eq!(num_components, base);
-    let mut phases = rec.phases().clone();
-    phases.total = start.elapsed();
     Ok(BccResult {
         edge_comp,
         num_components,
-        phases,
         stats,
     })
 }

@@ -1,15 +1,12 @@
 //! Per-step timing, the instrumentation behind the paper's Fig. 4
 //! (execution-time breakdown at fixed processor count).
 //!
-//! Two layers:
-//!
-//! * [`PhaseTimes`] / [`PipelineStats`] — the flat per-run numbers the
-//!   original harness consumed (kept for compatibility).
-//! * [`PhaseReport`] — the structured record produced by
-//!   [`BccConfig::run`](crate::BccConfig::run): per-step durations
-//!   *plus* per-step barrier-wait and load-imbalance (when the pool
-//!   carries a [`Telemetry`] sink) and the input sizes that contextualize
-//!   them (n, m, effective/filtered edge counts).
+//! [`PhaseReport`] is the one timing record a run produces
+//! ([`BccRun::report`](crate::BccRun::report)): per-step durations
+//! *plus* per-step barrier-wait and load-imbalance (when the pool
+//! carries a [`Telemetry`] sink), the input sizes that contextualize
+//! them (n, m, effective/filtered edge counts), and the run's
+//! machine-independent [`PipelineStats`].
 
 use bcc_smp::telemetry::{Telemetry, TelemetrySnapshot};
 use bcc_smp::{BccWorkspace, WorkspaceStats};
@@ -47,7 +44,7 @@ impl Step {
         Step::Filtering,
     ];
 
-    /// Display name matching [`PhaseTimes::named`].
+    /// Display name, as the paper's Fig. 4 labels the step.
     pub fn name(self) -> &'static str {
         match self {
             Step::SpanningTree => "Spanning-tree",
@@ -59,76 +56,6 @@ impl Step {
             Step::Filtering => "Filtering",
         }
     }
-}
-
-/// Wall-clock time of each pipeline step. Steps that an algorithm does
-/// not perform stay zero (e.g. `filtering` for TV-SMP/TV-opt; TV-opt's
-/// merged rooting leaves `root_tree` for the tree computations).
-#[derive(Clone, Debug, Default)]
-pub struct PhaseTimes {
-    /// Spanning-tree step (TV-filter: the BFS tree).
-    pub spanning_tree: Duration,
-    /// Euler-tour construction (classic or DFS-order).
-    pub euler_tour: Duration,
-    /// Root-tree / tree computations (preorder, sizes, depths).
-    pub root_tree: Duration,
-    /// Low-high values.
-    pub low_high: Duration,
-    /// Label-edge: building the auxiliary graph (paper Alg. 1).
-    pub label_edge: Duration,
-    /// Connected components of the auxiliary graph + label write-back.
-    pub connected_components: Duration,
-    /// TV-filter only: spanning forest of G − T and edge filtering.
-    pub filtering: Duration,
-    /// End-to-end time (≥ sum of the steps; includes glue).
-    pub total: Duration,
-}
-
-impl PhaseTimes {
-    /// Mutable slot for one step's accumulated duration.
-    pub fn slot_mut(&mut self, step: Step) -> &mut Duration {
-        match step {
-            Step::SpanningTree => &mut self.spanning_tree,
-            Step::EulerTour => &mut self.euler_tour,
-            Step::RootTree => &mut self.root_tree,
-            Step::LowHigh => &mut self.low_high,
-            Step::LabelEdge => &mut self.label_edge,
-            Step::ConnectedComponents => &mut self.connected_components,
-            Step::Filtering => &mut self.filtering,
-        }
-    }
-
-    /// Sum of the individual steps (excludes `total`).
-    pub fn step_sum(&self) -> Duration {
-        self.spanning_tree
-            + self.euler_tour
-            + self.root_tree
-            + self.low_high
-            + self.label_edge
-            + self.connected_components
-            + self.filtering
-    }
-
-    /// `(name, duration)` pairs in the paper's Fig. 4 order.
-    pub fn named(&self) -> [(&'static str, Duration); 7] {
-        [
-            ("Spanning-tree", self.spanning_tree),
-            ("Euler-tour", self.euler_tour),
-            ("Root", self.root_tree),
-            ("Low-high", self.low_high),
-            ("Label-edge", self.label_edge),
-            ("Connected-comp", self.connected_components),
-            ("Filtering", self.filtering),
-        ]
-    }
-}
-
-/// Measures one phase: `stopwatch(&mut times.low_high, || ...)`.
-pub fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let out = f();
-    *slot += start.elapsed();
-    out
 }
 
 /// Machine-independent work counters, filled by every pipeline run.
@@ -233,22 +160,6 @@ pub struct PhaseReport {
     /// Fraction of workspace takes served from the arena shelf
     /// (`1.0` when every take hit, or when no workspace was observed).
     pub arena_hit_rate: f64,
-    /// Snapshot-lag observations recorded through the telemetry sink
-    /// during the run (0 without telemetry, or when nothing was
-    /// answered from an epoch snapshot — classic batch pipelines).
-    pub snapshot_lag_samples: u64,
-    /// Mean observed snapshot lag, in commits behind the latest epoch.
-    pub snapshot_lag_commits_mean: f64,
-    /// Worst observed snapshot lag, in commits (high-water mark of the
-    /// sink — see `TelemetrySnapshot::delta_since`).
-    pub snapshot_lag_commits_max: u64,
-    /// Mean observed snapshot age (wall time since publication).
-    pub snapshot_lag_wall_mean: Duration,
-    /// Worst observed snapshot age (high-water mark of the sink).
-    pub snapshot_lag_wall_max: Duration,
-    /// Operations shed by admission control during the run (0 without
-    /// telemetry, or when no serving layer was involved).
-    pub shed_count: u64,
     /// The run's machine-independent work counters.
     pub stats: PipelineStats,
 }
@@ -270,7 +181,6 @@ impl PhaseReport {
 /// [`PhaseReport`]. Repeated steps (TV-filter's two filtering
 /// sub-phases, per-component reruns) merge into one entry.
 pub struct PhaseRecorder<'a> {
-    phases: PhaseTimes,
     order: Vec<Step>,
     accum: [Option<StepAccum>; 7],
     telem: Option<&'a Telemetry>,
@@ -307,7 +217,6 @@ impl<'a> PhaseRecorder<'a> {
         let first = telem.map(|t| t.snapshot());
         let ws_first = ws.as_ref().map(|w| w.stats()).unwrap_or_default();
         PhaseRecorder {
-            phases: PhaseTimes::default(),
             order: Vec::new(),
             accum: Default::default(),
             telem,
@@ -319,18 +228,12 @@ impl<'a> PhaseRecorder<'a> {
         }
     }
 
-    /// The flat times accumulated so far.
-    pub fn phases(&self) -> &PhaseTimes {
-        &self.phases
-    }
-
     /// Times `f` as one execution of `step`, attributing the pool's
     /// telemetry movement during `f` to that step.
     pub fn step<T>(&mut self, step: Step, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
         let duration = start.elapsed();
-        *self.phases.slot_mut(step) += duration;
 
         let (barrier_wait, busy) = match self.telem {
             None => (Duration::ZERO, Vec::new()),
@@ -417,18 +320,6 @@ impl<'a> PhaseRecorder<'a> {
                 delta.imbalance(),
             ),
         };
-        let (lag_samples, lag_commits_mean, lag_commits_max, lag_wall_mean, lag_wall_max) =
-            match &whole_run {
-                None => (0, 0.0, 0, Duration::ZERO, Duration::ZERO),
-                Some(delta) => (
-                    delta.snapshot_lag_samples,
-                    delta.snapshot_lag_mean_commits(),
-                    delta.snapshot_lag_commits_max,
-                    delta.snapshot_lag_mean_wall(),
-                    delta.snapshot_lag_wall_max,
-                ),
-            };
-
         let (alloc_bytes, arena_hit_rate) = match &self.ws {
             None => (0, 1.0),
             Some(w) => {
@@ -452,12 +343,6 @@ impl<'a> PhaseRecorder<'a> {
             imbalance,
             alloc_bytes,
             arena_hit_rate,
-            snapshot_lag_samples: lag_samples,
-            snapshot_lag_commits_mean: lag_commits_mean,
-            snapshot_lag_commits_max: lag_commits_max,
-            snapshot_lag_wall_mean: lag_wall_mean,
-            snapshot_lag_wall_max: lag_wall_max,
-            shed_count: whole_run.as_ref().map_or(0, |d| d.sheds),
             stats,
         }
     }
@@ -475,19 +360,6 @@ fn imbalance_of(busy: &[Duration]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timed_accumulates() {
-        let mut d = Duration::ZERO;
-        let x = timed(&mut d, || {
-            std::thread::sleep(Duration::from_millis(5));
-            42
-        });
-        assert_eq!(x, 42);
-        assert!(d >= Duration::from_millis(5));
-        timed(&mut d, || ());
-        assert!(d >= Duration::from_millis(5));
-    }
 
     #[test]
     fn recorder_merges_repeated_steps_in_first_seen_order() {
@@ -551,61 +423,5 @@ mod tests {
         assert_eq!(et.imbalance, 1.0);
         assert_eq!(report.phase_runs, 1);
         assert_eq!(report.barrier_episodes, 1);
-    }
-
-    #[test]
-    fn recorder_routes_snapshot_lag_from_the_sink() {
-        let sink = Telemetry::new(1);
-        let rec = PhaseRecorder::new(Some(&sink));
-        // A serving reader elsewhere reports two answers' staleness.
-        sink.record_snapshot_lag(2, Duration::from_micros(50));
-        sink.record_snapshot_lag(4, Duration::from_micros(150));
-        sink.record_shed(3);
-        let report = rec.finish(
-            "TV-filter",
-            1,
-            1,
-            1,
-            PipelineStats::default(),
-            Duration::ZERO,
-        );
-        assert_eq!(report.snapshot_lag_samples, 2);
-        assert!((report.snapshot_lag_commits_mean - 3.0).abs() < 1e-9);
-        assert_eq!(report.snapshot_lag_commits_max, 4);
-        assert_eq!(report.snapshot_lag_wall_mean, Duration::from_micros(100));
-        assert_eq!(report.snapshot_lag_wall_max, Duration::from_micros(150));
-        assert_eq!(report.shed_count, 3);
-
-        // Without a sink the fields are inert zeros.
-        let report = PhaseRecorder::new(None).finish(
-            "TV-opt",
-            1,
-            1,
-            1,
-            PipelineStats::default(),
-            Duration::ZERO,
-        );
-        assert_eq!(report.snapshot_lag_samples, 0);
-        assert_eq!(report.snapshot_lag_wall_max, Duration::ZERO);
-    }
-
-    #[test]
-    fn step_names_match_phase_times_named() {
-        let times = PhaseTimes::default();
-        for (step, (name, _)) in Step::ALL.iter().zip(times.named()) {
-            assert_eq!(step.name(), name);
-        }
-    }
-
-    #[test]
-    fn step_sum_and_named_agree() {
-        let t = PhaseTimes {
-            spanning_tree: Duration::from_millis(1),
-            filtering: Duration::from_millis(2),
-            ..PhaseTimes::default()
-        };
-        assert_eq!(t.step_sum(), Duration::from_millis(3));
-        let total: Duration = t.named().iter().map(|&(_, d)| d).sum();
-        assert_eq!(total, t.step_sum());
     }
 }

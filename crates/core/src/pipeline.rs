@@ -28,7 +28,7 @@
 
 use crate::aux_graph::build_aux_graph_fused_ws;
 use crate::low_high::{compute_low_high_with_ws, LowHighMethod};
-use crate::phase::{PhaseRecorder, PhaseReport, PhaseTimes, PipelineStats, Step};
+use crate::phase::{PhaseRecorder, PhaseReport, PipelineStats, Step};
 use crate::tarjan::tarjan_bcc;
 use crate::verify::canonicalize_edge_labels;
 use bcc_connectivity::bfs::bfs_tree_ws;
@@ -113,8 +113,6 @@ pub struct BccResult {
     pub edge_comp: Vec<u32>,
     /// Number of biconnected components.
     pub num_components: u32,
-    /// Wall-clock breakdown by pipeline step.
-    pub phases: PhaseTimes,
     /// Machine-independent work counters.
     pub stats: PipelineStats,
 }
@@ -313,13 +311,8 @@ pub(crate) fn run_connected(
 }
 
 pub(crate) fn sequential_impl(g: &Graph) -> BccResult {
-    let start = Instant::now();
     let mut comp = tarjan_bcc(g);
     let num_components = canonicalize_edge_labels(&mut comp);
-    let phases = PhaseTimes {
-        total: start.elapsed(),
-        ..PhaseTimes::default()
-    };
     let stats = PipelineStats {
         input_edges: g.m(),
         effective_edges: g.m(),
@@ -328,7 +321,6 @@ pub(crate) fn sequential_impl(g: &Graph) -> BccResult {
     BccResult {
         edge_comp: comp,
         num_components,
-        phases,
         stats,
     }
 }
@@ -341,9 +333,8 @@ fn tv_smp_impl(
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
-    let start = Instant::now();
     let n = g.n();
-    if let Some(r) = trivial_result(g, start, rec.phases()) {
+    if let Some(r) = trivial_result(g) {
         return Ok(r);
     }
 
@@ -377,17 +368,7 @@ fn tv_smp_impl(
     });
 
     // Steps 4–6.
-    let tail = tv_tail(
-        pool,
-        n,
-        g.edges(),
-        &is_tree,
-        &info,
-        tuning,
-        LowHighMethod::Auto,
-        ws,
-        rec,
-    );
+    let tail = tv_tail(pool, n, g.edges(), &is_tree, &info, tuning, ws, rec);
     tour.recycle(ws);
     info.recycle(ws);
     ws.give(is_tree);
@@ -401,12 +382,7 @@ fn tv_smp_impl(
         sv_rounds_cc: tail.sv_rounds_cc,
         ..PipelineStats::default()
     };
-    Ok(finalize(
-        tail.edge_labels,
-        rec.phases().clone(),
-        stats,
-        start,
-    ))
+    Ok(finalize(tail.edge_labels, stats))
 }
 
 fn tv_opt_impl(
@@ -416,9 +392,8 @@ fn tv_opt_impl(
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
-    let start = Instant::now();
     let n = g.n();
-    if let Some(r) = trivial_result(g, start, rec.phases()) {
+    if let Some(r) = trivial_result(g) {
         return Ok(r);
     }
 
@@ -453,17 +428,7 @@ fn tv_opt_impl(
         tree_computations_ws(pool, &tour, root, ws)
     });
 
-    let tail = tv_tail(
-        pool,
-        n,
-        g.edges(),
-        &is_tree,
-        &info,
-        tuning,
-        LowHighMethod::Auto,
-        ws,
-        rec,
-    );
+    let tail = tv_tail(pool, n, g.edges(), &is_tree, &info, tuning, ws, rec);
     tour.recycle(ws);
     info.recycle(ws);
     ws.give(is_tree);
@@ -476,12 +441,7 @@ fn tv_opt_impl(
         sv_rounds_cc: tail.sv_rounds_cc,
         ..PipelineStats::default()
     };
-    Ok(finalize(
-        tail.edge_labels,
-        rec.phases().clone(),
-        stats,
-        start,
-    ))
+    Ok(finalize(tail.edge_labels, stats))
 }
 
 fn tv_filter_impl(
@@ -491,10 +451,9 @@ fn tv_filter_impl(
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
-    let start = Instant::now();
     let n = g.n();
     let m = g.m();
-    if let Some(r) = trivial_result(g, start, rec.phases()) {
+    if let Some(r) = trivial_result(g) {
         return Ok(r);
     }
 
@@ -585,7 +544,6 @@ fn tv_filter_impl(
         &reduced_is_tree,
         &info,
         tuning,
-        LowHighMethod::Auto,
         ws,
         rec,
     );
@@ -652,7 +610,7 @@ fn tv_filter_impl(
     // one foreign buffer per run.
     drop(tail.edge_labels);
     ws.give(tail.aux_vertex_labels);
-    Ok(finalize(comp, rec.phases().clone(), stats, start))
+    Ok(finalize(comp, stats))
 }
 
 /// Output of the shared tail: raw (non-canonical) labels.
@@ -671,12 +629,9 @@ pub(crate) struct TailOutput {
     pub(crate) sv_rounds_cc: u32,
 }
 
-/// Steps 4–6: Low-high (fused min/max sweep), Label-edge (fused
-/// count→scan→emit realization of Alg. 1), Connected-components.
-///
-/// `lh_method` selects the low/high kernel: the TV pipelines pass
-/// [`LowHighMethod::Auto`]; FAST-BCC forces the O(n)-space
-/// [`LowHighMethod::LevelSweep`] to keep its space bound.
+/// Steps 4–6: Low-high (the O(n)-space [`LowHighMethod::LevelSweep`]
+/// for every pipeline), Label-edge (fused count→scan→emit realization
+/// of Alg. 1), Connected-components.
 ///
 /// All scratch is drawn from `ws`; only `edge_labels` (which becomes
 /// the result for TV-SMP/TV-opt) and `aux_vertex_labels` (returned for
@@ -690,7 +645,6 @@ pub(crate) fn tv_tail(
     is_tree_edge: &[bool],
     info: &TreeInfo,
     tuning: TraversalTuning,
-    lh_method: LowHighMethod,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> TailOutput {
@@ -698,7 +652,14 @@ pub(crate) fn tv_tail(
 
     // Step 4: Low-high.
     let lh = rec.step(Step::LowHigh, || {
-        compute_low_high_with_ws(pool, edges, is_tree_edge, info, lh_method, ws)
+        compute_low_high_with_ws(
+            pool,
+            edges,
+            is_tree_edge,
+            info,
+            LowHighMethod::LevelSweep,
+            ws,
+        )
     });
 
     // Step 5: Label-edge.
@@ -749,37 +710,23 @@ pub(crate) fn tv_tail(
     out
 }
 
-/// Canonicalizes labels and stamps the total time.
-pub(crate) fn finalize(
-    mut comp: Vec<u32>,
-    mut phases: PhaseTimes,
-    stats: PipelineStats,
-    start: Instant,
-) -> BccResult {
+/// Canonicalizes labels into the result.
+pub(crate) fn finalize(mut comp: Vec<u32>, stats: PipelineStats) -> BccResult {
     let num_components = canonicalize_edge_labels(&mut comp);
-    phases.total = start.elapsed();
     BccResult {
         edge_comp: comp,
         num_components,
-        phases,
         stats,
     }
 }
 
 /// Graphs with no edges need no pipeline.
-pub(crate) fn trivial_result(g: &Graph, start: Instant, phases: &PhaseTimes) -> Option<BccResult> {
-    if g.m() == 0 {
-        let mut phases = phases.clone();
-        phases.total = start.elapsed();
-        Some(BccResult {
-            edge_comp: vec![],
-            num_components: 0,
-            phases,
-            stats: PipelineStats::default(),
-        })
-    } else {
-        None
-    }
+pub(crate) fn trivial_result(g: &Graph) -> Option<BccResult> {
+    (g.m() == 0).then(|| BccResult {
+        edge_comp: vec![],
+        num_components: 0,
+        stats: PipelineStats::default(),
+    })
 }
 
 #[cfg(test)]
@@ -951,14 +898,14 @@ mod tests {
         let r = BccConfig::new(Algorithm::TvFilter)
             .run(&pool, &g)
             .unwrap()
-            .result;
-        assert!(r.phases.total >= r.phases.step_sum() / 2);
-        assert!(r.phases.filtering.as_nanos() > 0);
+            .report;
+        assert!(r.total >= r.step_sum() / 2);
+        assert!(r.step(Step::Filtering).unwrap().duration.as_nanos() > 0);
         let r = BccConfig::new(Algorithm::TvOpt)
             .run(&pool, &g)
             .unwrap()
-            .result;
-        assert_eq!(r.phases.filtering.as_nanos(), 0);
+            .report;
+        assert!(r.step(Step::Filtering).is_none());
     }
 
     #[test]
@@ -994,11 +941,6 @@ mod tests {
         assert!(rep.effective_edges <= 2 * 299);
         assert!(rep.step(crate::phase::Step::Filtering).is_some());
         assert!(rep.step(crate::phase::Step::LowHigh).is_some());
-        // Per-step durations agree with the flat PhaseTimes.
-        assert_eq!(
-            rep.step(crate::phase::Step::LowHigh).unwrap().duration,
-            run.result.phases.low_high
-        );
         // Without telemetry the synchronization stats are inert.
         assert_eq!(rep.phase_runs, 0);
         assert_eq!(rep.imbalance, 1.0);

@@ -144,39 +144,6 @@ impl Graph {
         crate::GraphBuilder::new(n)
     }
 
-    /// Creates a graph with `n` vertices (ids `0..n`) and the given
-    /// edges. Panics if an edge references a vertex `>= n` or is a self
-    /// loop.
-    #[deprecated(since = "0.7.0", note = "use `GraphBuilder::new(n).edges(..).build()`")]
-    pub fn new(n: u32, edges: Vec<Edge>) -> Self {
-        crate::GraphBuilder::new(n)
-            .edges(edges)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like `Graph::new` from `(u, v)` tuples.
-    #[deprecated(since = "0.7.0", note = "use `GraphBuilder::new(n).edges(..).build()`")]
-    pub fn from_tuples(n: u32, tuples: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        crate::GraphBuilder::new(n)
-            .edges(tuples)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds a graph, dropping self loops and duplicate edges.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `GraphBuilder::new(n).lenient().edges(..).build()`"
-    )]
-    pub fn from_edges_lenient(n: u32, edges: impl IntoIterator<Item = Edge>) -> Self {
-        crate::GraphBuilder::new(n)
-            .lenient()
-            .edges(edges)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn n(&self) -> u32 {
@@ -330,20 +297,6 @@ mod tests {
         assert!(!g.is_mapped());
         assert!(g.mapped().is_none());
         assert!(matches!(g.data(), GraphData::InMemory(_)));
-    }
-
-    #[test]
-    #[should_panic]
-    fn deprecated_ctor_rejects_out_of_range() {
-        #[allow(deprecated)]
-        let _ = Graph::from_tuples(3, [(0, 3)]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn deprecated_ctor_rejects_self_loop() {
-        #[allow(deprecated)]
-        let _ = Graph::from_tuples(3, [(1, 1)]);
     }
 
     #[test]

@@ -161,12 +161,6 @@ pub fn load_text<R: Read>(r: R) -> io::Result<Graph> {
     }
 }
 
-/// Reads a graph in either text format.
-#[deprecated(since = "0.7.0", note = "use `load_text` (or `load` for files)")]
-pub fn read_text<R: Read>(r: R) -> io::Result<Graph> {
-    load_text(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,11 +1,5 @@
 //! The daemon's typed request surface — and the wire format's data
-//! model.
-//!
-//! PR 6 grew the daemon three loose entry points (`submit_query`,
-//! `submit_query_at`, `submit_update`) whose error channel was "here
-//! is your value back", indistinguishable between a full queue and a
-//! daemon mid-shutdown. This module replaces that surface with one
-//! enum pair:
+//! model — as one enum pair:
 //!
 //! * [`Request`] — everything a client can ask, tagged with a caller
 //!   chosen correlation id. The same type is submitted in-process
@@ -102,7 +96,7 @@ impl Response {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RejectReason {
     /// The target bounded queue was at capacity right now. Retry, or
-    /// block on the deprecated closed-loop path.
+    /// submit with blocking backpressure.
     QueueFull,
     /// Admission control shed this update: a watermark (queue depth or
     /// uncommitted-update backlog) says the writers are behind and

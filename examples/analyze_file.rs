@@ -40,10 +40,10 @@ fn main() {
     };
 
     let pool = Pool::machine();
-    let r = BccConfig::new(Algorithm::TvFilter)
+    let run = BccConfig::new(Algorithm::TvFilter)
         .run_any(&pool, &g)
-        .expect("per-component driver accepts any graph")
-        .result;
+        .expect("per-component driver accepts any graph");
+    let r = &run.result;
 
     let arts = r.articulation_points(&g);
     let bridges = r.bridges(&g);
@@ -64,7 +64,7 @@ fn main() {
     let mut hist: Vec<usize> = sizes.values().copied().collect();
     hist.sort_unstable_by(|a, b| b.cmp(a));
     println!("largest blocks (edges): {:?}", &hist[..hist.len().min(8)]);
-    println!("analysis time:          {:?}", r.phases.total);
+    println!("analysis time:          {:?}", run.report.total);
 
     if let Some(out_path) = args.get(1).filter(|_| args[0] != "--demo") {
         let mut out = std::io::BufWriter::new(std::fs::File::create(out_path).unwrap());

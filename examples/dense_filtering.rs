@@ -29,25 +29,21 @@ fn main() {
         let m = (n as usize * d).min(gen::max_edges(n));
         let g = gen::random_connected(n, m, seed);
 
-        let opt = BccConfig::new(Algorithm::TvOpt)
-            .run(&pool, &g)
-            .unwrap()
-            .result;
-        let filter = BccConfig::new(Algorithm::TvFilter)
-            .run(&pool, &g)
-            .unwrap()
-            .result;
+        let opt = BccConfig::new(Algorithm::TvOpt).run(&pool, &g).unwrap();
+        let filter = BccConfig::new(Algorithm::TvFilter).run(&pool, &g).unwrap();
         let seq = BccConfig::new(Algorithm::Sequential)
             .run(&pool, &g)
-            .unwrap()
-            .result;
-        assert_eq!(opt.edge_comp, filter.edge_comp, "algorithms must agree");
-        assert_eq!(opt.edge_comp, seq.edge_comp);
+            .unwrap();
+        assert_eq!(
+            opt.result.edge_comp, filter.result.edge_comp,
+            "algorithms must agree"
+        );
+        assert_eq!(opt.result.edge_comp, seq.result.edge_comp);
 
-        let ratio = opt.phases.total.as_secs_f64() / filter.phases.total.as_secs_f64();
+        let ratio = opt.report.total.as_secs_f64() / filter.report.total.as_secs_f64();
         println!(
             "{:>10} {:>12.3?} {:>12.3?} {:>12.3?} {:>7.2}x",
-            m, opt.phases.total, filter.phases.total, seq.phases.total, ratio
+            m, opt.report.total, filter.report.total, seq.report.total, ratio
         );
     }
 

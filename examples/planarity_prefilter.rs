@@ -31,10 +31,10 @@ fn main() {
     // A sparse random graph: mostly trees and small blocks.
     let g = smp_bcc::graph::gen::random_gnm(n, m, seed);
     let pool = Pool::machine();
-    let r = BccConfig::new(Algorithm::TvFilter)
+    let run = BccConfig::new(Algorithm::TvFilter)
         .run_any(&pool, &g)
-        .expect("per-component driver accepts any graph")
-        .result;
+        .expect("per-component driver accepts any graph");
+    let r = &run.result;
 
     // Per-block vertex and edge counts.
     let mut block_edges: HashMap<u32, usize> = HashMap::new();
@@ -77,5 +77,5 @@ fn main() {
          (one per block) — exactly why planarity testers start with BCC.",
         100.0 * (trivially_planar + euler_nonplanar) as f64 / (r.num_components.max(1) as f64)
     );
-    println!("decomposition time: {:?}", r.phases.total);
+    println!("decomposition time: {:?}", run.report.total);
 }

@@ -28,11 +28,10 @@ fn main() {
 
     let seq = BccConfig::new(Algorithm::Sequential)
         .run(&Pool::new(1), &g)
-        .unwrap()
-        .result;
+        .unwrap();
     println!(
         "Sequential (Tarjan): {:?}  [{} components]\n",
-        seq.phases.total, seq.num_components
+        seq.report.total, seq.result.num_components
     );
 
     println!(
@@ -45,10 +44,16 @@ fn main() {
         let pool = Pool::new(p);
         let mut cells = Vec::new();
         for alg in [Algorithm::TvSmp, Algorithm::TvOpt, Algorithm::TvFilter] {
-            let r = BccConfig::new(alg).run(&pool, &g).unwrap().result;
-            assert_eq!(r.edge_comp, seq.edge_comp, "{} must agree", alg.name());
-            let speedup = seq.phases.total.as_secs_f64() / r.phases.total.as_secs_f64();
-            cells.push(format!("{:>8.0?}({speedup:4.2})", r.phases.total));
+            let run = BccConfig::new(alg).run(&pool, &g).unwrap();
+            let r = &run.result;
+            assert_eq!(
+                r.edge_comp,
+                seq.result.edge_comp,
+                "{} must agree",
+                alg.name()
+            );
+            let speedup = seq.report.total.as_secs_f64() / run.report.total.as_secs_f64();
+            cells.push(format!("{:>8.0?}({speedup:4.2})", run.report.total));
             if alg == Algorithm::TvFilter {
                 // Largest thread count wins (the loop ascends).
                 traversal_note = format!(

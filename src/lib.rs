@@ -74,8 +74,8 @@ pub use bcc_serve as serve;
 pub use bcc_smp as smp;
 
 pub use bcc_core::{
-    double_bfs_upper_bound, Algorithm, BccConfig, BccError, BccResult, BccRun, PhaseReport,
-    PhaseTimes, Ranker, Step, StepReport,
+    double_bfs_upper_bound, Algorithm, BccConfig, BccError, BccResult, BccRun, PhaseReport, Ranker,
+    Step, StepReport,
 };
 pub use bcc_graph::{Csr, Edge, Graph, GraphBuilder, GraphData, MappedCsr};
 pub use bcc_query::{BiconnectivityIndex, IndexStore};
