@@ -7,9 +7,10 @@
 //! 1. **star detection** — a tree is a star iff it has depth ≤ 1;
 //! 2. **conditional graft** — star roots hook onto *smaller* neighbor
 //!    labels;
-//! 3. **star re-detection**, then **unconditional graft** — stars that
-//!    stayed stagnant hook onto *any* different neighbor label (safe:
-//!    two adjacent stagnant stars cannot both survive step 2);
+//! 3. **star re-detection**, then **unconditional graft** — stagnant
+//!    stars (neither hooked nor hooked onto in step 2) hook onto *any*
+//!    different neighbor label (safe: two adjacent stagnant stars
+//!    cannot both survive step 2);
 //! 4. **pointer jumping** until the forest is flat.
 //!
 //! Guaranteed O(log n) rounds, at the price of touching every edge in
@@ -36,6 +37,12 @@ pub fn awerbuch_shiloach(pool: &Pool, n: u32, edges: &[Edge]) -> SvResult {
         let label_a = as_atomic_u32(&mut label);
         let graft_a = as_atomic_u32(&mut graft_edge);
         let star: Vec<AtomicBool> = (0..n_us).map(|_| AtomicBool::new(false)).collect();
+        // Roots hooked onto by this round's conditional graft. Their
+        // trees are not stagnant, even one that is still a star because
+        // only a singleton hooked onto it, so they sit out the
+        // unconditional graft: two adjacent stars that both took part
+        // there could hook onto each other and close a cycle.
+        let hooked: Vec<AtomicBool> = (0..n_us).map(|_| AtomicBool::new(false)).collect();
         let changed = AtomicBool::new(true);
         let live = AtomicBool::new(true);
         let round_ctr = AtomicU32::new(0);
@@ -93,6 +100,9 @@ pub fn awerbuch_shiloach(pool: &Pool, n: u32, edges: &[Edge]) -> SvResult {
             ctx.barrier();
 
             // 1–2: conditional graft of stars onto smaller labels.
+            for v in ctx.block_range(n_us) {
+                hooked[v].store(false, Ordering::Relaxed);
+            }
             detect_star(ctx);
             let mut local_changed = false;
             for i in ctx.block_range(m) {
@@ -102,6 +112,7 @@ pub fn awerbuch_shiloach(pool: &Pool, n: u32, edges: &[Edge]) -> SvResult {
                         let da = label_a[a as usize].load(Ordering::Relaxed);
                         let db = label_a[b as usize].load(Ordering::Relaxed);
                         if db < da && try_graft(da, db, i as u32) {
+                            hooked[db as usize].store(true, Ordering::Relaxed);
                             local_changed = true;
                         }
                     }
@@ -110,6 +121,9 @@ pub fn awerbuch_shiloach(pool: &Pool, n: u32, edges: &[Edge]) -> SvResult {
             ctx.barrier();
 
             // 3: stagnant stars graft onto any different neighbor label.
+            // Every tree a stagnant star can reach here was hooked onto
+            // in step 2, so the `hooked` test also covers a `da` re-read
+            // after `a`'s own root grafted in this step.
             detect_star(ctx);
             for i in ctx.block_range(m) {
                 let e = edges[i];
@@ -117,7 +131,10 @@ pub fn awerbuch_shiloach(pool: &Pool, n: u32, edges: &[Edge]) -> SvResult {
                     if star[a as usize].load(Ordering::Relaxed) {
                         let da = label_a[a as usize].load(Ordering::Relaxed);
                         let db = label_a[b as usize].load(Ordering::Relaxed);
-                        if db != da && try_graft(da, db, i as u32) {
+                        if db != da
+                            && !hooked[da as usize].load(Ordering::Relaxed)
+                            && try_graft(da, db, i as u32)
+                        {
                             local_changed = true;
                         }
                     }
