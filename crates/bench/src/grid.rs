@@ -846,7 +846,7 @@ const MIN_ABS_RSS_REGRESSION_BYTES: f64 = 16.0 * 1024.0 * 1024.0;
 /// subsets the other one absorbs — but a real kernel regression stands
 /// out against *both* medians, because the grid's other cells and the
 /// family's other cells both anchor them. The residual slowdown must
-/// also exceed [`MIN_ABS_REGRESSION_SECS`]. Entries present on only
+/// also exceed `MIN_ABS_REGRESSION_SECS`. Entries present on only
 /// one side are skipped (grids of different sizes — or a v1 baseline
 /// against a v2 candidate — stay comparable on their shared cells).
 /// Overload cells (keys ending `/shed`) still anchor the calibration
@@ -862,7 +862,7 @@ const MIN_ABS_RSS_REGRESSION_BYTES: f64 = 16.0 * 1024.0 * 1024.0;
 /// Peak RSS needs no machine-speed calibration: it measures the
 /// algorithm's working set, not the host's clock — so the gate is a
 /// plain ratio test with its own absolute floor
-/// ([`MIN_ABS_RSS_REGRESSION_BYTES`]), which keeps small-process
+/// (`MIN_ABS_RSS_REGRESSION_BYTES`), which keeps small-process
 /// allocator jitter quiet while catching an accidentally-rematerialized
 /// O(m) array at xl sizes.
 pub fn compare(

@@ -12,7 +12,6 @@
 //! | `ablation-filter` | §4 | random, m ∈ {1, 2, 4, 6, 10, 16, 24}·n; a path of max(n/10, 1000) (100k) | TV-opt, TV-filter at the largest p |
 //! | `ablation-tour` | §3.2 | random tree (500k) | five tour + tree-computation constructions at the largest p |
 //! | `ablation-spanning` | §3.2 | random, m ∈ {2n, 8n} (200k) | SV, AS, BFS and work-stealing spanning trees at the largest p |
-//! | `ablation-lowhigh` | step 4 | random, m ∈ {4n, 12n}; a path of n/4 (200k) | range table vs level sweep at the largest p |
 //!
 //! Pipeline cells run the default [`BccConfig`](bcc_core::BccConfig)
 //! the way a one-shot caller does — the fast traversal tuning (recorded
@@ -20,8 +19,7 @@
 //! work counters (`effective_edges`, `aux_vertices`, `aux_edges`,
 //! `sv_rounds_*`, `bfs_*`). The ablations are kernel cells timing one
 //! construction per trial (after one untimed warm-up run), with the
-//! variant in `algorithm`; `ablation-lowhigh` entries add the tree
-//! `depth` each method aggregates over.
+//! variant in `algorithm`.
 
 use crate::json::Json;
 use crate::runner::{
@@ -32,12 +30,9 @@ use bcc_connectivity::as_sync::awerbuch_shiloach;
 use bcc_connectivity::bfs::{bfs_tree_par, bfs_tree_seq};
 use bcc_connectivity::sv::connected_components;
 use bcc_connectivity::traversal::work_stealing_tree;
-use bcc_core::low_high::{compute_low_high_with, LowHighMethod};
 use bcc_core::{Algorithm, TraversalTuning};
-use bcc_euler::{
-    dfs_euler_tour, euler_tour_classic, rooted_euler_tour, tree_computations, Ranker, TreeInfo,
-};
-use bcc_graph::{gen, Csr, Graph};
+use bcc_euler::{dfs_euler_tour, euler_tour_classic, rooted_euler_tour, tree_computations, Ranker};
+use bcc_graph::{gen, Csr};
 use bcc_smp::Pool;
 use std::hint::black_box;
 
@@ -58,13 +53,11 @@ pub enum Preset {
     AblationTour,
     /// §3.2: spanning-tree algorithms.
     AblationSpanning,
-    /// Step 4: low/high aggregation methods.
-    AblationLowHigh,
 }
 
 impl Preset {
     /// Every preset, in the order EXPERIMENTS.md presents them.
-    pub const ALL: [Preset; 8] = [
+    pub const ALL: [Preset; 7] = [
         Preset::PaperScale,
         Preset::Fig3,
         Preset::Fig4,
@@ -72,7 +65,6 @@ impl Preset {
         Preset::AblationFilter,
         Preset::AblationTour,
         Preset::AblationSpanning,
-        Preset::AblationLowHigh,
     ];
 
     /// Name on the CLI and in the document.
@@ -85,7 +77,6 @@ impl Preset {
             Preset::AblationFilter => "ablation-filter",
             Preset::AblationTour => "ablation-tour",
             Preset::AblationSpanning => "ablation-spanning",
-            Preset::AblationLowHigh => "ablation-lowhigh",
         }
     }
 
@@ -95,7 +86,7 @@ impl Preset {
             Preset::PaperScale => 1_000_000,
             Preset::TableDense => 2_000,
             Preset::AblationTour => 500_000,
-            Preset::AblationSpanning | Preset::AblationLowHigh => 200_000,
+            Preset::AblationSpanning => 200_000,
             Preset::Fig3 | Preset::Fig4 | Preset::AblationFilter => 100_000,
         }
     }
@@ -129,7 +120,6 @@ impl Preset {
             }
             Preset::AblationTour => vec![Instance::new("random-tree", gen::random_tree(n, seed))],
             Preset::AblationSpanning => [2, 8].map(random).into(),
-            Preset::AblationLowHigh => vec![random(4), random(12), chain((n / 4).max(2))],
         }
     }
 
@@ -185,23 +175,6 @@ impl Default for PaperConfig {
     }
 }
 
-/// The ablation-lowhigh input: a BFS tree's nontree flags, its rooted
-/// tree data, and its depth.
-fn bfs_tree_data(g: &Graph, pool: &Pool) -> (Vec<bool>, TreeInfo, u32) {
-    let bfs = bfs_tree_par(pool, &Csr::build_par(pool, g), 0);
-    assert_eq!(bfs.reached, g.n());
-    let mut is_tree = vec![false; g.m()];
-    let mut tree_edges = Vec::with_capacity(g.n() as usize - 1);
-    for &eid in bfs.parent_eid.iter().filter(|&&e| e != bcc_smp::NIL) {
-        is_tree[eid as usize] = true;
-        tree_edges.push(g.edges()[eid as usize]);
-    }
-    let tour = dfs_euler_tour(pool, g.n(), tree_edges, &bfs.parent, 0);
-    let info = tree_computations(pool, &tour, 0);
-    let depth = info.depth.iter().copied().max().unwrap_or(0);
-    (is_tree, info, depth)
-}
-
 /// A kernel cell timing one construction per trial, after one untimed
 /// warm-up run.
 fn kernel<'a>(fields: Vec<(&'static str, Json)>, run: impl FnMut() + 'a) -> Box<dyn Cell + 'a> {
@@ -221,13 +194,6 @@ pub fn run_paper(preset: Preset, cfg: &PaperConfig, mut progress: impl FnMut(&st
         Preset::AblationTour => instances
             .iter()
             .map(|inst| bfs_tree_seq(&Csr::build(&inst.graph), 0).parent)
-            .collect(),
-        _ => vec![],
-    };
-    let lowhigh: Vec<_> = match preset {
-        Preset::AblationLowHigh => instances
-            .iter()
-            .map(|inst| bfs_tree_data(&inst.graph, top))
             .collect(),
         _ => vec![],
     };
@@ -284,20 +250,6 @@ pub fn run_paper(preset: Preset, cfg: &PaperConfig, mut progress: impl FnMut(&st
                 cells.push(kernel(fields("work-stealing"), move || {
                     black_box(work_stealing_tree(top, &Csr::build_par(top, g), 0).reached);
                 }));
-            }
-            Preset::AblationLowHigh => {
-                let (is_tree, info, depth) = &lowhigh[i];
-                for (name, method) in [
-                    ("range-table", LowHighMethod::RangeTable),
-                    ("level-sweep", LowHighMethod::LevelSweep),
-                ] {
-                    let mut f = fields(name);
-                    f.push(("depth", Json::num(*depth)));
-                    cells.push(kernel(f, move || {
-                        let lh = compute_low_high_with(top, g.edges(), is_tree, info, method);
-                        black_box(lh.low[0]);
-                    }));
-                }
             }
             _ => {
                 let (algs, sweep) = preset.pipelines();
@@ -400,13 +352,5 @@ mod tests {
     #[test]
     fn ablation_spanning() {
         check(Preset::AblationSpanning, 64, 2 * 4);
-    }
-
-    #[test]
-    fn ablation_lowhigh() {
-        let doc = check(Preset::AblationLowHigh, 64, 3 * 2);
-        let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
-        let chain = entries.last().unwrap();
-        assert_eq!(chain.get("depth").and_then(Json::as_u64), Some(15));
     }
 }

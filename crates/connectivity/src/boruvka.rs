@@ -1,7 +1,7 @@
 //! Parallel Borůvka minimum spanning forest.
 //!
 //! The paper's §1 cites the authors' companion study of shared-memory
-//! minimum spanning forests [4] (Bader & Cong, IPDPS 2004) among the
+//! minimum spanning forests \[4\] (Bader & Cong, IPDPS 2004) among the
 //! fundamental primitives of their research programme; this module is
 //! that algorithm in the same SPMD style as the rest of the crate:
 //! rounds of

@@ -15,7 +15,7 @@
 //!   earlier study, used by TV-opt.
 //!
 //! [`boruvka`] adds the parallel minimum spanning forest of the
-//! authors' companion study (paper ref. [4]); [`seq`] holds the
+//! authors' companion study (paper ref. \[4\]); [`seq`] holds the
 //! sequential baselines (union-find, DFS tree) the tests use as
 //! oracles.
 

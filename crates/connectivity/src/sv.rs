@@ -104,10 +104,10 @@ pub fn connected_components_with_ws(
 /// `keep(i)` is true, without materializing that subset.
 ///
 /// The recorded `tree_edges` index the **full** input list, so callers
-/// filtering a graph in place (FAST-BCC masks out BFS-tree edges to
-/// find its certificate's non-tree forest) get original edge ids back
-/// with zero O(m) scratch — the predicate replaces the compacted copy
-/// the TV-filter pipeline builds.
+/// filtering a graph in place (TV-filter and FAST-BCC mask out BFS-tree
+/// edges to find their certificate's non-tree forest) get original edge
+/// ids back with zero O(m) scratch — the predicate replaces a compacted
+/// copy of the kept edges.
 pub fn connected_components_masked_with_ws(
     pool: &Pool,
     n: u32,

@@ -1,31 +1,31 @@
-//! FAST-BCC: skeleton-based, space-efficient biconnectivity (Dong,
-//! Wang, Gu & Sun, "Provably Fast and Space-Efficient Parallel
-//! Biconnectivity", adapted to this codebase's BFS + FastSV substrate).
+//! The certificate pipeline shared by TV-filter (the paper's Alg. 2)
+//! and FAST-BCC (Dong, Wang, Gu & Sun, "Provably Fast and
+//! Space-Efficient Parallel Biconnectivity", adapted to this codebase's
+//! BFS + FastSV substrate).
 //!
-//! The TV pipelines all pay for Euler-tour machinery — tour arc arrays,
-//! list ranking, and (for deep trees) an O(n log n) sparse table for
-//! low/high — plus, in TV-filter's case, O(m) scratch to materialize
-//! the candidate edge list. FAST-BCC keeps TV-filter's *certificate*
-//! idea and deletes all of that machinery:
+//! Both algorithms shrink G to a sparse certificate T ∪ F before the
+//! shared tail and place every filtered edge afterwards; they differ
+//! only in how the tree tags (preorder, subtree size, depth) of T are
+//! produced:
 //!
 //! 1. **Skeleton** — a BFS spanning tree T (the existing
 //!    direction-optimizing BFS). Lemma 1 of the paper (§4) requires a
-//!    BFS tree for certificate correctness, so this is unchanged.
-//! 2. **Tags** — preorder, subtree size, and depth are computed
-//!    *directly on the BFS tree* by level-synchronous sweeps
-//!    ([`bcc_euler::bfs_tree_info_ws`]): a BFS tree's levels are
-//!    depths, so sizes aggregate bottom-up and preorder numbers
-//!    distribute top-down, one O(n)-work round per level. No tour, no
-//!    ranking.
+//!    BFS tree for certificate correctness.
+//! 2. **Tags** — TV-filter runs TV-opt's tags on T: a DFS-order Euler
+//!    tour, then prefix sums over it (the paper's "run TV-opt on
+//!    T ∪ F"). FAST-BCC computes them *directly on the BFS tree* by
+//!    level-synchronous sweeps ([`bcc_euler::bfs_tree_info_ws`]): a BFS
+//!    tree's levels are depths, so sizes aggregate bottom-up and
+//!    preorder numbers distribute top-down, one O(n)-work round per
+//!    level. No tour, no ranking.
 //! 3. **Certificate** — a spanning forest F of G − T found by running
-//!    FastSV over the *full* edge list with tree edges masked out by an
+//!    SV over the *full* edge list with tree edges masked out by an
 //!    O(1) predicate ([`connected_components_masked_with_ws`]); the
 //!    certificate T ∪ F (≤ 2(n−1) edges) replaces G for the tail. No
 //!    compacted candidate copy, no id-remap table — the masked run
 //!    reports original edge ids.
-//! 4. **Tail** — the shared low/high → fused label-edge → FastSV tail
-//!    on the certificate; its low/high kernel is the O(n)-space level
-//!    sweep (the O(n log n) range table would break the space bound).
+//! 4. **Tail** — the shared low/high → fused label-edge → SV tail on
+//!    the certificate ([`crate::pipeline`]).
 //! 5. **Placement** — every edge outside the certificate is a nontree
 //!    edge of T, and aux-graph condition 1 links each nontree edge's
 //!    larger-preorder endpoint x to that edge's aux vertex, so after
@@ -33,39 +33,45 @@
 //!    per edge with zero O(m) scratch.
 //!
 //! Peak auxiliary space is therefore O(n): the BFS arrays, the tree
-//! tags, the certificate, low/high, and the aux graph are all a few
-//! words per vertex. The only O(m)-sized allocations are the ones every
-//! pipeline shares — the CSR adjacency (input preparation) and the
-//! result itself (one label per edge) — with zero O(m) scratch stacked
-//! on top. This is what the `bcc-bench xl` tier measures at n = 10M+.
+//! tags (and TV-filter's tour of T), the certificate, low/high, and the
+//! aux graph are all a few words per vertex. The only O(m)-sized
+//! allocations are the ones every pipeline shares — the CSR adjacency
+//! (input preparation) and the result itself (one label per edge) —
+//! with zero O(m) scratch stacked on top. This is what the
+//! `bcc-bench xl` tier measures at n = 10M+.
 
 use crate::phase::{PhaseRecorder, PipelineStats, Step};
-use crate::pipeline::{finalize, trivial_result, tv_tail, BccError, BccResult};
+use crate::pipeline::{finalize, trivial_result, tv_tail, Algorithm, BccError, BccResult};
 use bcc_connectivity::bfs::bfs_tree_ws;
 use bcc_connectivity::sv::connected_components_masked_with_ws;
 use bcc_connectivity::tuning::TraversalTuning;
 use bcc_connectivity::BfsDirection;
-use bcc_euler::bfs_tree_info_ws;
+use bcc_euler::{bfs_tree_info_ws, dfs_euler_tour_ws, tree_computations_ws};
 use bcc_graph::{Csr, Edge, Graph};
 use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
 
-/// The FAST-BCC pipeline on a connected graph (dispatched from
-/// [`crate::pipeline::run_connected`] for [`crate::Algorithm::FastBcc`]).
-pub(crate) fn fast_bcc_impl(
+/// The certificate pipeline on a connected graph, dispatched from
+/// [`crate::pipeline::run_connected`] for [`Algorithm::TvFilter`] and
+/// [`Algorithm::FastBcc`]; `alg` selects only the tags step.
+pub(crate) fn certificate_impl(
     pool: &Pool,
     g: &Graph,
+    alg: Algorithm,
     tuning: TraversalTuning,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
     let n = g.n();
     let m = g.m();
+    let edges = g.edges();
     if let Some(r) = trivial_result(g) {
         return Ok(r);
     }
 
-    // Adjacency conversion is shared input preparation (kept out of the
-    // Spanning-tree step for the same reason as TV-filter).
+    // Adjacency conversion is input preparation shared by every BFS
+    // strategy: keep it out of the Spanning-tree step so the ablation
+    // columns compare traversals, not CSR construction (it still counts
+    // toward `total`).
     let csr = Csr::build_par(pool, g);
 
     // Step 1: BFS skeleton T.
@@ -77,11 +83,31 @@ pub(crate) fn fast_bcc_impl(
         bfs.recycle(ws);
         return Err(BccError::Disconnected);
     }
+    let parent: &[u32] = &bfs.parent;
+    let parent_eid: &[u32] = &bfs.parent_eid;
 
-    // Step 2 (Root-tree): tags straight off the BFS tree.
-    let info = rec.step(Step::RootTree, || {
-        bfs_tree_info_ws(pool, &bfs.parent, &bfs.level, root, ws)
-    });
+    // Step 2: tags of T.
+    let info = if alg == Algorithm::TvFilter {
+        let mut tree_edges: Vec<Edge> = ws.take(n as usize);
+        tree_edges.extend(
+            parent_eid
+                .iter()
+                .filter(|&&eid| eid != NIL)
+                .map(|&eid| edges[eid as usize]),
+        );
+        let tour = rec.step(Step::EulerTour, || {
+            dfs_euler_tour_ws(pool, n, tree_edges, parent, root, ws)
+        });
+        let info = rec.step(Step::RootTree, || {
+            tree_computations_ws(pool, &tour, root, ws)
+        });
+        tour.recycle(ws);
+        info
+    } else {
+        rec.step(Step::RootTree, || {
+            bfs_tree_info_ws(pool, parent, &bfs.level, root, ws)
+        })
+    };
 
     // Step 3 (Filtering): certificate T ∪ F. F is a spanning forest of
     // G − T computed in place — `keep` masks T by an O(1) parent test,
@@ -93,10 +119,7 @@ pub(crate) fn fast_bcc_impl(
     // a simple graph). Masking every tree-parallel edge restores that
     // setting; the parallels are placed by the condition-1 rule below,
     // which gives each exactly its tree twin's label.
-    let parent: &[u32] = &bfs.parent;
-    let parent_eid: &[u32] = &bfs.parent_eid;
     let (cert_edges, cert_is_tree, forest_rounds) = rec.step(Step::Filtering, || {
-        let edges = g.edges();
         let forest = connected_components_masked_with_ws(
             pool,
             n,
@@ -129,11 +152,11 @@ pub(crate) fn fast_bcc_impl(
     // Steps 4–6 on the certificate.
     let tail = tv_tail(pool, n, &cert_edges, &cert_is_tree, &info, tuning, ws, rec);
 
-    // Placement: tree edges take their child endpoint's aux label;
-    // every other edge — certificate-F and filtered alike — takes its
-    // larger-preorder endpoint's (condition 1 ties that aux vertex to
-    // the edge's own). `comp` escapes as the result, so it is allocated
-    // plain rather than from the workspace.
+    // Placement (step 4 of Alg. 2): tree edges take their child
+    // endpoint's aux label; every other edge — certificate-F and
+    // filtered alike — takes its larger-preorder endpoint's (condition
+    // 1 ties that aux vertex to the edge's own). `comp` escapes as the
+    // result, so it is allocated plain rather than from the workspace.
     let mut comp = vec![0u32; m];
     rec.step(Step::Filtering, || {
         let comp_s = SharedSlice::new(&mut comp);
@@ -141,7 +164,7 @@ pub(crate) fn fast_bcc_impl(
         let pre = &info.preorder;
         pool.run(|ctx| {
             for i in ctx.block_range(m) {
-                let e = g.edges()[i];
+                let e = edges[i];
                 let child = if parent_eid[e.u as usize] == i as u32 {
                     e.u
                 } else if parent_eid[e.v as usize] == i as u32 {
@@ -154,6 +177,8 @@ pub(crate) fn fast_bcc_impl(
                         e.v
                     }
                 };
+                // SAFETY: `block_range` gives each edge index to exactly
+                // one thread, so no other thread touches slot i.
                 unsafe { comp_s.write(i, aux[child as usize]) };
             }
         });
@@ -193,7 +218,7 @@ pub(crate) fn fast_bcc_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{sequential_impl, Algorithm, BccConfig};
+    use crate::pipeline::{sequential_impl, BccConfig};
     use bcc_graph::{gen, GraphBuilder};
 
     fn agree(g: &Graph, p: usize) {

@@ -14,9 +14,11 @@
 //!   non-essential edges through a BFS tree + spanning forest of the
 //!   remainder, run TV on ≤ 2(n−1) edges, place filtered edges by
 //!   condition 1.
-//! * [`Algorithm::FastBcc`] — the skeleton-based successor
-//!   ([`fast_bcc`]): tree tags computed directly on the BFS tree — no
-//!   Euler tour, no list ranking — for an O(n) auxiliary footprint.
+//! * [`Algorithm::FastBcc`] — the skeleton-based successor: tree tags
+//!   computed directly on the BFS tree — no Euler tour, no list
+//!   ranking — for an O(n) auxiliary footprint. It shares TV-filter's
+//!   certificate pipeline ([`fast_bcc`]), which differs between the
+//!   two only in the tags step.
 //!
 //! The entry point is the [`BccConfig`] builder; each run returns the
 //! component labels plus a structured [`PhaseReport`] (per-step times,
@@ -51,10 +53,7 @@ pub mod verify;
 pub use aux_graph::{build_aux_graph, build_aux_graph_fused, build_aux_graph_fused_ws, AuxGraph};
 pub use block_cut::{two_edge_connected_components, BlockCutTree};
 pub use counting::double_bfs_upper_bound;
-pub use low_high::{
-    compute_low_high, compute_low_high_two_pass, compute_low_high_with, compute_low_high_with_ws,
-    compute_low_high_ws, LowHigh, LowHighMethod,
-};
+pub use low_high::{compute_low_high, compute_low_high_two_pass, compute_low_high_ws, LowHigh};
 pub use per_component::component_pipeline;
 pub use phase::{PhaseRecorder, PhaseReport, PipelineStats, Step, StepReport};
 pub use pipeline::{Algorithm, BccConfig, BccError, BccResult, BccRun};

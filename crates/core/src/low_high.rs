@@ -6,24 +6,20 @@
 //! shrinking the edge set first.
 //!
 //! SMP realization: per-vertex keys
-//! `key_min(u) = min(pre(u), min{pre(w) : (u,w) nontree})` scattered
-//! into preorder order with atomic min/max, then subtree aggregation as
-//! an O(1)-query range-min/range-max over the preorder-contiguous
-//! subtree intervals (sparse table, O(n log n) parallel build).
-//!
-//! Low and high are computed in **one fused sweep**: the
-//! [`RangeMinMaxTable`] builds each doubling level's min and max arrays
-//! in a single parallel pass (half the barriers and half the passes
-//! over the input of two separate tables), and one query loop fills
-//! `low` and `high` together. The unfused construction is kept as
-//! [`compute_low_high_two_pass`] — the equivalence reference the
-//! proptests check against.
+//! `low(u) = min(pre(u), min{pre(w) : (u,w) nontree})` (and `high`
+//! alike) scattered with atomic min/max, then a level-synchronous
+//! bottom-up sweep over the tree: vertices bucketed by depth,
+//! deepest level first, each vertex folding its values into its
+//! parent. O(n + m) work and O(n) space, low and high in the same
+//! passes; every pipeline runs it. [`compute_low_high_two_pass`]
+//! aggregates with O(n log n) sparse tables instead — the equivalence
+//! reference the tests check the sweep against.
 
 use bcc_euler::TreeInfo;
 use bcc_graph::Edge;
-use bcc_primitives::{Extremum, RangeMinMaxTable, RangeTable};
+use bcc_primitives::{Extremum, RangeTable};
 use bcc_smp::atomic::{as_atomic_u32, fetch_max_u32, fetch_min_u32};
-use bcc_smp::workspace::{alloc_cap, alloc_filled, alloc_iota, give_opt};
+use bcc_smp::workspace::{alloc_cap, alloc_filled, give_opt};
 use bcc_smp::{BccWorkspace, Pool, SharedSlice};
 
 /// Per-vertex low/high values, in preorder numbers.
@@ -43,31 +39,13 @@ impl LowHigh {
     }
 }
 
-/// Strategy for the subtree aggregation of the Low-high step.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum LowHighMethod {
-    /// Sparse-table range min/max over preorder intervals: O(n log n)
-    /// work and space, O(1) aggregation rounds.
-    RangeTable,
-    /// Level-synchronous bottom-up sweep: O(n + m) work and O(n) space.
-    /// Levels wide enough to pay for a pool round run in parallel;
-    /// narrower ones are folded on the calling thread, so a deep,
-    /// narrow tree costs O(n) serial folds rather than one barrier per
-    /// level (see `bcc-bench paper ablation-lowhigh`). What every
-    /// pipeline uses: one method whatever the tree's depth, which for
-    /// TV-SMP's SV tree varies from run to run — a depth-based choice
-    /// would switch methods between reruns of one input, and a warm
-    /// workspace would then miss the other method's scratch.
-    LevelSweep,
-}
-
 /// Levels narrower than this are folded on the calling thread instead
 /// of paying a pool round (wake, block split, barrier). At this value
 /// the sweep beat the range table in every pipeline on both repository
 /// benchmark workloads (R-MAT and road lattice) at p = 2.
 const SERIAL_LEVEL: usize = 4096;
 
-/// Computes low/high for all vertices in one fused sweep.
+/// Computes low/high for all vertices with the level sweep.
 ///
 /// `is_tree_edge[i]` flags the spanning-tree edges within `edges`;
 /// `info` is the rooted-tree data for that spanning tree.
@@ -77,7 +55,7 @@ pub fn compute_low_high(
     is_tree_edge: &[bool],
     info: &TreeInfo,
 ) -> LowHigh {
-    compute_low_high_impl(pool, edges, is_tree_edge, info, None)
+    low_high_level_sweep(pool, edges, is_tree_edge, info, None)
 }
 
 /// [`compute_low_high`] with the result and all scratch taken from
@@ -89,75 +67,14 @@ pub fn compute_low_high_ws(
     info: &TreeInfo,
     ws: &BccWorkspace,
 ) -> LowHigh {
-    compute_low_high_impl(pool, edges, is_tree_edge, info, Some(ws))
+    low_high_level_sweep(pool, edges, is_tree_edge, info, Some(ws))
 }
 
-fn compute_low_high_impl(
-    pool: &Pool,
-    edges: &[Edge],
-    is_tree_edge: &[bool],
-    info: &TreeInfo,
-    ws: Option<&BccWorkspace>,
-) -> LowHigh {
-    let n = info.preorder.len();
-    let m = edges.len();
-
-    // Keys indexed by preorder number.
-    let mut key_min: Vec<u32> = alloc_iota(ws, n);
-    let mut key_max: Vec<u32> = alloc_iota(ws, n);
-    {
-        let kmin = as_atomic_u32(&mut key_min);
-        let kmax = as_atomic_u32(&mut key_max);
-        let pre = &info.preorder;
-        pool.run(|ctx| {
-            for i in ctx.block_range(m) {
-                if is_tree_edge[i] {
-                    continue;
-                }
-                let e = edges[i];
-                let pu = pre[e.u as usize];
-                let pv = pre[e.v as usize];
-                fetch_min_u32(&kmin[pu as usize], pv);
-                fetch_min_u32(&kmin[pv as usize], pu);
-                fetch_max_u32(&kmax[pu as usize], pv);
-                fetch_max_u32(&kmax[pv as usize], pu);
-            }
-        });
-    }
-
-    // One fused table: each doubling level's min AND max are produced
-    // by the same parallel pass.
-    let table = match ws {
-        Some(ws) => RangeMinMaxTable::build_ws(pool, &key_min, &key_max, ws),
-        None => RangeMinMaxTable::build(pool, &key_min, &key_max),
-    };
-    give_opt(ws, key_min);
-    give_opt(ws, key_max);
-
-    let mut low = alloc_filled(ws, n, 0u32);
-    let mut high = alloc_filled(ws, n, 0u32);
-    {
-        let low_s = SharedSlice::new(&mut low);
-        let high_s = SharedSlice::new(&mut high);
-        pool.run(|ctx| {
-            for v in ctx.block_range(n) {
-                let r = info.subtree_interval(v as u32);
-                unsafe {
-                    low_s.write(v, table.query_min(r.start, r.end));
-                    high_s.write(v, table.query_max(r.start, r.end));
-                }
-            }
-        });
-    }
-    if let Some(ws) = ws {
-        table.recycle(ws);
-    }
-    LowHigh { low, high }
-}
-
-/// The unfused reference construction: two separate [`RangeTable`]s
-/// (one pass over the keys each) and the same query loop. Kept for the
-/// equivalence proptests; the pipelines use the fused
+/// The sparse-table reference construction: keys scattered into
+/// preorder order, two [`RangeTable`]s (range min and range max over
+/// the keys), and one O(1) query per vertex over its preorder-contiguous
+/// subtree interval. O(n log n) work and space. Kept for the
+/// equivalence tests; the pipelines use the sweep of
 /// [`compute_low_high`].
 pub fn compute_low_high_two_pass(
     pool: &Pool,
@@ -209,44 +126,6 @@ pub fn compute_low_high_two_pass(
         });
     }
     LowHigh { low, high }
-}
-
-/// [`compute_low_high`] with an explicit aggregation strategy.
-pub fn compute_low_high_with(
-    pool: &Pool,
-    edges: &[Edge],
-    is_tree_edge: &[bool],
-    info: &TreeInfo,
-    method: LowHighMethod,
-) -> LowHigh {
-    compute_low_high_with_impl(pool, edges, is_tree_edge, info, method, None)
-}
-
-/// [`compute_low_high_with`] with the result and all scratch taken
-/// from `ws`; return the result's arrays with [`LowHigh::recycle`].
-pub fn compute_low_high_with_ws(
-    pool: &Pool,
-    edges: &[Edge],
-    is_tree_edge: &[bool],
-    info: &TreeInfo,
-    method: LowHighMethod,
-    ws: &BccWorkspace,
-) -> LowHigh {
-    compute_low_high_with_impl(pool, edges, is_tree_edge, info, method, Some(ws))
-}
-
-fn compute_low_high_with_impl(
-    pool: &Pool,
-    edges: &[Edge],
-    is_tree_edge: &[bool],
-    info: &TreeInfo,
-    method: LowHighMethod,
-    ws: Option<&BccWorkspace>,
-) -> LowHigh {
-    match method {
-        LowHighMethod::RangeTable => compute_low_high_impl(pool, edges, is_tree_edge, info, ws),
-        LowHighMethod::LevelSweep => low_high_level_sweep(pool, edges, is_tree_edge, info, ws),
-    }
 }
 
 /// Level-synchronous bottom-up aggregation: vertices are bucketed by
@@ -408,66 +287,54 @@ mod tests {
     }
 
     #[test]
-    fn level_sweep_matches_range_table() {
-        for seed in 0..6u64 {
-            let g = gen::random_connected(150, 450, seed);
-            for p in [1, 4] {
-                let pool = Pool::new(p);
-                let (edges, is_tree, info) = setup(&g, 0, &pool);
-                let a = compute_low_high_with(
-                    &pool,
-                    &edges,
-                    &is_tree,
-                    &info,
-                    LowHighMethod::RangeTable,
-                );
-                let b = compute_low_high_with(
-                    &pool,
-                    &edges,
-                    &is_tree,
-                    &info,
-                    LowHighMethod::LevelSweep,
-                );
-                assert_eq!(a.low, b.low, "low seed={seed} p={p}");
-                assert_eq!(a.high, b.high, "high seed={seed} p={p}");
-            }
-        }
-    }
-
-    #[test]
     fn level_sweep_on_deep_tree() {
         // Worst case for the sweep: a path rooted at one end.
         let g = gen::path(300);
         let pool = Pool::new(2);
         let (edges, is_tree, info) = setup(&g, 0, &pool);
         let a = compute_low_high(&pool, &edges, &is_tree, &info);
-        let b = compute_low_high_with(&pool, &edges, &is_tree, &info, LowHighMethod::LevelSweep);
+        let b = compute_low_high_two_pass(&pool, &edges, &is_tree, &info);
         assert_eq!(a.low, b.low);
         assert_eq!(a.high, b.high);
     }
 
+    /// Vertices on the tree's most populous level.
+    fn widest_level(info: &TreeInfo) -> usize {
+        let mut width = vec![0usize; info.preorder.len()];
+        for &d in &info.depth {
+            width[d as usize] += 1;
+        }
+        width.into_iter().max().unwrap_or(0)
+    }
+
     #[test]
     fn fused_matches_two_pass_and_ws_rerun_is_all_hits() {
-        for seed in 0..4u64 {
-            let g = gen::random_connected(150, 450, seed);
-            let pool = Pool::new(4);
-            let (edges, is_tree, info) = setup(&g, 0, &pool);
-            let a = compute_low_high(&pool, &edges, &is_tree, &info);
-            let b = compute_low_high_two_pass(&pool, &edges, &is_tree, &info);
-            assert_eq!(a.low, b.low, "seed={seed}");
-            assert_eq!(a.high, b.high, "seed={seed}");
+        // The small inputs fold every level serially; the n = 20k ones
+        // have BFS levels of at least SERIAL_LEVEL vertices, so the
+        // sweep's pool-parallel branch runs too.
+        let small = (0..4u64).map(|seed| gen::random_connected(150, 450, seed));
+        let wide = (0..3u64).map(|seed| gen::random_connected(20_000, 80_000, seed));
+        for (k, g) in small.chain(wide).enumerate() {
+            for p in [1, 3] {
+                let pool = Pool::new(p);
+                let (edges, is_tree, info) = setup(&g, 0, &pool);
+                if g.n() as usize > SERIAL_LEVEL {
+                    assert!(widest_level(&info) >= SERIAL_LEVEL, "input {k}");
+                }
+                let a = compute_low_high(&pool, &edges, &is_tree, &info);
+                let b = compute_low_high_two_pass(&pool, &edges, &is_tree, &info);
+                assert_eq!(a.low, b.low, "input {k} p={p}");
+                assert_eq!(a.high, b.high, "input {k} p={p}");
 
-            let ws = BccWorkspace::new();
-            for method in [LowHighMethod::RangeTable, LowHighMethod::LevelSweep] {
-                let warm = compute_low_high_with_ws(&pool, &edges, &is_tree, &info, method, &ws);
-                warm.recycle(&ws);
+                let ws = BccWorkspace::new();
+                compute_low_high_ws(&pool, &edges, &is_tree, &info, &ws).recycle(&ws);
                 let before = ws.stats();
-                let again = compute_low_high_with_ws(&pool, &edges, &is_tree, &info, method, &ws);
-                assert_eq!(again.low, b.low, "{method:?} seed={seed}");
-                assert_eq!(again.high, b.high, "{method:?} seed={seed}");
+                let again = compute_low_high_ws(&pool, &edges, &is_tree, &info, &ws);
+                assert_eq!(again.low, b.low, "input {k} p={p}");
+                assert_eq!(again.high, b.high, "input {k} p={p}");
                 again.recycle(&ws);
                 let delta = ws.stats().delta_since(&before);
-                assert_eq!(delta.misses, 0, "{method:?} rerun must not miss");
+                assert_eq!(delta.misses, 0, "input {k} p={p}: rerun must not miss");
             }
         }
     }

@@ -16,7 +16,8 @@ use std::time::{Duration, Instant};
 /// Identifies one pipeline step (the rows of the paper's Fig. 4).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// Spanning-tree construction (TV-filter: the BFS tree).
+    /// Spanning-tree construction (TV-filter and FAST-BCC: the BFS
+    /// tree).
     SpanningTree,
     /// Euler-tour construction (classic or DFS-order).
     EulerTour,
@@ -28,7 +29,8 @@ pub enum Step {
     LabelEdge,
     /// Connected components of the auxiliary graph + label write-back.
     ConnectedComponents,
-    /// TV-filter only: filtering and filtered-edge placement.
+    /// TV-filter and FAST-BCC only: the certificate T ∪ F and the
+    /// placement of every input edge.
     Filtering,
 }
 
@@ -68,10 +70,10 @@ impl Step {
 pub struct PipelineStats {
     /// Edges of the input graph.
     pub input_edges: usize,
-    /// Edges actually fed to steps 4–6 (reduced set for TV-filter,
-    /// `input_edges` otherwise).
+    /// Edges actually fed to steps 4–6 (the certificate for TV-filter
+    /// and FAST-BCC, `input_edges` otherwise).
     pub effective_edges: usize,
-    /// Edges removed by filtering (TV-filter only).
+    /// Edges removed by filtering (TV-filter and FAST-BCC only).
     pub filtered_edges: usize,
     /// Vertices of the auxiliary graph (n + nontree edges considered).
     pub aux_vertices: u32,
@@ -79,15 +81,16 @@ pub struct PipelineStats {
     /// quantity).
     pub aux_edges: usize,
     /// Graft rounds of the spanning-tree SV run: TV-SMP's step 1, or
-    /// TV-filter's forest-of-`G − T` run (0 when a traversal-based tree
-    /// was used).
+    /// the forest-of-`G − T` run of TV-filter and FAST-BCC (0 for
+    /// TV-opt, whose tree comes from a traversal).
     pub sv_rounds_spanning: u32,
     /// Graft rounds of the step-6 SV run.
     pub sv_rounds_cc: u32,
-    /// BFS levels (TV-filter only; the `O(d)` term of Alg. 2).
+    /// BFS levels (TV-filter and FAST-BCC only; the `O(d)` term of
+    /// Alg. 2).
     pub bfs_levels: u32,
-    /// Vertices discovered per BFS level (TV-filter only; empty
-    /// otherwise). Feeds effective-diameter estimates in the benchmarks.
+    /// Vertices discovered per BFS level (TV-filter and FAST-BCC only;
+    /// empty otherwise). Feeds effective-diameter estimates in the benchmarks.
     pub bfs_frontier_sizes: Vec<u32>,
     /// BFS levels the direction-optimizing heuristic ran bottom-up
     /// (0 under the pure top-down strategy).
@@ -138,9 +141,10 @@ pub struct PhaseReport {
     pub n: u32,
     /// Input edges.
     pub m: usize,
-    /// Edges fed to steps 4–6 (reduced set for TV-filter).
+    /// Edges fed to steps 4–6 (the certificate for TV-filter and
+    /// FAST-BCC).
     pub effective_edges: usize,
-    /// Edges removed by filtering (TV-filter only).
+    /// Edges removed by filtering (TV-filter and FAST-BCC only).
     pub filtered_edges: usize,
     /// Per-step reports in execution order (only steps that ran).
     pub steps: Vec<StepReport>,
@@ -178,8 +182,8 @@ impl PhaseReport {
 
 /// Accumulates per-step durations and telemetry deltas while a pipeline
 /// runs; [`finish`](PhaseRecorder::finish)ing it yields the
-/// [`PhaseReport`]. Repeated steps (TV-filter's two filtering
-/// sub-phases, per-component reruns) merge into one entry.
+/// [`PhaseReport`]. Repeated steps (the certificate pipeline's two
+/// filtering sub-phases, per-component reruns) merge into one entry.
 pub struct PhaseRecorder<'a> {
     order: Vec<Step>,
     accum: [Option<StepAccum>; 7],

@@ -3,9 +3,10 @@
 //! skeleton-based `FAST-BCC` successor ([`crate::fast_bcc`]).
 //!
 //! All parallel pipelines share steps 4–6 (Low-high, Label-edge,
-//! Connected-components — [`tv_tail`]); they differ in how the rooted
-//! spanning tree and its tags are produced, and TV-filter/FAST-BCC
-//! shrink the edge set first.
+//! Connected-components — `tv_tail`); they differ in how the rooted
+//! spanning tree and its tags are produced. TV-filter and FAST-BCC
+//! shrink the edge set to a sparse certificate first and share one
+//! pipeline ([`crate::fast_bcc`]) that differs only in the tags step.
 //!
 //! The entry point is [`BccConfig`]: select an algorithm, optionally a
 //! list ranker and a telemetry sink, then [`run`](BccConfig::run) it on
@@ -27,15 +28,13 @@
 //! ```
 
 use crate::aux_graph::build_aux_graph_fused_ws;
-use crate::low_high::{compute_low_high_with_ws, LowHighMethod};
+use crate::low_high::compute_low_high_ws;
 use crate::phase::{PhaseRecorder, PhaseReport, PipelineStats, Step};
 use crate::tarjan::tarjan_bcc;
 use crate::verify::canonicalize_edge_labels;
-use bcc_connectivity::bfs::bfs_tree_ws;
 use bcc_connectivity::sv::connected_components_with_ws;
 use bcc_connectivity::traversal::work_stealing_tree;
 use bcc_connectivity::tuning::TraversalTuning;
-use bcc_connectivity::BfsDirection;
 use bcc_euler::{dfs_euler_tour_ws, euler_tour_classic_ws, tree_computations_ws, Ranker, TreeInfo};
 use bcc_graph::{Csr, Edge, Graph};
 use bcc_smp::telemetry::Telemetry;
@@ -43,7 +42,7 @@ use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Algorithm selector for [`biconnected_components`].
+/// Algorithm selector for [`BccConfig`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Algorithm {
     /// Tarjan's linear-time DFS (the paper's sequential baseline).
@@ -178,8 +177,9 @@ impl BccConfig {
     }
 
     /// Selects the traversal variants: the BFS direction strategy used
-    /// by TV-filter's spanning tree and the SV flavor used for TV-SMP's
-    /// spanning tree and the shared step-6 tail. Defaults to
+    /// by the TV-filter and FAST-BCC spanning trees, and the SV flavor
+    /// used for TV-SMP's spanning tree, for the TV-filter/FAST-BCC
+    /// forest of `G − T`, and for the shared step-6 tail. Defaults to
     /// [`TraversalTuning::fast`]; pass [`TraversalTuning::classic`] (or
     /// a parsed ablation spec) to benchmark the baselines.
     pub fn tuning(mut self, tuning: TraversalTuning) -> Self {
@@ -305,8 +305,9 @@ pub(crate) fn run_connected(
         Algorithm::Sequential => Ok(sequential_impl(g)),
         Algorithm::TvSmp => tv_smp_impl(pool, g, ranker, tuning, ws, rec),
         Algorithm::TvOpt => tv_opt_impl(pool, g, tuning, ws, rec),
-        Algorithm::TvFilter => tv_filter_impl(pool, g, tuning, ws, rec),
-        Algorithm::FastBcc => crate::fast_bcc::fast_bcc_impl(pool, g, tuning, ws, rec),
+        Algorithm::TvFilter | Algorithm::FastBcc => {
+            crate::fast_bcc::certificate_impl(pool, g, alg, tuning, ws, rec)
+        }
     }
 }
 
@@ -444,182 +445,13 @@ fn tv_opt_impl(
     Ok(finalize(tail.edge_labels, stats))
 }
 
-fn tv_filter_impl(
-    pool: &Pool,
-    g: &Graph,
-    tuning: TraversalTuning,
-    ws: &BccWorkspace,
-    rec: &mut PhaseRecorder,
-) -> Result<BccResult, BccError> {
-    let n = g.n();
-    let m = g.m();
-    if let Some(r) = trivial_result(g) {
-        return Ok(r);
-    }
-
-    // Adjacency conversion is input preparation shared by every BFS
-    // strategy: keep it out of the Spanning-tree step so the ablation
-    // columns compare traversals, not CSR construction (it still counts
-    // toward `total`).
-    let csr = Csr::build_par(pool, g);
-
-    // Step 1: BFS spanning tree T (Lemma 1 requires a BFS tree).
-    let root = 0u32;
-    let mut bfs = rec.step(Step::SpanningTree, || {
-        bfs_tree_ws(pool, &csr, root, &tuning, ws)
-    });
-    if bfs.reached != n {
-        bfs.recycle(ws);
-        return Err(BccError::Disconnected);
-    }
-
-    // Step 2 (Filtering): spanning forest F of G − T, then assemble the
-    // reduced graph T ∪ F (≤ 2(n−1) edges).
-    let (reduced_edges, reduced_is_tree, reduced_of_orig, forest_rounds) =
-        rec.step(Step::Filtering, || {
-            // Nontree candidates with their original ids. The tree test
-            // is on the parent *pair*, not the edge id: a duplicate of a
-            // tree edge connects its endpoints in G − T without adding
-            // any connectivity beyond T, so letting it into F can
-            // displace a real forest edge and break the certificate
-            // (Lemma 1 assumes a simple graph). Tree-parallel edges are
-            // placed by the condition-1 rule below, which gives each
-            // exactly its tree twin's label.
-            let parent: &[u32] = &bfs.parent;
-            let mut cand_edges: Vec<Edge> = ws.take(m);
-            let mut cand_orig: Vec<u32> = ws.take(m);
-            for (i, &e) in g.edges().iter().enumerate() {
-                if parent[e.u as usize] != e.v && parent[e.v as usize] != e.u {
-                    cand_edges.push(e);
-                    cand_orig.push(i as u32);
-                }
-            }
-            let forest = connected_components_with_ws(pool, n, &cand_edges, tuning.sv, ws);
-
-            // Reduced edge list: T first, then F.
-            let mut reduced_edges: Vec<Edge> = ws.take(2 * n as usize);
-            let mut reduced_is_tree: Vec<bool> = ws.take(2 * n as usize);
-            let mut reduced_of_orig = ws.take_filled(m, NIL);
-            for v in 0..n {
-                let eid = bfs.parent_eid[v as usize];
-                if eid != NIL {
-                    reduced_of_orig[eid as usize] = reduced_edges.len() as u32;
-                    reduced_edges.push(g.edges()[eid as usize]);
-                    reduced_is_tree.push(true);
-                }
-            }
-            for &ci in &forest.tree_edges {
-                let orig = cand_orig[ci as usize];
-                reduced_of_orig[orig as usize] = reduced_edges.len() as u32;
-                reduced_edges.push(g.edges()[orig as usize]);
-                reduced_is_tree.push(false);
-            }
-            let forest_rounds = forest.rounds;
-            forest.recycle(ws);
-            ws.give(cand_edges);
-            ws.give(cand_orig);
-            (
-                reduced_edges,
-                reduced_is_tree,
-                reduced_of_orig,
-                forest_rounds,
-            )
-        });
-
-    // Steps 2'–3': Euler tour + tree computations on T.
-    let mut tree_edges: Vec<Edge> = ws.take(n as usize);
-    tree_edges.extend_from_slice(&reduced_edges[..n as usize - 1]);
-    let tour = rec.step(Step::EulerTour, || {
-        dfs_euler_tour_ws(pool, n, tree_edges, &bfs.parent, root, ws)
-    });
-    let info = rec.step(Step::RootTree, || {
-        tree_computations_ws(pool, &tour, root, ws)
-    });
-
-    // Steps 4–6 on the reduced graph.
-    let tail = tv_tail(
-        pool,
-        n,
-        &reduced_edges,
-        &reduced_is_tree,
-        &info,
-        tuning,
-        ws,
-        rec,
-    );
-
-    // Step 4 of Alg. 2: place each filtered edge (u, v) into the
-    // component of the tree edge (x, p(x)) of its larger-preorder
-    // endpoint x (condition 1 holds for any rooted spanning tree).
-    // `comp` escapes as the result's `edge_comp`, so it is allocated
-    // plain rather than from the workspace.
-    let mut comp = vec![0u32; m];
-    rec.step(Step::Filtering, || {
-        let comp_s = SharedSlice::new(&mut comp);
-        let labels: &[u32] = &tail.edge_labels;
-        let aux: &[u32] = &tail.aux_vertex_labels;
-        let map: &[u32] = &reduced_of_orig;
-        let pre = &info.preorder;
-        pool.run(|ctx| {
-            for i in ctx.block_range(m) {
-                let r = map[i];
-                let label = if r != NIL {
-                    labels[r as usize]
-                } else {
-                    let e = g.edges()[i];
-                    let x = if pre[e.u as usize] > pre[e.v as usize] {
-                        e.u
-                    } else {
-                        e.v
-                    };
-                    aux[x as usize]
-                };
-                unsafe { comp_s.write(i, label) };
-            }
-        });
-    });
-
-    let stats = PipelineStats {
-        input_edges: m,
-        effective_edges: reduced_edges.len(),
-        filtered_edges: m - reduced_edges.len(),
-        aux_vertices: tail.aux_vertices,
-        aux_edges: tail.aux_edges,
-        sv_rounds_spanning: forest_rounds,
-        sv_rounds_cc: tail.sv_rounds_cc,
-        bfs_levels: bfs.levels,
-        bfs_bottom_up_levels: bfs.bottom_up_levels(),
-        bfs_directions: bfs
-            .directions
-            .iter()
-            .map(|d| match d {
-                BfsDirection::TopDown => 'T',
-                BfsDirection::BottomUp => 'B',
-            })
-            .collect(),
-        bfs_frontier_sizes: std::mem::take(&mut bfs.frontier_sizes),
-    };
-    tour.recycle(ws);
-    info.recycle(ws);
-    bfs.recycle(ws);
-    ws.give(reduced_edges);
-    ws.give(reduced_is_tree);
-    ws.give(reduced_of_orig);
-    // `tail.edge_labels` is a plain allocation (it is the *result* for
-    // TV-SMP/TV-opt); dropping it here keeps the shelf from growing by
-    // one foreign buffer per run.
-    drop(tail.edge_labels);
-    ws.give(tail.aux_vertex_labels);
-    Ok(finalize(comp, stats))
-}
-
 /// Output of the shared tail: raw (non-canonical) labels.
 pub(crate) struct TailOutput {
     /// Label per input edge.
     pub(crate) edge_labels: Vec<u32>,
     /// Label per auxiliary vertex; `aux_vertex_labels[v]` for `v < n` is
-    /// the component of tree edge `(v, p(v))` (TV-filter uses this to
-    /// place filtered edges).
+    /// the component of tree edge `(v, p(v))` (the certificate pipeline
+    /// places every input edge through it).
     pub(crate) aux_vertex_labels: Vec<u32>,
     /// Auxiliary-graph vertex count (n + nontree edges considered).
     pub(crate) aux_vertices: u32,
@@ -629,14 +461,14 @@ pub(crate) struct TailOutput {
     pub(crate) sv_rounds_cc: u32,
 }
 
-/// Steps 4–6: Low-high (the O(n)-space [`LowHighMethod::LevelSweep`]
-/// for every pipeline), Label-edge (fused count→scan→emit realization
-/// of Alg. 1), Connected-components.
+/// Steps 4–6: Low-high (the O(n)-space level sweep,
+/// [`compute_low_high_ws`]), Label-edge (fused count→scan→emit
+/// realization of Alg. 1), Connected-components.
 ///
 /// All scratch is drawn from `ws`; only `edge_labels` (which becomes
 /// the result for TV-SMP/TV-opt) and `aux_vertex_labels` (returned for
-/// TV-filter's placement pass) survive — callers give them back once
-/// done.
+/// the certificate pipeline's placement pass) survive — callers give
+/// them back once done.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tv_tail(
     pool: &Pool,
@@ -652,14 +484,7 @@ pub(crate) fn tv_tail(
 
     // Step 4: Low-high.
     let lh = rec.step(Step::LowHigh, || {
-        compute_low_high_with_ws(
-            pool,
-            edges,
-            is_tree_edge,
-            info,
-            LowHighMethod::LevelSweep,
-            ws,
-        )
+        compute_low_high_ws(pool, edges, is_tree_edge, info, ws)
     });
 
     // Step 5: Label-edge.

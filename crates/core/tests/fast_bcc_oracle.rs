@@ -1,10 +1,10 @@
-//! The FAST-BCC oracle: its labelings are pinned **bit-for-bit** to
-//! both the Sequential (Hopcroft–Tarjan) baseline and the TV-filter
-//! pipeline — not merely "same partition". All three canonicalize
-//! labels by first edge occurrence, so identical `edge_comp` vectors
-//! are the exact correctness statement, and any future divergence in
-//! the skeleton tags, the certificate, or the placement rule fails
-//! loudly here.
+//! The pipeline oracle: the labelings of FAST-BCC, TV-filter, TV-SMP
+//! and TV-opt are pinned **bit-for-bit** to the Sequential
+//! (Hopcroft–Tarjan) baseline — not merely "same partition". All
+//! canonicalize labels by first edge occurrence, so identical
+//! `edge_comp` vectors are the exact correctness statement, and any
+//! future divergence in the tree tags, the certificate, the placement
+//! rule or the shared tail fails loudly here.
 //!
 //! Coverage: every generator family (structured and random), raw edge
 //! streams with self-loops (sanitized by the lenient builder, as real
@@ -26,13 +26,18 @@ fn oracle(g: &Graph) -> BccResult {
         .result
 }
 
-/// Asserts FAST-BCC and TV-filter both reproduce the oracle labeling
+/// Asserts every parallel pipeline reproduces the oracle labeling
 /// bit-for-bit at 1 and 3 threads.
 fn assert_pinned(g: &Graph, what: &str) {
     let base = oracle(g);
     for p in [1usize, 3] {
         let pool = Pool::new(p);
-        for alg in [Algorithm::FastBcc, Algorithm::TvFilter] {
+        for alg in [
+            Algorithm::FastBcc,
+            Algorithm::TvFilter,
+            Algorithm::TvSmp,
+            Algorithm::TvOpt,
+        ] {
             let r = BccConfig::new(alg).run_any(&pool, g).unwrap().result;
             assert_eq!(
                 r.edge_comp,

@@ -1,7 +1,7 @@
 //! Workspace-arena reuse across whole pipeline runs (satellite of the
 //! zero-allocation-steady-state PR).
 //!
-//! Two properties:
+//! Three properties:
 //!
 //! * **Transparency** — running with a shared [`BccWorkspace`] yields
 //!   bit-identical `BccResult`s to fresh-allocation runs, across graph
@@ -10,6 +10,8 @@
 //!   [`BccConfig::run`] takes every scratch buffer from the shelf:
 //!   zero arena misses, `PhaseReport::alloc_bytes == 0`,
 //!   `arena_hit_rate == 1.0`, and the shelf stops growing.
+//! * **O(n) certificate scratch** — TV-filter and FAST-BCC shelve the
+//!   same bytes whether the graph has 4n or 32n edges.
 
 use bcc_core::{Algorithm, BccConfig, BccWorkspace};
 use bcc_graph::{gen, GraphBuilder};
@@ -146,5 +148,28 @@ fn disconnected_error_path_returns_buffers_to_the_arena() {
             .result;
         let r = cfg.run_any(&pool, &g).unwrap().result;
         assert_eq!(r.edge_comp, base.edge_comp, "{}", alg.name());
+    }
+}
+
+#[test]
+fn certificate_scratch_stays_linear_in_n() {
+    // Same n, 8x the edges: the certificate pipelines' scratch (BFS
+    // arrays, tree tags, certificate, tail) is sized by n, so the
+    // shelf a dense run leaves behind is no larger than a sparse run's.
+    let pool = Pool::new(2);
+    let sparse = gen::random_connected(4000, 16_000, 1);
+    let dense = gen::random_connected(4000, 128_000, 1);
+    for alg in [Algorithm::TvFilter, Algorithm::FastBcc] {
+        let ws = Arc::new(BccWorkspace::new());
+        let cfg = BccConfig::new(alg).workspace(Arc::clone(&ws));
+        cfg.run(&pool, &sparse).unwrap();
+        let after_sparse = ws.shelved_bytes();
+        cfg.run(&pool, &dense).unwrap();
+        let after_dense = ws.shelved_bytes();
+        assert!(
+            after_dense * 4 <= after_sparse * 5,
+            "{}: shelf grew {after_sparse} -> {after_dense} bytes from m = 4n to m = 32n",
+            alg.name()
+        );
     }
 }

@@ -141,7 +141,7 @@ fn payload_len(n: u64, m: u64) -> u64 {
     8 * m + 8 * (n + 1) + 8 * m + 8 * m
 }
 
-/// What [`write`] produced.
+/// What [`write`](fn@write) produced.
 #[derive(Clone, Copy, Debug)]
 pub struct WriteSummary {
     /// Vertices.
@@ -171,7 +171,7 @@ pub fn write(path: &Path, g: &Graph) -> io::Result<WriteSummary> {
     write_edges(path, g.n(), g.edges())
 }
 
-/// [`write`] from a raw validated edge list (no self loops, endpoints
+/// [`write`](fn@write) from a raw validated edge list (no self loops, endpoints
 /// `< n`); the converter's entry point.
 pub fn write_edges(path: &Path, n: u32, edges: &[Edge]) -> io::Result<WriteSummary> {
     if cfg!(target_endian = "big") {

@@ -2,8 +2,9 @@
 //!
 //! The in-memory generators ([`gen::rmat`](crate::gen::rmat),
 //! [`gen::geometric`](crate::gen::geometric)) dedup through a
-//! `HashSet<u64>` and hand the edge list to [`GraphBuilder`], which is
-//! fine at benchmark-tier sizes but wasteful at 10M+ vertices: the set
+//! `HashSet<u64>` and hand the edge list to
+//! [`GraphBuilder`](crate::GraphBuilder), which is fine at
+//! benchmark-tier sizes but wasteful at 10M+ vertices: the set
 //! alone costs ~48 bytes per edge on top of the 8-byte edges, and the
 //! builder clones the list into a [`Graph`](crate::Graph). The
 //! streaming variants here hold exactly **one** in-memory edge copy —
@@ -17,7 +18,7 @@
 //!
 //! Both families are **stitched to connected** (union-find over the
 //! generated edges, then a star of representative links — see
-//! [`stitch_connected`] for why not a chain): the xl tier measures the
+//! `stitch_connected` for why not a chain): the xl tier measures the
 //! connected-input pipelines directly through [`BccConfig::run`], and a
 //! disconnected R-MAT would route through the per-component driver,
 //! whose subgraph materialization would dominate the peak-RSS signal
@@ -137,7 +138,7 @@ fn rmat_draw(rng: &mut StdRng, scale: u32, a: f64, b: f64, c: f64, d: f64) -> (u
 /// edge array. Near-saturated parameter regions (dense hubs at high
 /// `m/n`) can leave rounds that are almost entirely duplicates, so the
 /// loop also stops once a round fills less than 1/64 of a large
-/// shortfall (see [`saturated`]) — the output then carries slightly
+/// shortfall (see `saturated`) — the output then carries slightly
 /// fewer than `m` edges (plus the stitch), which the returned
 /// [`WriteSummary`] reports exactly.
 pub fn rmat_to_bccsr(

@@ -1,9 +1,11 @@
 //! Component-wise subgraph extraction with stable relabeling.
 //!
-//! The per-component drivers (bcc-core's `run_any`, bcc-query's
-//! incremental `IndexStore` commits) all need the same decomposition: a
+//! bcc-query's per-component drivers (the index build and the
+//! incremental `IndexStore` commits) need the same decomposition: a
 //! vertex labeling partitions the graph, and each class becomes a
-//! standalone [`Graph`] in compact local ids. [`Graph::split_by_labels`]
+//! standalone [`Graph`] in compact local ids. (bcc-core's `run_any`
+//! partitions in a loop of its own, with scratch from the run's
+//! workspace.) [`Graph::split_by_labels`]
 //! performs that extraction once and keeps *both* directions of the
 //! renaming — `local[v]` maps a parent vertex into its part, and each
 //! part's `verts` maps back out — plus the edge provenance

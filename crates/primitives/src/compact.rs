@@ -14,8 +14,8 @@
 //! instead of three (flag+count fuses what used to be flag then scan),
 //! the predicate runs exactly once per element, and the output is
 //! written once per slot through spare capacity — no fill-then-overwrite
-//! pass. The pre-PR u32-flag path survives in [`reference`] as the bench
-//! baseline and test oracle.
+//! pass. The earlier u32-flag path survives in
+//! [`reference`](mod@reference) as the bench baseline and test oracle.
 
 use bcc_smp::{BccWorkspace, Bitmap, Ctx, Pool, SharedSlice};
 use std::mem::MaybeUninit;

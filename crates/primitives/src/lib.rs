@@ -32,7 +32,7 @@ pub use list_rank::{
     list_rank_wyllie_ws,
 };
 pub use reduce::{par_max, par_min, par_sum_u64};
-pub use rmq::{Extremum, RangeMinMaxTable, RangeTable};
+pub use rmq::{Extremum, RangeTable};
 pub use scan::{
     exclusive_scan_par, exclusive_scan_par_ws, exclusive_scan_seq, inclusive_scan_par,
     inclusive_scan_par_ws, inclusive_scan_seq,

@@ -4,10 +4,12 @@
 //! array over the vertex's preorder-contiguous subtree interval. A
 //! sparse table costs O(n log n) work to build but is embarrassingly
 //! parallel (each level is an independent data-parallel sweep) and
-//! answers queries in O(1) — a good SMP trade against the PRAM rake
-//! operations it replaces.
+//! answers queries in O(1) — the SMP trade against the PRAM rake
+//! operations it replaces. The pipelines aggregate with an O(n) level
+//! sweep instead; this table backs the Low-high reference
+//! construction and the double-BFS upper bound.
 
-use bcc_smp::{BccWorkspace, Pool, SharedSlice};
+use bcc_smp::{Pool, SharedSlice};
 
 /// Which extremum the table answers.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -99,168 +101,6 @@ impl RangeTable {
     }
 }
 
-/// A sparse table answering **both** range-min and range-max queries,
-/// built in fused pool phases.
-///
-/// The Low-high step needs the min of one key array and the max of
-/// another over the same subtree intervals. Two [`RangeTable`]s cost
-/// two full sets of level sweeps (2·log n pool phases and barrier
-/// episodes); this table builds the min level and the max level of each
-/// width inside *one* phase, halving the phase count and walking the
-/// (shared) level geometry once. Level 0 is a single copy of each input
-/// rather than being duplicated per extremum.
-///
-/// ```
-/// use bcc_primitives::rmq::RangeMinMaxTable;
-/// use bcc_smp::Pool;
-///
-/// let t = RangeMinMaxTable::build(&Pool::new(2), &[5, 1, 4, 2], &[5, 1, 4, 2]);
-/// assert_eq!(t.query_min(0, 4), 1);
-/// assert_eq!(t.query_max(1, 3), 4);
-/// ```
-pub struct RangeMinMaxTable {
-    n: usize,
-    /// Level 0 of the min side (a copy of the min input).
-    min_base: Vec<u32>,
-    /// Level 0 of the max side (a copy of the max input).
-    max_base: Vec<u32>,
-    /// `min_levels[k-1][i]` = min of `min_base[i .. i + 2^k]`.
-    min_levels: Vec<Vec<u32>>,
-    /// `max_levels[k-1][i]` = max of `max_base[i .. i + 2^k]`.
-    max_levels: Vec<Vec<u32>>,
-}
-
-impl RangeMinMaxTable {
-    /// Builds both tables in fused parallel level sweeps.
-    ///
-    /// `min_input` and `max_input` must have the same length.
-    pub fn build(pool: &Pool, min_input: &[u32], max_input: &[u32]) -> Self {
-        Self::build_impl(pool, min_input, max_input, None)
-    }
-
-    /// [`build`](Self::build) with every level buffer taken from `ws`
-    /// (return them with [`recycle`](Self::recycle)).
-    pub fn build_ws(pool: &Pool, min_input: &[u32], max_input: &[u32], ws: &BccWorkspace) -> Self {
-        Self::build_impl(pool, min_input, max_input, Some(ws))
-    }
-
-    fn build_impl(
-        pool: &Pool,
-        min_input: &[u32],
-        max_input: &[u32],
-        ws: Option<&BccWorkspace>,
-    ) -> Self {
-        assert_eq!(min_input.len(), max_input.len());
-        let n = min_input.len();
-        let take = |src: &[u32]| -> Vec<u32> {
-            match ws {
-                Some(ws) => {
-                    let mut v: Vec<u32> = ws.take(src.len());
-                    v.extend_from_slice(src);
-                    v
-                }
-                None => src.to_vec(),
-            }
-        };
-        let min_base = take(min_input);
-        let max_base = take(max_input);
-        let mut min_levels: Vec<Vec<u32>> = Vec::new();
-        let mut max_levels: Vec<Vec<u32>> = Vec::new();
-        let mut width = 1usize; // 2^(k-1)
-        while 2 * width <= n {
-            let prev_min: &[u32] = min_levels.last().map_or(&min_base, |v| v);
-            let prev_max: &[u32] = max_levels.last().map_or(&max_base, |v| v);
-            let len = n - 2 * width + 1;
-            let (mut cur_min, mut cur_max): (Vec<u32>, Vec<u32>) = match ws {
-                Some(ws) => (ws.take_filled(len, 0), ws.take_filled(len, 0)),
-                None => (vec![0u32; len], vec![0u32; len]),
-            };
-            {
-                let min_s = SharedSlice::new(&mut cur_min);
-                let max_s = SharedSlice::new(&mut cur_max);
-                pool.run(|ctx| {
-                    for i in ctx.block_range(len) {
-                        unsafe {
-                            min_s.write(i, prev_min[i].min(prev_min[i + width]));
-                            max_s.write(i, prev_max[i].max(prev_max[i + width]));
-                        }
-                    }
-                });
-            }
-            min_levels.push(cur_min);
-            max_levels.push(cur_max);
-            width *= 2;
-        }
-        RangeMinMaxTable {
-            n,
-            min_base,
-            max_base,
-            min_levels,
-            max_levels,
-        }
-    }
-
-    /// Minimum of `min_input[lo..hi]` (half-open, non-empty).
-    #[inline]
-    pub fn query_min(&self, lo: usize, hi: usize) -> u32 {
-        let (k, w) = self.level_of(lo, hi);
-        if k == 0 {
-            self.min_base[lo]
-        } else {
-            let lv = &self.min_levels[k - 1];
-            lv[lo].min(lv[hi - w])
-        }
-    }
-
-    /// Maximum of `max_input[lo..hi]` (half-open, non-empty).
-    #[inline]
-    pub fn query_max(&self, lo: usize, hi: usize) -> u32 {
-        let (k, w) = self.level_of(lo, hi);
-        if k == 0 {
-            self.max_base[lo]
-        } else {
-            let lv = &self.max_levels[k - 1];
-            lv[lo].max(lv[hi - w])
-        }
-    }
-
-    #[inline]
-    fn level_of(&self, lo: usize, hi: usize) -> (usize, usize) {
-        assert!(
-            lo < hi && hi <= self.n,
-            "bad range {lo}..{hi} (n={})",
-            self.n
-        );
-        let len = hi - lo;
-        let k = (usize::BITS - 1 - len.leading_zeros()) as usize; // floor(log2 len)
-        (k, 1usize << k)
-    }
-
-    /// Length of the underlying arrays.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if the underlying arrays are empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Returns every level buffer to `ws` for reuse.
-    pub fn recycle(self, ws: &BccWorkspace) {
-        ws.give(self.min_base);
-        ws.give(self.max_base);
-        for v in self.min_levels {
-            ws.give(v);
-        }
-        for v in self.max_levels {
-            ws.give(v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,50 +145,6 @@ mod tests {
         let pool = Pool::new(1);
         let t = RangeTable::build(&pool, &[1, 2, 3], Extremum::Min);
         let _ = t.query(1, 1);
-    }
-
-    #[test]
-    fn fused_table_matches_two_single_tables() {
-        let pool = Pool::new(3);
-        let ws = bcc_smp::BccWorkspace::new();
-        let a: Vec<u32> = (0..200).map(|i| (i * 37) % 101).collect();
-        let b: Vec<u32> = (0..200).map(|i| (i * 53) % 97).collect();
-        let tmin = RangeTable::build(&pool, &a, Extremum::Min);
-        let tmax = RangeTable::build(&pool, &b, Extremum::Max);
-        for round in 0..2 {
-            let fused = if round == 0 {
-                RangeMinMaxTable::build(&pool, &a, &b)
-            } else {
-                RangeMinMaxTable::build_ws(&pool, &a, &b, &ws)
-            };
-            for lo in (0..200).step_by(7) {
-                for hi in [lo + 1, lo + 3, lo + 64, 200] {
-                    if hi > 200 || hi <= lo {
-                        continue;
-                    }
-                    assert_eq!(fused.query_min(lo, hi), tmin.query(lo, hi));
-                    assert_eq!(fused.query_max(lo, hi), tmax.query(lo, hi));
-                }
-            }
-            if round == 1 {
-                fused.recycle(&ws);
-            }
-        }
-        // A second ws build must be all hits.
-        let s0 = ws.stats();
-        RangeMinMaxTable::build_ws(&pool, &a, &b, &ws).recycle(&ws);
-        let d = ws.stats().delta_since(&s0);
-        assert_eq!(d.misses, 0, "steady-state rebuild must not allocate");
-        assert!(d.hits > 0);
-    }
-
-    #[test]
-    fn fused_table_single_element_and_empty() {
-        let pool = Pool::new(2);
-        let t = RangeMinMaxTable::build(&pool, &[42], &[7]);
-        assert_eq!((t.query_min(0, 1), t.query_max(0, 1)), (42, 7));
-        let e = RangeMinMaxTable::build(&pool, &[], &[]);
-        assert!(e.is_empty());
     }
 
     proptest! {

@@ -2,9 +2,9 @@
 //! # bcc-query — a concurrent biconnectivity query engine
 //!
 //! The pipelines in `bcc-core` stop at labels: a per-edge component
-//! array and a [`BlockCutTree`]. The paper's motivating application —
-//! "which single failures disconnect whom" in a fault-tolerant network
-//! — is a *query* workload: build the structure once, then answer
+//! array and a [`BlockCutTree`](bcc_core::BlockCutTree). The paper's
+//! motivating application — "which single failures disconnect whom" in
+//! a fault-tolerant network — is a *query* workload: build the structure once, then answer
 //! millions of point questions about it. This crate is that serving
 //! layer:
 //!

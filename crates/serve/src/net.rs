@@ -2,7 +2,7 @@
 //!
 //! std-only networking (no async runtime, no extra crates): an
 //! acceptor thread polls a non-blocking `TcpListener`; each accepted
-//! connection gets a thread that reads [`wire`](crate::wire) frames
+//! connection gets a thread that reads [`wire`] frames
 //! and feeds the daemon's MPMC queues through the same typed
 //! [`Request`] surface in-process callers use.
 //!

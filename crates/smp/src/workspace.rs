@@ -5,7 +5,7 @@
 //! them and frees them minutes of CPU time later. On SMPs the cost is
 //! not the `malloc` bookkeeping itself but the page faults and cache
 //! misses of first-touching cold memory every run — repeated-run
-//! workloads (benchmark trials, [`IndexStore`]-style rebuilds) pay it
+//! workloads (benchmark trials, `bcc-query`'s `IndexStore` rebuilds) pay it
 //! every time. [`BccWorkspace`] is a typed free-list arena: callers
 //! [`take`](BccWorkspace::take) a `Vec<T>` with at least the capacity
 //! they need and [`give`](BccWorkspace::give) it back when the phase is
@@ -32,8 +32,6 @@
 //!   phases take a handful of buffers per run (not per element), so the
 //!   lock is contended a few dozen times per run at most. Pool threads
 //!   may take/give their own per-thread scratch directly.
-//!
-//! [`IndexStore`]: https://en.wikipedia.org/wiki/Memoization
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
