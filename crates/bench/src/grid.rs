@@ -17,7 +17,7 @@ use bcc_graph::{gen, Edge, Graph, GraphBuilder};
 use bcc_query::IndexStore;
 use bcc_serve::{
     component_grid, run_net_workload, run_workload, Admission, Daemon, Mode, NetFrontend, Profile,
-    ServeConfig, ShardedStore, WorkloadConfig, Writers,
+    ServeConfig, ShardedStore, WorkloadConfig,
 };
 use bcc_smp::Pool;
 use std::path::PathBuf;
@@ -459,9 +459,7 @@ pub const SERVE_PARTS: u32 = 8;
 /// Shards the serve cells split the store across.
 pub const SERVE_SHARDS: usize = 4;
 
-/// Per-shard commit-p99 field names (`w1` cells feed all four shards
-/// from one thread; per-shard cells from one thread each — where the
-/// writers=1 vs per-shard commit-tail gap is read from).
+/// Per-shard commit-p99 field names, one per shard writer.
 const SHARD_COMMIT_P99: [&str; SERVE_SHARDS] = [
     "commit_p99_seconds_shard0",
     "commit_p99_seconds_shard1",
@@ -469,16 +467,15 @@ const SHARD_COMMIT_P99: [&str; SERVE_SHARDS] = [
     "commit_p99_seconds_shard3",
 ];
 
-/// One serve-cell scenario: drive profile and mode, plus the
-/// writer-topology and admission-control knobs the ablation cells
-/// flip. `shed` cells run a deliberately oversubscribed update stream
-/// against tight watermarks, measuring the read tail *while* admission
-/// control sheds (the SLO claim: rejections, not latency collapse).
+/// One serve-cell scenario: drive profile and mode, plus whether the
+/// cell arms admission control. `shed` cells run a deliberately
+/// oversubscribed update stream against tight watermarks, measuring
+/// the read tail *while* admission control sheds (the SLO claim:
+/// rejections, not latency collapse).
 #[derive(Copy, Clone)]
 struct ServeScenario {
     profile: Profile,
     mode: Mode,
-    writers: Writers,
     shed: bool,
 }
 
@@ -486,11 +483,9 @@ struct ServeScenario {
 /// In-process: the read-heavy profile under both drive modes, then the
 /// churn-heavy and adversarial hot-component profiles open-loop — the
 /// mode where queueing behind commits shows up as tail latency instead
-/// of silently reducing the offered load — plus the churn-heavy cell
-/// with the writer pool collapsed to one thread (the `writers=1`
-/// ablation the per-shard commit path is justified against) and an
-/// update storm (10/90 mix) at 4x the rate against armed admission
-/// watermarks: sheds must be nonzero and reads must survive.
+/// of silently reducing the offered load — plus an update storm
+/// (10/90 mix) at 4x the rate against armed admission watermarks:
+/// sheds must be nonzero and reads must survive.
 ///
 /// Over loopback TCP (`net`): the read-heavy SLO path and the storm,
 /// proving the daemon sheds with typed `Rejected(Overloaded)` frames on
@@ -499,25 +494,23 @@ struct ServeScenario {
 /// backlog watermark.
 fn serve_scenarios(net: bool, rate: f64) -> Vec<ServeScenario> {
     use Profile::*;
-    let cell = |profile, rate: Option<f64>, writers, shed| ServeScenario {
+    let cell = |profile, rate: Option<f64>, shed| ServeScenario {
         profile,
         mode: rate.map_or(Mode::Closed, |rate| Mode::Open { rate }),
-        writers,
         shed,
     };
     if net {
         return vec![
-            cell(ReadHeavy, Some(rate), Writers::PerShard, false),
-            cell(UpdateStorm, Some(rate * 16.0), Writers::PerShard, true),
+            cell(ReadHeavy, Some(rate), false),
+            cell(UpdateStorm, Some(rate * 16.0), true),
         ];
     }
     vec![
-        cell(ReadHeavy, None, Writers::PerShard, false),
-        cell(ReadHeavy, Some(rate), Writers::PerShard, false),
-        cell(ChurnHeavy, Some(rate), Writers::PerShard, false),
-        cell(HotComponent, Some(rate), Writers::PerShard, false),
-        cell(ChurnHeavy, Some(rate), Writers::Single, false),
-        cell(UpdateStorm, Some(rate * 4.0), Writers::PerShard, true),
+        cell(ReadHeavy, None, false),
+        cell(ReadHeavy, Some(rate), false),
+        cell(ChurnHeavy, Some(rate), false),
+        cell(HotComponent, Some(rate), false),
+        cell(UpdateStorm, Some(rate * 4.0), true),
     ]
 }
 
@@ -621,7 +614,6 @@ impl Cell for ServeCell<'_> {
             ServeConfig::builder()
                 .readers(self.p)
                 .flush_interval(Duration::from_millis(1))
-                .writers(sc.writers)
                 .admission(if sc.shed {
                     SHED_ADMISSION
                 } else {
@@ -669,7 +661,6 @@ impl Cell for ServeCell<'_> {
                 ("updates_applied", s.updates_applied as f64),
                 ("commits", s.commits as f64),
                 ("migrations", s.migrations as f64),
-                ("writer_threads", s.writer_threads as f64),
                 ("shed_count", s.shed_updates as f64),
                 (
                     "commit_p50_seconds",
@@ -711,11 +702,9 @@ impl Cell for ServeCell<'_> {
                 ("threads", Json::num(self.p as f64)),
                 ("mode", Json::str(sc.mode.name())),
                 ("rate", Json::num(rate)),
-                // Writer topology and admission policy: part of the
-                // cell's identity (they land in the entry key) so the
-                // writers=1 ablation and the overload cell gate against
-                // themselves.
-                ("writers", Json::str(sc.writers.name())),
+                // Admission policy: part of the cell's identity (it
+                // lands in the entry key) so the overload cell gates
+                // against itself.
                 (
                     "admission",
                     Json::str(if sc.shed { "shed" } else { "open" }),
@@ -802,12 +791,6 @@ pub fn entry_key(e: &Json) -> Option<String> {
     if let Some(m) = e.get("mode").and_then(Json::as_str) {
         key.push('/');
         key.push_str(m);
-    }
-    // The writer-topology ablation suffixes only its single-writer
-    // cells (like `/ws-off` above): default per-shard cells keep the
-    // keys older documents used and stay comparable against them.
-    if e.get("writers").and_then(Json::as_str) == Some("w1") {
-        key.push_str("/w1");
     }
     // Overload cells (admission watermarks armed, oversubscribed
     // arrivals) are their own series — they gate shed behaviour, not
@@ -1142,12 +1125,9 @@ mod tests {
             let family = e.get("family").and_then(Json::as_str).unwrap();
             let mode = e.get("mode").and_then(Json::as_str).unwrap();
             assert!(matches!(mode, "closed" | "open"), "{key}");
-            // Keys end with the drive mode plus the ablation suffixes
-            // the writers/admission fields dictate.
+            // Keys end with the drive mode plus the suffix the
+            // admission field dictates.
             let mut tail = format!("/{mode}");
-            if e.get("writers").and_then(Json::as_str) == Some("w1") {
-                tail.push_str("/w1");
-            }
             if e.get("admission").and_then(Json::as_str) == Some("shed") {
                 tail.push_str("/shed");
             }
@@ -1168,7 +1148,6 @@ mod tests {
                     "lag_wall_p99_seconds",
                     "updates_applied",
                     "commits",
-                    "writer_threads",
                     "commit_p99_seconds",
                     "commit_p99_seconds_shard0",
                 ]
@@ -1203,13 +1182,6 @@ mod tests {
                     e.get("commits").and_then(Json::as_f64).unwrap() > 0.0,
                     "{key}: churn profile never committed"
                 );
-            }
-            // The writer-topology field matches the daemon's actual
-            // thread count: 1 for the ablation, shard count otherwise.
-            let threads = e.get("writer_threads").and_then(Json::as_f64).unwrap();
-            match e.get("writers").and_then(Json::as_str).unwrap() {
-                "w1" => assert_eq!(threads, 1.0, "{key}"),
-                _ => assert_eq!(threads, SERVE_SHARDS as f64, "{key}"),
             }
         }
     }

@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 /// `alloc_bytes`, `arena_hit_rate`, the `/ws-off` key suffix); the
 /// `store-multi` commit cells (`batch`, the [`bcc_query::CommitStats`]
 /// medians, the `/batch<k>` suffix); the `serve`/`serve-net` SLO cells
-/// (`seconds` is their p99 latency; `mode`, `writers` and `admission`
-/// add the `/closed`, `/open`, `/w1` and `/shed` suffixes);
+/// (`seconds` is their p99 latency; `mode` and `admission` add the
+/// `/closed`, `/open` and `/shed` suffixes);
 /// `peak_rss_bytes` (per-trial peak resident set, max over trials,
 /// Linux only); the `prims` kernel cells (`reps`, `simd`); and the
 /// pipeline work counters `effective_edges`, `aux_vertices` and

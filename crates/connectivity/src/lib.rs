@@ -14,14 +14,11 @@
 //!   spanning tree, the fastest rooted-spanning-tree method of their
 //!   earlier study, used by TV-opt.
 //!
-//! [`boruvka`] adds the parallel minimum spanning forest of the
-//! authors' companion study (paper ref. \[4\]); [`seq`] holds the
-//! sequential baselines (union-find, DFS tree) the tests use as
-//! oracles.
+//! [`seq`] holds the sequential baselines (union-find, DFS tree) the
+//! tests use as oracles.
 
 pub mod as_sync;
 pub mod bfs;
-pub mod boruvka;
 pub mod seq;
 pub mod sv;
 pub mod traversal;
@@ -29,7 +26,6 @@ pub mod tuning;
 
 pub use as_sync::awerbuch_shiloach;
 pub use bfs::{bfs_tree, bfs_tree_par, bfs_tree_seq, bfs_tree_ws, BfsDirection, BfsTree};
-pub use boruvka::{minimum_spanning_forest, MsfResult, WeightedEdge};
 pub use sv::{
     connected_components, connected_components_masked_with_ws, connected_components_with,
     connected_components_with_ws, SvResult,

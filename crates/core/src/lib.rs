@@ -65,11 +65,6 @@ pub use tarjan::tarjan_bcc;
 /// dependency.
 pub use bcc_smp::{BccWorkspace, WorkspaceStats};
 
-/// List-ranking selector for the classic Euler tour (re-exported from
-/// [`bcc_euler`] so [`BccConfig::ranker`] is usable without a second
-/// crate dependency).
-pub use bcc_euler::Ranker;
-
 /// Traversal ablation knobs, re-exported from [`bcc_connectivity`] so
 /// [`BccConfig::tuning`] is usable without a second crate dependency.
 pub use bcc_connectivity::{BfsStrategy, SvVariant, TraversalTuning};

@@ -13,7 +13,6 @@ use crate::pipeline::{run_connected, Algorithm, BccError, BccResult};
 use crate::verify::canonicalize_edge_labels;
 use bcc_connectivity::sv::{connected_components_with_ws, normalize_labels_ws};
 use bcc_connectivity::tuning::TraversalTuning;
-use bcc_euler::Ranker;
 use bcc_graph::{Edge, Graph, GraphBuilder};
 use bcc_smp::{BccWorkspace, Pool};
 
@@ -26,19 +25,18 @@ pub(crate) fn run_per_component(
     pool: &Pool,
     g: &Graph,
     alg: Algorithm,
-    ranker: Ranker,
     tuning: TraversalTuning,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
     if alg == Algorithm::Sequential {
-        return run_connected(pool, g, alg, ranker, tuning, ws, rec);
+        return run_connected(pool, g, alg, tuning, ws, rec);
     }
     let cc = connected_components_with_ws(pool, g.n(), g.edges(), tuning.sv, ws);
     if cc.num_components <= 1 {
         // Connected (or empty): run directly.
         cc.recycle(ws);
-        return run_connected(pool, g, alg, ranker, tuning, ws, rec);
+        return run_connected(pool, g, alg, tuning, ws, rec);
     }
     let mut comp_of = cc.label;
     ws.give(cc.tree_edges);
@@ -82,7 +80,7 @@ pub(crate) fn run_per_component(
             .edges(std::mem::take(&mut sub_edges[c]))
             .build()
             .unwrap();
-        let r = run_connected(pool, &sub, alg, ranker, tuning, ws, rec)?;
+        let r = run_connected(pool, &sub, alg, tuning, ws, rec)?;
         for (j, &orig) in sub_orig[c].iter().enumerate() {
             edge_comp[orig as usize] = base + r.edge_comp[j];
         }

@@ -9,8 +9,8 @@
 //! pipeline ([`crate::fast_bcc`]) that differs only in the tags step.
 //!
 //! The entry point is [`BccConfig`]: select an algorithm, optionally a
-//! list ranker and a telemetry sink, then [`run`](BccConfig::run) it on
-//! a pool. Each run yields a [`BccRun`] — the component labels plus a
+//! traversal tuning and a telemetry sink, then [`run`](BccConfig::run)
+//! it on a pool. Each run yields a [`BccRun`] — the component labels plus a
 //! structured [`PhaseReport`] (per-step durations, barrier-wait and
 //! load-imbalance when the pool carries telemetry) that regenerates the
 //! paper's Fig. 4 breakdown.
@@ -132,14 +132,14 @@ impl BccResult {
 /// the knobs that used to be separate entry points.
 ///
 /// ```
-/// use bcc_core::{Algorithm, BccConfig, Ranker};
+/// use bcc_core::{Algorithm, BccConfig, TraversalTuning};
 /// use bcc_graph::gen;
 /// use bcc_smp::Pool;
 ///
 /// let pool = Pool::new(2);
 /// let g = gen::torus(4, 4);
 /// let run = BccConfig::new(Algorithm::TvSmp)
-///     .ranker(Ranker::Wyllie)
+///     .tuning(TraversalTuning::classic())
 ///     .run(&pool, &g)
 ///     .unwrap();
 /// assert_eq!(run.result.num_components, 1);
@@ -148,32 +148,22 @@ impl BccResult {
 #[derive(Clone, Debug)]
 pub struct BccConfig {
     alg: Algorithm,
-    ranker: Ranker,
     tuning: TraversalTuning,
     telemetry: Option<Arc<Telemetry>>,
     workspace: Option<Arc<BccWorkspace>>,
 }
 
 impl BccConfig {
-    /// A configuration running `alg` with default knobs (Helman–JáJá
-    /// list ranking, the fast traversal variants, telemetry taken from
-    /// the pool if it has any).
+    /// A configuration running `alg` with default knobs (the fast
+    /// traversal variants, telemetry taken from the pool if it has
+    /// any).
     pub fn new(alg: Algorithm) -> Self {
         BccConfig {
             alg,
-            ranker: Ranker::HelmanJaja,
             tuning: TraversalTuning::default(),
             telemetry: None,
             workspace: None,
         }
-    }
-
-    /// Selects the list-ranking algorithm (TV-SMP's classic Euler tour
-    /// only; the ablation hook formerly exposed as
-    /// `tv_smp_with_ranker`).
-    pub fn ranker(mut self, ranker: Ranker) -> Self {
-        self.ranker = ranker;
-        self
     }
 
     /// Selects the traversal variants: the BFS direction strategy used
@@ -226,7 +216,7 @@ impl BccConfig {
         let start = Instant::now();
         let ws = self.resolve_workspace();
         let mut rec = PhaseRecorder::with_workspace(self.sink(pool), Some(Arc::clone(&ws)));
-        let result = run_connected(pool, g, self.alg, self.ranker, self.tuning, &ws, &mut rec)?;
+        let result = run_connected(pool, g, self.alg, self.tuning, &ws, &mut rec)?;
         Ok(self.package(pool, g, rec, result, start))
     }
 
@@ -237,15 +227,8 @@ impl BccConfig {
         let start = Instant::now();
         let ws = self.resolve_workspace();
         let mut rec = PhaseRecorder::with_workspace(self.sink(pool), Some(Arc::clone(&ws)));
-        let result = crate::per_component::run_per_component(
-            pool,
-            g,
-            self.alg,
-            self.ranker,
-            self.tuning,
-            &ws,
-            &mut rec,
-        )?;
+        let result =
+            crate::per_component::run_per_component(pool, g, self.alg, self.tuning, &ws, &mut rec)?;
         Ok(self.package(pool, g, rec, result, start))
     }
 
@@ -296,14 +279,13 @@ pub(crate) fn run_connected(
     pool: &Pool,
     g: &Graph,
     alg: Algorithm,
-    ranker: Ranker,
     tuning: TraversalTuning,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
     match alg {
         Algorithm::Sequential => Ok(sequential_impl(g)),
-        Algorithm::TvSmp => tv_smp_impl(pool, g, ranker, tuning, ws, rec),
+        Algorithm::TvSmp => tv_smp_impl(pool, g, tuning, ws, rec),
         Algorithm::TvOpt => tv_opt_impl(pool, g, tuning, ws, rec),
         Algorithm::TvFilter | Algorithm::FastBcc => {
             crate::fast_bcc::certificate_impl(pool, g, alg, tuning, ws, rec)
@@ -329,7 +311,6 @@ pub(crate) fn sequential_impl(g: &Graph) -> BccResult {
 fn tv_smp_impl(
     pool: &Pool,
     g: &Graph,
-    ranker: Ranker,
     tuning: TraversalTuning,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
@@ -357,10 +338,10 @@ fn tv_smp_impl(
     sv.recycle(ws);
 
     // Step 2: Euler-tour (circular adjacency by sorting + cross
-    // pointers + list ranking).
+    // pointers + Helman–JáJá list ranking).
     let root = 0u32;
     let tour = rec.step(Step::EulerTour, || {
-        euler_tour_classic_ws(pool, n, tree_edges, root, ranker, ws)
+        euler_tour_classic_ws(pool, n, tree_edges, root, Ranker::HelmanJaja, ws)
     });
 
     // Step 3: Root-tree / tree computations.
@@ -794,8 +775,8 @@ mod tests {
     #[test]
     fn former_free_function_surface_is_covered_by_the_builder() {
         // The deprecated free functions (biconnected_components,
-        // sequential, tv_smp, tv_smp_with_ranker, tv_opt, tv_filter)
-        // are gone; this pins their ported call patterns.
+        // sequential, tv_smp, tv_opt, tv_filter) are gone; this pins
+        // their ported call patterns.
         let g = gen::torus(4, 5);
         let pool = Pool::new(2);
         let base = BccConfig::new(Algorithm::Sequential)
@@ -806,9 +787,6 @@ mod tests {
             BccConfig::new(Algorithm::TvFilter).run(&pool, &g),
             BccConfig::new(Algorithm::TvSmp).run(&pool, &g),
             BccConfig::new(Algorithm::TvOpt).run(&pool, &g),
-            BccConfig::new(Algorithm::TvSmp)
-                .ranker(Ranker::Sequential)
-                .run(&pool, &g),
         ] {
             assert_eq!(run.unwrap().result.edge_comp, base.edge_comp);
         }

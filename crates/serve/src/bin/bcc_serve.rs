@@ -8,7 +8,6 @@
 //!           [--profile read-heavy|churn-heavy|hot-component|update-storm]
 //!           [--mode closed|open] [--rate 50000] [--secs 2]
 //!           [--batch 64] [--flush-ms 2] [--seed 42]
-//!           [--writers single|per-shard]
 //!           [--shed-depth N] [--shed-backlog N]
 //!           [--listen ADDR]
 //! ```
@@ -25,30 +24,40 @@
 //! the wire protocol until `--secs` elapses — or, with `--secs 0`,
 //! until stdin reaches EOF so a parent process can manage the
 //! lifetime — then shuts down and prints the same report.
+//!
+//! An unknown flag, a flag without a value, or a value that does not
+//! parse prints the usage and exits 2.
+
+mod flags;
 
 use bcc_serve::{
     component_grid, run_workload, Admission, Daemon, Mode, NetFrontend, Profile, ServeConfig,
-    ServeReport, ShardedStore, WorkloadConfig, Writers,
+    ServeReport, ShardedStore, WorkloadConfig,
 };
 use bcc_smp::Pool;
+use flags::{parse_flags, set};
 use std::io::Read;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn parse<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn parse_opt<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
+const USAGE: &str = "bcc-serve: sharded biconnectivity query daemon\n\
+     --n N          vertices (default 50000)\n\
+     --parts K      components in the instance (default 16)\n\
+     --graph PATH   serve a graph file (text or .bccsr) instead\n\
+     --shards S     store shards, one writer thread each (default 4)\n\
+     --readers R    reader threads (default 2)\n\
+     --profile P    read-heavy | churn-heavy | hot-component | update-storm\n\
+     --mode M       closed | open (default open)\n\
+     --rate Q       open-loop arrivals/sec (default 50000)\n\
+     --secs T       drive duration in seconds (default 2)\n\
+     --batch B      writer group-commit size (default 64)\n\
+     --flush-ms F   writer flush interval (default 2)\n\
+     --seed X       instance + workload seed (default 42)\n\
+     --shed-depth N   shed updates once a writer queue holds N\n\
+     --shed-backlog N shed updates once N are uncommitted\n\
+     --listen ADDR  serve the wire protocol on ADDR instead of\n\
+                    driving an in-process workload (port 0 for\n\
+                    ephemeral; --secs 0 serves until stdin EOF)";
 
 fn print_report(s: &ServeReport) {
     println!(
@@ -66,7 +75,7 @@ fn print_report(s: &ServeReport) {
     );
     println!(
         "writers[{}]: {} updates in {} commits ({} migrations, {} shed), commit p99 {:?}",
-        s.writer_threads,
+        s.shard_commit_latency.len(),
         s.updates_applied,
         s.commits,
         s.migrations,
@@ -88,63 +97,64 @@ fn print_report(s: &ServeReport) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "bcc-serve: sharded biconnectivity query daemon\n\
-             --n N          vertices (default 50000)\n\
-             --parts K      components in the instance (default 16)\n\
-             --graph PATH   serve a graph file (text or .bccsr) instead\n\
-             --shards S     store shards (default 4)\n\
-             --readers R    reader threads (default 2)\n\
-             --profile P    read-heavy | churn-heavy | hot-component | update-storm\n\
-             --mode M       closed | open (default open)\n\
-             --rate Q       open-loop arrivals/sec (default 50000)\n\
-             --secs T       drive duration in seconds (default 2)\n\
-             --batch B      writer group-commit size (default 64)\n\
-             --flush-ms F   writer flush interval (default 2)\n\
-             --seed X       instance + workload seed (default 42)\n\
-             --writers W    single | per-shard (default per-shard)\n\
-             --shed-depth N   shed updates once a writer queue holds N\n\
-             --shed-backlog N shed updates once N are uncommitted\n\
-             --listen ADDR  serve the wire protocol on ADDR instead of\n\
-                            driving an in-process workload (port 0 for\n\
-                            ephemeral; --secs 0 serves until stdin EOF)"
-        );
+        println!("{USAGE}");
         return;
     }
-    let n: u32 = parse(&args, "--n", 50_000);
-    let parts: u32 = parse(&args, "--parts", 16);
-    let shards: usize = parse(&args, "--shards", 4);
-    let readers: usize = parse(&args, "--readers", 2);
-    let profile = match parse(&args, "--profile", "read-heavy".to_string()).as_str() {
-        "churn-heavy" => Profile::ChurnHeavy,
-        "hot-component" => Profile::HotComponent,
-        "update-storm" => Profile::UpdateStorm,
-        _ => Profile::ReadHeavy,
+    let (mut n, mut parts, mut shards, mut readers) = (50_000u32, 16u32, 4usize, 2usize);
+    let (mut profile, mut closed, mut rate, mut secs) = (Profile::ReadHeavy, false, 50_000.0, 2.0);
+    let (mut batch_max, mut flush_ms, mut seed) = (64usize, 2u64, 42u64);
+    let mut admission = Admission::default();
+    let (mut graph_path, mut listen): (Option<String>, Option<String>) = (None, None);
+    let parsed = parse_flags(&args, |key, val| {
+        Ok(match key {
+            "--n" => set(&mut n, val),
+            "--parts" => set(&mut parts, val),
+            "--graph" => {
+                graph_path = Some(val.to_string());
+                true
+            }
+            "--shards" => set(&mut shards, val),
+            "--readers" => set(&mut readers, val),
+            "--profile" => {
+                profile = val.parse()?;
+                true
+            }
+            "--mode" => match val {
+                "closed" | "open" => {
+                    closed = val == "closed";
+                    true
+                }
+                _ => false,
+            },
+            "--rate" => set(&mut rate, val),
+            "--secs" => set(&mut secs, val),
+            "--batch" => set(&mut batch_max, val),
+            "--flush-ms" => set(&mut flush_ms, val),
+            "--seed" => set(&mut seed, val),
+            "--shed-depth" => val
+                .parse()
+                .map(|d| admission.shed_queue_depth = Some(d))
+                .is_ok(),
+            "--shed-backlog" => val
+                .parse()
+                .map(|b| admission.shed_backlog = Some(b))
+                .is_ok(),
+            "--listen" => {
+                listen = Some(val.to_string());
+                true
+            }
+            other => return Err(format!("unknown flag {other}")),
+        })
+    });
+    if let Err(e) = parsed {
+        eprintln!("bcc-serve: {e}\n{USAGE}");
+        std::process::exit(2);
+    }
+    let mode = if closed {
+        Mode::Closed
+    } else {
+        Mode::Open { rate }
     };
-    let mode = match parse(&args, "--mode", "open".to_string()).as_str() {
-        "closed" => Mode::Closed,
-        _ => Mode::Open {
-            rate: parse(&args, "--rate", 50_000.0),
-        },
-    };
-    let secs: f64 = parse(&args, "--secs", 2.0);
-    let batch_max: usize = parse(&args, "--batch", 64);
-    let flush_ms: u64 = parse(&args, "--flush-ms", 2);
-    let seed: u64 = parse(&args, "--seed", 42);
-    let writers = match parse(&args, "--writers", "per-shard".to_string()).as_str() {
-        "single" => Writers::Single,
-        _ => Writers::PerShard,
-    };
-    let admission = Admission {
-        shed_queue_depth: parse_opt(&args, "--shed-depth"),
-        shed_backlog: parse_opt(&args, "--shed-backlog"),
-    };
-    let listen: Option<String> = parse_opt(&args, "--listen");
-    let graph_path = args
-        .iter()
-        .position(|a| a == "--graph")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
 
     // A real dataset (`--graph`) replaces the generated instance; the
     // workload still spreads itself over `--parts` vertex ranges.
@@ -162,7 +172,6 @@ fn main() {
         .readers(readers)
         .batch_max(batch_max)
         .flush_interval(Duration::from_millis(flush_ms))
-        .writers(writers)
         .admission(admission)
         .build();
     let daemon = Daemon::spawn(Arc::clone(&store), config);
@@ -197,12 +206,11 @@ fn main() {
 
     println!(
         "instance: {}n = {n}, {parts} components, {shards} shards; \
-         {readers} readers, {} writer(s), profile {}, mode {}",
+         {readers} readers, profile {}, mode {}",
         graph_path
             .as_deref()
             .map(|p| format!("{p}, "))
             .unwrap_or_default(),
-        writers.name(),
         profile.name(),
         mode.name()
     );

@@ -11,59 +11,78 @@
 //!
 //! `--n` must match the served instance's vertex count (the workload
 //! generator needs the component layout); `bcc-serve --listen` prints
-//! it as `listening ADDR n N` at startup.
+//! it as `listening ADDR n N` at startup. An unknown flag, a flag
+//! without a value, or a value that does not parse prints the usage
+//! and exits 2.
+
+mod flags;
 
 use bcc_serve::{run_net_workload, Mode, Profile, WorkloadConfig};
+use flags::{parse_flags, set};
 use std::time::Duration;
 
-fn parse<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+const USAGE: &str = "bcc-serve-client: TCP workload driver for bcc-serve --listen\n\
+     --addr A       server address (required), e.g. 127.0.0.1:7731\n\
+     --n N          served instance's vertex count (required)\n\
+     --profile P    read-heavy | churn-heavy | hot-component | update-storm\n\
+     --mode M       closed | open (default open)\n\
+     --rate Q       open-loop arrivals/sec (default 20000)\n\
+     --secs T       drive duration in seconds (default 2)\n\
+     --parts K      component count of the served instance\n\
+     --seed X       workload seed (default 42)";
+
+fn bad_usage(msg: &str) -> ! {
+    eprintln!("bcc-serve-client: {msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "bcc-serve-client: TCP workload driver for bcc-serve --listen\n\
-             --addr A       server address (required), e.g. 127.0.0.1:7731\n\
-             --n N          served instance's vertex count (required)\n\
-             --profile P    read-heavy | churn-heavy | hot-component | update-storm\n\
-             --mode M       closed | open (default open)\n\
-             --rate Q       open-loop arrivals/sec (default 20000)\n\
-             --secs T       drive duration in seconds (default 2)\n\
-             --parts K      component count of the served instance\n\
-             --seed X       workload seed (default 42)"
-        );
+        println!("{USAGE}");
         return;
     }
-    let addr = parse(&args, "--addr", String::new());
-    let n: u32 = parse(&args, "--n", 0);
-    if addr.is_empty() || n == 0 {
-        eprintln!("bcc-serve-client: --addr and --n are required (see --help)");
-        std::process::exit(2);
+    let (mut addr, mut n) = (String::new(), 0u32);
+    let (mut profile, mut closed, mut rate, mut secs) = (Profile::ReadHeavy, false, 20_000.0, 2.0);
+    let (mut parts, mut seed) = (16u32, 42u64);
+    let parsed = parse_flags(&args, |key, val| {
+        Ok(match key {
+            "--addr" => set(&mut addr, val),
+            "--n" => set(&mut n, val),
+            "--profile" => {
+                profile = val.parse()?;
+                true
+            }
+            "--mode" => match val {
+                "closed" | "open" => {
+                    closed = val == "closed";
+                    true
+                }
+                _ => false,
+            },
+            "--rate" => set(&mut rate, val),
+            "--secs" => set(&mut secs, val),
+            "--parts" => set(&mut parts, val),
+            "--seed" => set(&mut seed, val),
+            other => return Err(format!("unknown flag {other}")),
+        })
+    });
+    if let Err(e) = parsed {
+        bad_usage(&e);
     }
-    let profile = match parse(&args, "--profile", "read-heavy".to_string()).as_str() {
-        "churn-heavy" => Profile::ChurnHeavy,
-        "hot-component" => Profile::HotComponent,
-        "update-storm" => Profile::UpdateStorm,
-        _ => Profile::ReadHeavy,
-    };
-    let mode = match parse(&args, "--mode", "open".to_string()).as_str() {
-        "closed" => Mode::Closed,
-        _ => Mode::Open {
-            rate: parse(&args, "--rate", 20_000.0),
-        },
-    };
+    if addr.is_empty() || n == 0 {
+        bad_usage("--addr and --n are required");
+    }
     let cfg = WorkloadConfig {
         profile,
-        mode,
-        duration: Duration::from_secs_f64(parse(&args, "--secs", 2.0)),
-        parts: parse(&args, "--parts", 16),
-        seed: parse(&args, "--seed", 42),
+        mode: if closed {
+            Mode::Closed
+        } else {
+            Mode::Open { rate }
+        },
+        duration: Duration::from_secs_f64(secs),
+        parts,
+        seed,
     };
 
     let report = match run_net_workload(addr.as_str(), &cfg, n) {

@@ -1,5 +1,5 @@
 //! The serving daemon: reader threads over an MPMC query queue,
-//! per-shard writer threads (or one group-commit writer) over the
+//! per-shard writer threads plus a migration coordinator over the
 //! update stream, and watermark-based admission control in front of
 //! both.
 //!
@@ -21,16 +21,16 @@
 //!   current snapshot of the shard the query routes to — never
 //!   blocking on commits. Each reader owns its latency/lag histograms;
 //!   they merge into one [`ServeReport`] at shutdown.
-//! * **Writers** ([`Writers::PerShard`], the default): one thread per
-//!   shard drains that shard's queue with group-commit batching
-//!   ([`ServeConfig::batch_max`] / [`ServeConfig::flush_interval`])
-//!   and commits under the shard's writer lock via
-//!   [`ShardedStore::commit_shard`] — shards have dedicated SPMD
-//!   pools, so commits on different shards genuinely overlap. Inserts
-//!   that span shards go to a **coordinator** thread which runs the
-//!   lock-ordered migration path ([`ShardedStore::migrate`]).
-//!   [`Writers::Single`] keeps PR 6's one-writer loop for the
-//!   `writers=1` ablation.
+//! * **Shard writers**: one thread per shard drains that shard's
+//!   queue with group-commit batching ([`ServeConfig::batch_max`] /
+//!   [`ServeConfig::flush_interval`]) and commits under the shard's
+//!   writer lock via [`ShardedStore::commit_shard`] — shards have
+//!   dedicated SPMD pools, so commits on different shards genuinely
+//!   overlap. Inserts that span shards go to a **coordinator** thread
+//!   which runs the lock-ordered migration path
+//!   ([`ShardedStore::migrate`]); updates a migration re-routed while
+//!   they queued come back from the commit as strays and resolve the
+//!   same way.
 //! * **Admission control** ([`Admission`]): updates are *shed* — with
 //!   a typed [`SubmitError::Overloaded`], never a silent drop — when
 //!   the owning shard's queue is deeper than
@@ -48,7 +48,7 @@
 
 use crate::api::{RejectReason, Request, Response, SubmitError};
 use crate::hist::LatencyHistogram;
-use crate::shard::{ApplySummary, ServeError, ShardedStore};
+use crate::shard::{ServeError, ShardedStore};
 use bcc_query::{Answer, EdgeUpdate, Query};
 use bcc_smp::{MpmcQueue, PopResult, Telemetry, TryPushError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,27 +56,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Writer topology: the `writers=1` vs `writers=per-shard` ablation
-/// knob.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Writers {
-    /// One group-commit writer thread funnels every update through
-    /// [`ShardedStore::apply`] (PR 6's topology).
-    Single,
-    /// One writer thread per shard plus a migration coordinator; the
-    /// default. Commits on different shards proceed in parallel.
-    PerShard,
-}
+/// Capacity of the query queue: the closed-loop outstanding-request
+/// bound.
+const QUERY_CAPACITY: usize = 1024;
 
-impl Writers {
-    /// Stable name used in benchmark cell keys (`w1` / `wps`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Writers::Single => "w1",
-            Writers::PerShard => "wps",
-        }
-    }
-}
+/// Capacity of each shard's update queue and of the coordinator's.
+const UPDATE_CAPACITY: usize = 1024;
 
 /// Load-shedding watermarks. `None` disables a watermark; with both
 /// disabled the daemon never sheds (full queues still refuse with
@@ -101,18 +86,10 @@ pub struct Admission {
 pub struct ServeConfig {
     /// Reader threads pulling from the query queue.
     pub readers: usize,
-    /// Query-queue capacity: the closed-loop outstanding-request bound.
-    pub queue_capacity: usize,
-    /// Capacity of each update queue (one total for
-    /// [`Writers::Single`]; one per shard plus the coordinator's for
-    /// [`Writers::PerShard`]).
-    pub update_capacity: usize,
     /// A writer commits as soon as this many updates are staged…
     pub batch_max: usize,
     /// …or as soon as the oldest staged update is this old.
     pub flush_interval: Duration,
-    /// Writer topology (default [`Writers::PerShard`]).
-    pub writers: Writers,
     /// Load-shedding watermarks (default: disabled).
     pub admission: Admission,
     /// Optional sink receiving per-answer snapshot-lag observations
@@ -125,11 +102,8 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             readers: 1,
-            queue_capacity: 1024,
-            update_capacity: 1024,
             batch_max: 64,
             flush_interval: Duration::from_millis(2),
-            writers: Writers::PerShard,
             admission: Admission::default(),
             telemetry: None,
         }
@@ -159,18 +133,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Query-queue capacity (default 1024).
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.config.queue_capacity = cap;
-        self
-    }
-
-    /// Per-writer update-queue capacity (default 1024).
-    pub fn update_capacity(mut self, cap: usize) -> Self {
-        self.config.update_capacity = cap;
-        self
-    }
-
     /// Group-commit batch bound (default 64).
     pub fn batch_max(mut self, batch_max: usize) -> Self {
         self.config.batch_max = batch_max;
@@ -180,12 +142,6 @@ impl ServeConfigBuilder {
     /// Group-commit staleness bound (default 2 ms).
     pub fn flush_interval(mut self, interval: Duration) -> Self {
         self.config.flush_interval = interval;
-        self
-    }
-
-    /// Writer topology (default [`Writers::PerShard`]).
-    pub fn writers(mut self, writers: Writers) -> Self {
-        self.config.writers = writers;
         self
     }
 
@@ -307,16 +263,12 @@ pub struct ServeReport {
     pub commits: u64,
     /// Cross-shard migrations performed.
     pub migrations: u64,
-    /// Writer threads that served the update stream (1 for
-    /// [`Writers::Single`], shard count for [`Writers::PerShard`];
-    /// excludes the migration coordinator).
-    pub writer_threads: usize,
     /// Per-commit-batch apply latency (ns), queue-side: what one
     /// writer's flush cost end to end.
     pub commit_latency: LatencyHistogram,
     /// Per-shard commit wall time (ns, from `CommitStats::seconds`) —
-    /// index `s` is shard `s`. The `writers=1` vs `writers=per-shard`
-    /// ablation reads these to show where commit time concentrated.
+    /// index `s` is shard `s`, so where commit time concentrated shows
+    /// per shard.
     pub shard_commit_latency: Vec<LatencyHistogram>,
     /// First writer error, if any (that writer stops on one).
     pub writer_error: Option<ServeError>,
@@ -326,10 +278,10 @@ pub struct ServeReport {
 pub struct Daemon {
     store: Arc<ShardedStore>,
     queries: Arc<MpmcQueue<QueryJob>>,
-    /// One queue for [`Writers::Single`], one per shard otherwise.
-    update_queues: Vec<Arc<MpmcQueue<EdgeUpdate>>>,
-    /// Cross-shard inserts ([`Writers::PerShard`] only).
-    coordinator: Option<Arc<MpmcQueue<EdgeUpdate>>>,
+    /// One update queue per shard.
+    shard_queues: Vec<Arc<MpmcQueue<EdgeUpdate>>>,
+    /// Updates whose endpoints route to different shards.
+    coordinator: Arc<MpmcQueue<EdgeUpdate>>,
     admission: Admission,
     /// Updates admitted but not yet committed (the staleness backlog).
     backlog: Arc<AtomicU64>,
@@ -337,16 +289,16 @@ pub struct Daemon {
     telemetry: Option<Arc<Telemetry>>,
     readers: Vec<JoinHandle<ReaderReport>>,
     writers: Vec<JoinHandle<WriterReport>>,
-    coordinator_thread: Option<JoinHandle<WriterReport>>,
-    writer_threads: usize,
+    coordinator_thread: JoinHandle<WriterReport>,
 }
 
 impl Daemon {
-    /// Spawns the reader pool and the writer topology over `store`.
+    /// Spawns the reader pool, one writer per shard, and the migration
+    /// coordinator over `store`.
     pub fn spawn(store: Arc<ShardedStore>, config: ServeConfig) -> Daemon {
         assert!(config.readers >= 1, "need at least one reader");
         assert!(config.batch_max >= 1, "writer batches need at least 1");
-        let queries = Arc::new(MpmcQueue::new(config.queue_capacity));
+        let queries = Arc::new(MpmcQueue::new(QUERY_CAPACITY));
         let backlog = Arc::new(AtomicU64::new(0));
 
         let readers = (0..config.readers)
@@ -358,59 +310,35 @@ impl Daemon {
             })
             .collect();
 
-        let num_shards = store.num_shards();
-        let (update_queues, coordinator, writers, coordinator_thread, writer_threads) =
-            match config.writers {
-                Writers::Single => {
-                    let q = Arc::new(MpmcQueue::new(config.update_capacity));
-                    let writer = {
-                        let store = Arc::clone(&store);
-                        let q = Arc::clone(&q);
-                        let backlog = Arc::clone(&backlog);
-                        let (batch_max, flush) = (config.batch_max, config.flush_interval);
-                        std::thread::spawn(move || {
-                            single_writer_loop(&store, &q, &backlog, batch_max, flush)
-                        })
-                    };
-                    (vec![q], None, vec![writer], None, 1)
-                }
-                Writers::PerShard => {
-                    let shard_queues: Vec<_> = (0..num_shards)
-                        .map(|_| Arc::new(MpmcQueue::new(config.update_capacity)))
-                        .collect();
-                    let coord = Arc::new(MpmcQueue::new(config.update_capacity));
-                    let writers = (0..num_shards)
-                        .map(|s| {
-                            let store = Arc::clone(&store);
-                            let q = Arc::clone(&shard_queues[s]);
-                            let coord = Arc::clone(&coord);
-                            let backlog = Arc::clone(&backlog);
-                            let (batch_max, flush) = (config.batch_max, config.flush_interval);
-                            std::thread::spawn(move || {
-                                shard_writer_loop(&store, s, &q, &coord, &backlog, batch_max, flush)
-                            })
-                        })
-                        .collect();
-                    let coordinator_thread = {
-                        let store = Arc::clone(&store);
-                        let coord = Arc::clone(&coord);
-                        let backlog = Arc::clone(&backlog);
-                        std::thread::spawn(move || coordinator_loop(&store, &coord, &backlog))
-                    };
-                    (
-                        shard_queues,
-                        Some(coord),
-                        writers,
-                        Some(coordinator_thread),
-                        num_shards,
-                    )
-                }
-            };
+        let shard_queues: Vec<_> = (0..store.num_shards())
+            .map(|_| Arc::new(MpmcQueue::new(UPDATE_CAPACITY)))
+            .collect();
+        let coordinator = Arc::new(MpmcQueue::new(UPDATE_CAPACITY));
+        let writers = shard_queues
+            .iter()
+            .enumerate()
+            .map(|(s, q)| {
+                let store = Arc::clone(&store);
+                let q = Arc::clone(q);
+                let coord = Arc::clone(&coordinator);
+                let backlog = Arc::clone(&backlog);
+                let (batch_max, flush) = (config.batch_max, config.flush_interval);
+                std::thread::spawn(move || {
+                    shard_writer_loop(&store, s, &q, &coord, &backlog, batch_max, flush)
+                })
+            })
+            .collect();
+        let coordinator_thread = {
+            let store = Arc::clone(&store);
+            let coord = Arc::clone(&coordinator);
+            let backlog = Arc::clone(&backlog);
+            std::thread::spawn(move || coordinator_loop(&store, &coord, &backlog))
+        };
 
         Daemon {
             store,
             queries,
-            update_queues,
+            shard_queues,
             coordinator,
             admission: config.admission,
             backlog,
@@ -419,7 +347,6 @@ impl Daemon {
             readers,
             writers,
             coordinator_thread,
-            writer_threads,
         }
     }
 
@@ -515,22 +442,20 @@ impl Daemon {
             return Err(SubmitError::Invalid(request));
         }
         // Route: anything whose endpoints currently live in different
-        // shards goes to the coordinator (when it exists), everything
-        // else to the owning shard's writer. Removes ride the
-        // coordinator too — not because a cross-shard remove does
-        // anything (it is a no-op by definition), but because an
-        // insert/remove pair for the same edge must stay FIFO, and
-        // while the insert is still pending the remove reads the same
-        // cross-shard routing and must land in the same queue behind
-        // it. The routing read here is advisory — writers re-check
-        // under their locks — so a stale read only costs a
-        // re-dispatch.
-        let queue = match &self.coordinator {
-            Some(coord) if self.store.shard_of(u) != self.store.shard_of(v) => coord,
-            _ => {
-                let s = self.store.shard_of(u);
-                &self.update_queues[s.min(self.update_queues.len() - 1)]
-            }
+        // shards goes to the coordinator, everything else to the owning
+        // shard's writer. Removes ride the coordinator too — not
+        // because a cross-shard remove does anything (it is a no-op by
+        // definition), but because an insert/remove pair for the same
+        // edge must stay FIFO, and while the insert is still pending
+        // the remove reads the same cross-shard routing and must land
+        // in the same queue behind it. The routing read here is
+        // advisory — writers re-check under their locks — so a stale
+        // read only costs a re-dispatch.
+        let (su, sv) = (self.store.shard_of(u), self.store.shard_of(v));
+        let queue = if su == sv {
+            &self.shard_queues[su]
+        } else {
+            &self.coordinator
         };
 
         // Admission watermarks, checked before any queueing so a shed
@@ -584,9 +509,19 @@ impl Daemon {
     /// Drains the queues, stops every thread, and merges their
     /// statistics. Everything *admitted* before this call is answered
     /// or applied (shed updates were refused at the door, visibly).
-    pub fn shutdown(mut self) -> ServeReport {
-        self.queries.close();
-        let num_shards = self.store.num_shards();
+    pub fn shutdown(self) -> ServeReport {
+        let Daemon {
+            store,
+            queries,
+            shard_queues,
+            coordinator,
+            shed,
+            readers,
+            writers,
+            coordinator_thread,
+            ..
+        } = self;
+        queries.close();
         let mut report = ServeReport {
             answered: 0,
             query_errors: 0,
@@ -595,15 +530,16 @@ impl Daemon {
             lag_commits: LatencyHistogram::new(),
             lag_wall: LatencyHistogram::new(),
             updates_applied: 0,
-            shed_updates: 0,
+            shed_updates: shed.into_inner(),
             commits: 0,
             migrations: 0,
-            writer_threads: self.writer_threads,
             commit_latency: LatencyHistogram::new(),
-            shard_commit_latency: (0..num_shards).map(|_| LatencyHistogram::new()).collect(),
+            shard_commit_latency: (0..store.num_shards())
+                .map(|_| LatencyHistogram::new())
+                .collect(),
             writer_error: None,
         };
-        for r in self.readers.drain(..) {
+        for r in readers {
             let rr = r.join().expect("reader thread panicked");
             report.answered += rr.answered;
             report.query_errors += rr.errors;
@@ -614,10 +550,10 @@ impl Daemon {
         }
         // Shard writers first (they may still push migrations to the
         // coordinator while draining), coordinator last.
-        for q in &self.update_queues {
+        for q in &shard_queues {
             q.close();
         }
-        let merge_writer = |report: &mut ServeReport, wr: WriterReport| {
+        let mut merge_writer = |wr: WriterReport| {
             report.updates_applied += wr.updates_applied;
             report.commits += wr.commits;
             report.migrations += wr.migrations;
@@ -633,18 +569,15 @@ impl Daemon {
                 report.writer_error = wr.error;
             }
         };
-        for w in self.writers.drain(..) {
-            let wr = w.join().expect("writer thread panicked");
-            merge_writer(&mut report, wr);
+        for w in writers {
+            merge_writer(w.join().expect("writer thread panicked"));
         }
-        if let Some(c) = &self.coordinator {
-            c.close();
-        }
-        if let Some(t) = self.coordinator_thread.take() {
-            let wr = t.join().expect("coordinator thread panicked");
-            merge_writer(&mut report, wr);
-        }
-        report.shed_updates = self.shed.load(Ordering::Relaxed);
+        coordinator.close();
+        merge_writer(
+            coordinator_thread
+                .join()
+                .expect("coordinator thread panicked"),
+        );
         report
     }
 }
@@ -697,80 +630,6 @@ fn reader_loop(
     rr
 }
 
-fn single_writer_loop(
-    store: &ShardedStore,
-    updates: &MpmcQueue<EdgeUpdate>,
-    backlog: &AtomicU64,
-    batch_max: usize,
-    flush_interval: Duration,
-) -> WriterReport {
-    let mut wr = WriterReport::new(store.num_shards());
-    let mut staged: Vec<EdgeUpdate> = Vec::with_capacity(batch_max);
-    let mut deadline: Option<Instant> = None;
-
-    let flush = |staged: &mut Vec<EdgeUpdate>, wr: &mut WriterReport| -> bool {
-        if staged.is_empty() {
-            return true;
-        }
-        let t0 = Instant::now();
-        match store.apply(staged) {
-            Ok(ApplySummary {
-                migrations, stats, ..
-            }) => {
-                wr.commit_latency.record_duration(t0.elapsed());
-                wr.updates_applied += staged.len() as u64;
-                backlog.fetch_sub(staged.len() as u64, Ordering::Relaxed);
-                wr.migrations += migrations as u64;
-                wr.record_stats(&stats);
-                staged.clear();
-                true
-            }
-            Err(e) => {
-                wr.error = Some(e);
-                false
-            }
-        }
-    };
-
-    loop {
-        let wait = match deadline {
-            Some(d) => d.saturating_duration_since(Instant::now()),
-            None => Duration::from_millis(50),
-        };
-        match updates.pop_timeout(wait) {
-            PopResult::Item(u) => {
-                if staged.is_empty() {
-                    deadline = Some(Instant::now() + flush_interval);
-                }
-                staged.push(u);
-                if staged.len() >= batch_max {
-                    if !flush(&mut staged, &mut wr) {
-                        // Fail fast: close the intake so producers
-                        // get an error instead of a full-queue stall.
-                        updates.close();
-                        break;
-                    }
-                    deadline = None;
-                }
-            }
-            PopResult::TimedOut => {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    if !flush(&mut staged, &mut wr) {
-                        updates.close();
-                        break;
-                    }
-                    deadline = None;
-                }
-            }
-            PopResult::Closed => {
-                flush(&mut staged, &mut wr);
-                break;
-            }
-        }
-    }
-    wr
-}
-
 /// One shard's writer: group-commits its queue into the shard via
 /// [`ShardedStore::commit_shard`], re-dispatching what no longer
 /// belongs here (strays to their shard, cross-shard inserts to the
@@ -807,27 +666,12 @@ fn shard_writer_loop(
             wr.record_stats(&[(shard, st)]);
         }
         staged.clear();
-        // Re-dispatch what moved out from under us. Cross-shard
-        // inserts go to the coordinator (blocking is fine: the
-        // coordinator drains independently and we hold no locks);
-        // strays commit directly into their new shard — they are rare
-        // (only produced by a racing migration), so the extra small
-        // commit beats queue-juggling.
-        for up in out.cross_shard {
-            if coordinator.push(up).is_err() {
-                // Coordinator already closed (shutdown tail): migrate
-                // inline so the admitted update is not lost.
-                if !resolve_inline(store, up, wr, backlog) {
-                    return false;
-                }
-            }
-        }
-        for up in out.strays {
-            if !resolve_stray(store, coordinator, up, wr, backlog) {
-                return false;
-            }
-        }
-        true
+        // Re-dispatch what moved out from under us (see
+        // `resolve_stray`).
+        out.cross_shard
+            .into_iter()
+            .chain(out.strays)
+            .all(|up| resolve_stray(store, coordinator, up, wr, backlog))
     };
 
     loop {
@@ -867,10 +711,14 @@ fn shard_writer_loop(
     wr
 }
 
-/// Re-resolves a stray update against current routing: same-shard ones
-/// commit into their new shard, cross-shard inserts go to the
-/// coordinator (or migrate inline if it already closed). Returns
-/// `false` on a store error (recorded in `wr`).
+/// Re-dispatches an update a shard commit handed back. A cross-shard
+/// insert goes to the coordinator (blocking is fine: the coordinator
+/// drains independently and the caller holds no locks); anything else
+/// — or anything once the coordinator has closed in the shutdown tail
+/// — resolves inline, so an admitted update is never lost. Strays are
+/// rare (only a racing migration produces them), so the extra small
+/// commit beats queue-juggling. Returns `false` on a store error
+/// (recorded in `wr`).
 fn resolve_stray(
     store: &ShardedStore,
     coordinator: &MpmcQueue<EdgeUpdate>,
@@ -878,49 +726,20 @@ fn resolve_stray(
     wr: &mut WriterReport,
     backlog: &AtomicU64,
 ) -> bool {
-    let mut pending = vec![up];
-    while let Some(up) = pending.pop() {
-        let (u, v) = match up {
-            EdgeUpdate::Insert(u, v) | EdgeUpdate::Remove(u, v) => (u, v),
-        };
-        let (su, sv) = (store.shard_of(u), store.shard_of(v));
-        if su != sv {
-            match up {
-                EdgeUpdate::Remove(..) => {
-                    wr.updates_applied += 1;
-                    backlog.fetch_sub(1, Ordering::Relaxed);
-                }
-                EdgeUpdate::Insert(..) => {
-                    if coordinator.push(up).is_err() && !resolve_inline(store, up, wr, backlog) {
-                        return false;
-                    }
-                }
-            }
-            continue;
-        }
-        match store.commit_shard(su, &[up]) {
-            Ok(out) => {
-                wr.updates_applied += out.applied as u64;
-                backlog.fetch_sub(out.applied as u64, Ordering::Relaxed);
-                if let Some(st) = out.stats {
-                    wr.record_stats(&[(su, st)]);
-                }
-                pending.extend(out.strays);
-                pending.extend(out.cross_shard);
-            }
-            Err(e) => {
-                wr.error = Some(e);
-                return false;
-            }
+    if let EdgeUpdate::Insert(u, v) = up {
+        if store.shard_of(u) != store.shard_of(v) && coordinator.push(up).is_ok() {
+            return true;
         }
     }
-    true
+    resolve_inline(store, up, wr, backlog)
 }
 
-/// Resolves one coordinator-routed update inline: inserts migrate
-/// (locking both shards in index order), removes commit into their
-/// shard — or resolve as no-ops when the endpoints really are in
-/// different shards, where no edge can exist.
+/// Resolves one update inline against current routing: inserts go
+/// through [`ShardedStore::migrate`] (both writer locks in index order
+/// when the endpoints span shards, a plain commit when they already
+/// share one), removes commit into their shard — or resolve as no-ops
+/// when the endpoints really are in different shards, where no edge
+/// can exist.
 fn resolve_inline(
     store: &ShardedStore,
     up: EdgeUpdate,
@@ -992,4 +811,47 @@ fn coordinator_loop(
         }
     }
     wr
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bcc_graph::GraphBuilder;
+    use bcc_query::Query;
+    use bcc_smp::Pool;
+
+    #[test]
+    fn closed_coordinator_resolves_hand_backs_inline() {
+        // Two 5-cycles, one per shard.
+        let g = GraphBuilder::new(10)
+            .edges((0..10).map(|i| (i, i / 5 * 5 + (i + 1) % 5)))
+            .build()
+            .unwrap();
+        let store = ShardedStore::new(&Pool::new(2), &g, 2).unwrap();
+        let home = store.shard_of(0);
+        assert_ne!(store.shard_of(5), home);
+        let coordinator = MpmcQueue::new(1);
+        coordinator.close();
+        let backlog = AtomicU64::new(2);
+        let mut wr = WriterReport::new(2);
+
+        // A cross-shard insert handed back in the shutdown tail: with
+        // the coordinator gone it migrates inline.
+        let up = EdgeUpdate::Insert(0, 5);
+        assert!(resolve_stray(&store, &coordinator, up, &mut wr, &backlog));
+        assert_eq!(wr.migrations, 1);
+        assert_eq!(store.shard_of(5), home);
+
+        // An update queued for 5's old shard before that migration
+        // commits into the shard its component lives in now.
+        let before = wr.shard_commit_latency[home].count();
+        let up = EdgeUpdate::Remove(5, 6);
+        assert!(resolve_stray(&store, &coordinator, up, &mut wr, &backlog));
+        assert_eq!(wr.shard_commit_latency[home].count(), before + 1);
+        assert!(store.answer(&Query::IsBridge(6, 7)).unwrap().as_bool());
+
+        assert!(wr.error.is_none());
+        assert_eq!(wr.updates_applied, 2);
+        assert_eq!(backlog.load(Ordering::Relaxed), 0);
+    }
 }

@@ -16,11 +16,12 @@
 //!   serves in-process callers, workload drivers, and the socket.
 //! * [`Daemon`] — N reader threads pulling [`QueryJob`]s from a
 //!   bounded MPMC queue and answering from the routed shard's current
-//!   snapshot (never blocking on commits); per-shard writer threads
-//!   (or one, for the `writers=1` ablation) draining the update stream
-//!   with group-commit batching ([`ServeConfig::batch_max`] /
-//!   [`ServeConfig::flush_interval`]) and watermark-based admission
-//!   control shedding update load with typed rejections.
+//!   snapshot (never blocking on commits); one writer thread per
+//!   shard draining the update stream with group-commit batching
+//!   ([`ServeConfig::batch_max`] / [`ServeConfig::flush_interval`]),
+//!   a migration coordinator for cross-shard inserts, and
+//!   watermark-based admission control shedding update load with
+//!   typed rejections.
 //! * [`net`] — a length-prefixed binary protocol over TCP
 //!   (`bcc-serve --listen` / `bcc-serve-client`), std-only.
 //! * [`LatencyHistogram`] — HDR-style log-linear recorder behind the
@@ -60,12 +61,10 @@ pub mod workload;
 
 pub use api::{RejectReason, Request, Response, SubmitError};
 pub use daemon::{
-    Admission, Daemon, QueryJob, ReplySink, ServeConfig, ServeConfigBuilder, ServeReport, Writers,
+    Admission, Daemon, QueryJob, ReplySink, ServeConfig, ServeConfigBuilder, ServeReport,
 };
 pub use hist::LatencyHistogram;
 pub use net::{run_net_workload, NetClient, NetFrontend, NetWorkloadReport};
-pub use shard::{
-    ApplySummary, LaggedAnswer, MigrateOutcome, ServeError, ShardCommit, ShardedStore,
-};
+pub use shard::{LaggedAnswer, MigrateOutcome, ServeError, ShardCommit, ShardedStore};
 pub use wire::{WireError, MAX_FRAME};
 pub use workload::{component_grid, run_workload, Mode, Profile, WorkloadConfig, WorkloadReport};

@@ -41,8 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a connection read waits before re-checking the shutdown
-/// flag (only between frames; mid-frame reads keep waiting so a slow
-/// peer cannot desynchronize the stream).
+/// flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Encodes `resp` as one `[len][payload]` buffer and writes it in a
@@ -208,50 +207,55 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// [`wire::read_frame`] adapted to a read-timeout socket: between
-/// frames a timeout re-checks `stop`; *inside* a frame timeouts keep
-/// waiting (abandoning a half-read frame would desynchronize the
-/// stream).
+/// [`wire::read_frame`] adapted to a read-timeout socket: each
+/// timeout re-checks `stop`. Once it holds, a read between frames ends
+/// the stream cleanly (`Ok(None)`) and a half-read frame is abandoned
+/// as truncated, so a peer that stalls mid-frame cannot hold up
+/// shutdown. Until then mid-frame timeouts keep waiting: abandoning a
+/// half-read frame would desynchronize the stream of a slow peer.
 fn read_frame_polling(
     r: &mut TcpStream,
     stop: impl Fn() -> bool,
 ) -> Result<Option<Vec<u8>>, WireError> {
     let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut header[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(WireError::TruncatedFrame)
-                }
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                if filled == 0 && stop() {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(WireError::Io(e)),
-        }
+    match fill_polling(r, &mut header, &stop)? {
+        0 => return Ok(None),
+        4 => {}
+        _ => return Err(WireError::TruncatedFrame),
     }
     let len = u32::from_le_bytes(header);
     if len as usize > wire::MAX_FRAME {
         return Err(WireError::Oversized { len });
     }
     let mut payload = vec![0u8; len as usize];
+    if fill_polling(r, &mut payload, &stop)? < payload.len() {
+        return Err(WireError::TruncatedFrame);
+    }
+    Ok(Some(payload))
+}
+
+/// Reads into `buf` until it is full, the peer hangs up, or a timeout
+/// finds `stop` set; returns how many bytes arrived.
+fn fill_polling(
+    r: &mut TcpStream,
+    buf: &mut [u8],
+    stop: &impl Fn() -> bool,
+) -> Result<usize, WireError> {
     let mut filled = 0;
-    while filled < payload.len() {
-        match r.read(&mut payload[filled..]) {
-            Ok(0) => return Err(WireError::TruncatedFrame),
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => break,
             Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted || is_timeout(&e) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) => {
+                if stop() {
+                    break;
+                }
+            }
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    Ok(Some(payload))
+    Ok(filled)
 }
 
 /// A blocking client connection speaking the daemon's wire protocol.
@@ -585,6 +589,35 @@ mod tests {
         // The server hangs up after a protocol violation.
         assert_eq!(wire::read_response(&mut stream).unwrap(), None);
         frontend.shutdown();
+    }
+
+    #[test]
+    fn peers_stalled_mid_frame_do_not_block_shutdown() {
+        let frontend = serve_grid(1);
+        let addr = frontend.local_addr();
+        // One peer stalls inside the 4-byte header, the other inside
+        // the 10-byte payload its header promised; both stay connected.
+        let mut mid_header = TcpStream::connect(addr).unwrap();
+        mid_header.write_all(&[10, 0]).unwrap();
+        let mut mid_payload = TcpStream::connect(addr).unwrap();
+        mid_payload.write_all(&10u32.to_le_bytes()).unwrap();
+        mid_payload.write_all(&[0, 0]).unwrap();
+        // Connections are accepted in order, so once a later one has a
+        // round trip behind it both stalled peers have reader threads.
+        let mut client = NetClient::connect(addr).unwrap();
+        assert_eq!(
+            client.call(&probe_update(1)).unwrap(),
+            Response::Accepted { id: 1 }
+        );
+        drop(client);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || tx.send(frontend.shutdown()).unwrap());
+        let report = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("shutdown blocked by a peer stalled mid-frame");
+        stopper.join().unwrap();
+        assert_eq!(report.updates_applied, 1);
+        drop((mid_header, mid_payload));
     }
 
     #[test]

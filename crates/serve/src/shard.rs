@@ -39,8 +39,10 @@
 //!
 //! Each shard carries a *writer lock* (separate from the store's
 //! internal commit lock) and its own dedicated SPMD pool, so commits
-//! on different shards proceed genuinely in parallel. The protocol the
-//! daemon's per-shard writer threads rely on:
+//! on different shards proceed genuinely in parallel. Two calls are
+//! the store's only write paths, and together they are the protocol
+//! the daemon's per-shard writer threads and migration coordinator
+//! run:
 //!
 //! * [`commit_shard`](ShardedStore::commit_shard) holds shard `s`'s
 //!   writer lock, re-checks every staged update's routing *under the
@@ -96,22 +98,6 @@ impl From<BccError> for ServeError {
     fn from(e: BccError) -> Self {
         ServeError::Rebuild(e)
     }
-}
-
-/// What one [`ShardedStore::apply`] call did across shards.
-#[derive(Clone, Debug, Default)]
-pub struct ApplySummary {
-    /// Commits issued (one per flushed shard batch, plus two per
-    /// migration).
-    pub commits: usize,
-    /// Cross-shard component migrations performed.
-    pub migrations: usize,
-    /// Vertices moved between shards by those migrations.
-    pub migrated_vertices: usize,
-    /// `(shard, rebuild statistics)` per commit, in commit order — the
-    /// shard attribution feeds the daemon's per-shard commit-latency
-    /// histograms.
-    pub stats: Vec<(usize, CommitStats)>,
 }
 
 /// What one [`ShardedStore::commit_shard`] call did.
@@ -420,95 +406,9 @@ impl ShardedStore {
             if self.shard_of(u) != su || self.shard_of(v) != sv {
                 continue;
             }
-            let mut summary = ApplySummary::default();
-            self.migrate_locked(u, su, v, sv, &mut summary)?;
-            out.migrated = true;
-            out.migrated_vertices = summary.migrated_vertices;
-            out.stats = summary.stats;
+            self.migrate_locked(u, su, v, sv, &mut out)?;
             return Ok(out);
         }
-    }
-
-    /// Applies a batch of updates, preserving order, committing each
-    /// touched shard at most once per contiguous run (a cross-shard
-    /// insert flushes the two shards involved, migrates, then
-    /// continues batching). **Single-writer**: concurrent `apply`
-    /// calls are not linearized against each other; the daemon's
-    /// `writers = single` topology funnels all updates through one
-    /// writer thread (per-shard writers use
-    /// [`commit_shard`](Self::commit_shard) /
-    /// [`migrate`](Self::migrate) instead).
-    pub fn apply(&self, updates: &[EdgeUpdate]) -> Result<ApplySummary, ServeError> {
-        let mut pending: Vec<Vec<EdgeUpdate>> = vec![Vec::new(); self.shards.len()];
-        let mut summary = ApplySummary::default();
-        for &up in updates {
-            let (u, v) = match up {
-                EdgeUpdate::Insert(u, v) | EdgeUpdate::Remove(u, v) => (u, v),
-            };
-            self.check_vertex(u)?;
-            self.check_vertex(v)?;
-            if u == v {
-                continue;
-            }
-            let (su, sv) = (self.shard_of(u), self.shard_of(v));
-            if su == sv {
-                pending[su].push(up);
-                continue;
-            }
-            match up {
-                // A removal across shards names an edge that cannot
-                // exist (edges never span shards): a no-op.
-                EdgeUpdate::Remove(..) => continue,
-                EdgeUpdate::Insert(..) => {
-                    // Order: everything staged for the two shards must
-                    // land before the migration reads their snapshots.
-                    for s in [su, sv] {
-                        self.flush(s, &mut pending[s], &mut summary)?;
-                    }
-                    self.migrate_insert(u, su, v, sv, &mut summary)?;
-                }
-            }
-        }
-        for (s, slot) in pending.iter_mut().enumerate() {
-            let mut batch = std::mem::take(slot);
-            self.flush(s, &mut batch, &mut summary)?;
-        }
-        Ok(summary)
-    }
-
-    fn flush(
-        &self,
-        s: usize,
-        batch: &mut Vec<EdgeUpdate>,
-        summary: &mut ApplySummary,
-    ) -> Result<(), ServeError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let _guard = self.writer_locks[s].lock().unwrap();
-        let mut txn = self.shards[s].begin();
-        txn.extend(batch.drain(..));
-        let snap = txn.commit()?;
-        summary.commits += 1;
-        summary.stats.push((s, snap.stats));
-        Ok(())
-    }
-
-    /// [`migrate_locked`](Self::migrate_locked) behind both writer
-    /// locks, for the single-writer [`apply`](Self::apply) path (which
-    /// holds no locks when it reaches a migration).
-    fn migrate_insert(
-        &self,
-        u: u32,
-        su: usize,
-        v: u32,
-        sv: usize,
-        summary: &mut ApplySummary,
-    ) -> Result<(), ServeError> {
-        let (lo, hi) = (su.min(sv), su.max(sv));
-        let _g1 = self.writer_locks[lo].lock().unwrap();
-        let _g2 = self.writer_locks[hi].lock().unwrap();
-        self.migrate_locked(u, su, v, sv, summary)
     }
 
     /// Moves `v`'s whole component from shard `sv` into `su` and adds
@@ -522,7 +422,7 @@ impl ShardedStore {
         su: usize,
         v: u32,
         sv: usize,
-        summary: &mut ApplySummary,
+        out: &mut MigrateOutcome,
     ) -> Result<(), ServeError> {
         let donor: Arc<Snapshot> = self.shards[sv].load();
         let moved_verts: Vec<u32> = match donor.index.component_handle(v) {
@@ -544,8 +444,7 @@ impl ShardedStore {
         }
         txn.insert(u, v);
         let snap = txn.commit()?;
-        summary.commits += 1;
-        summary.stats.push((su, snap.stats));
+        out.stats.push((su, snap.stats));
 
         // 2. Route the moved vertices to their new home.
         for &w in &moved_verts {
@@ -559,12 +458,11 @@ impl ShardedStore {
                 txn.remove(e.u, e.v);
             }
             let snap = txn.commit()?;
-            summary.commits += 1;
-            summary.stats.push((sv, snap.stats));
+            out.stats.push((sv, snap.stats));
         }
 
-        summary.migrations += 1;
-        summary.migrated_vertices += moved_verts.len();
+        out.migrated = true;
+        out.migrated_vertices = moved_verts.len();
         Ok(())
     }
 }
@@ -650,17 +548,34 @@ mod tests {
         );
     }
 
+    /// Applies one update the way the daemon's writers do: an insert
+    /// whose endpoints route to different shards migrates, anything
+    /// else commits into the shard its first endpoint routes to.
+    fn commit(store: &ShardedStore, up: EdgeUpdate) {
+        match up {
+            EdgeUpdate::Insert(u, v) if store.shard_of(u) != store.shard_of(v) => {
+                assert!(store.migrate(u, v).unwrap().migrated);
+            }
+            EdgeUpdate::Insert(u, _) | EdgeUpdate::Remove(u, _) => {
+                let out = store.commit_shard(store.shard_of(u), &[up]).unwrap();
+                assert_eq!(out.applied, 1, "{up:?}");
+                assert!(out.strays.is_empty() && out.cross_shard.is_empty());
+            }
+        }
+    }
+
     #[test]
     fn same_shard_updates_commit_only_that_shard() {
         let pool = Pool::new(2);
         let store = ShardedStore::new(&pool, &cycles(4), 2).unwrap();
         let s0 = store.shard_of(0);
         let before = store.latest_epochs();
-        let summary = store
-            .apply(&[EdgeUpdate::Remove(0, 1), EdgeUpdate::Remove(2, 3)])
+        let out = store
+            .commit_shard(s0, &[EdgeUpdate::Remove(0, 1), EdgeUpdate::Remove(2, 3)])
             .unwrap();
-        assert_eq!(summary.commits, 1);
-        assert_eq!(summary.migrations, 0);
+        assert_eq!(out.applied, 2);
+        assert!(out.stats.is_some());
+        assert!(out.strays.is_empty() && out.cross_shard.is_empty());
         let after = store.latest_epochs();
         for s in 0..2 {
             let expect = before[s] + if s == s0 { 1 } else { 0 };
@@ -680,9 +595,12 @@ mod tests {
             .map(|c| 5 * c)
             .find(|&v| store.shard_of(v) != store.shard_of(0))
             .unwrap();
-        let summary = store.apply(&[EdgeUpdate::Insert(0, b)]).unwrap();
-        assert_eq!(summary.migrations, 1);
-        assert_eq!(summary.migrated_vertices, 5);
+        let out = store.migrate(0, b).unwrap();
+        assert!(out.migrated);
+        assert_eq!(out.migrated_vertices, 5);
+        // One commit into the receiving shard, one cleanup of the donor.
+        let shards: Vec<usize> = out.stats.iter().map(|&(s, _)| s).collect();
+        assert_eq!(shards, [store.shard_of(0), 1 - store.shard_of(0)]);
         // The whole donor component now routes to 0's shard…
         for i in 0..5 {
             assert_eq!(store.shard_of(b + i), store.shard_of(0));
@@ -704,15 +622,42 @@ mod tests {
     fn migration_then_removal_round_trips() {
         let pool = Pool::new(2);
         let store = ShardedStore::new(&pool, &cycles(2), 2).unwrap();
-        store.apply(&[EdgeUpdate::Insert(0, 5)]).unwrap();
+        commit(&store, EdgeUpdate::Insert(0, 5));
         assert!(store.answer(&Query::Connected(0, 7)).unwrap().as_bool());
         // Removing the link splits them again — both components stay in
         // the merged shard (splits don't migrate back), and queries
         // remain correct.
-        store.apply(&[EdgeUpdate::Remove(0, 5)]).unwrap();
+        commit(&store, EdgeUpdate::Remove(0, 5));
         assert!(!store.answer(&Query::Connected(0, 7)).unwrap().as_bool());
         assert!(store.answer(&Query::Connected(5, 7)).unwrap().as_bool());
         assert_eq!(store.shard_of(0), store.shard_of(5));
+    }
+
+    #[test]
+    fn commit_hands_back_what_a_migration_moved() {
+        let pool = Pool::new(2);
+        let store = ShardedStore::new(&pool, &cycles(4), 2).unwrap();
+        let old = store.shard_of(5);
+        assert_ne!(store.shard_of(0), old);
+        // A vertex of another component that stays in 5's old shard.
+        let far = (0..4)
+            .map(|c| 5 * c)
+            .find(|&v| v != 5 && store.shard_of(v) == old)
+            .unwrap();
+        assert!(store.migrate(0, 5).unwrap().migrated);
+        let before = store.latest_epochs();
+        // Queued for the old shard before the migration moved 5..9 out.
+        let stray = EdgeUpdate::Insert(6, 8);
+        let cross = EdgeUpdate::Insert(far, 6);
+        let out = store
+            .commit_shard(old, &[stray, cross, EdgeUpdate::Remove(far, 6)])
+            .unwrap();
+        assert_eq!(out.strays, [stray]);
+        assert_eq!(out.cross_shard, [cross]);
+        // The removal spans shards, so its edge cannot exist: a no-op.
+        assert_eq!(out.applied, 1);
+        assert!(out.stats.is_none());
+        assert_eq!(store.latest_epochs(), before, "nothing committed");
     }
 
     #[test]
@@ -736,7 +681,7 @@ mod tests {
             } else {
                 EdgeUpdate::Insert(a, b)
             };
-            store.apply(&[up]).unwrap();
+            commit(&store, up);
             let mut txn = oracle.begin();
             txn.push(up);
             txn.commit().unwrap();
@@ -767,7 +712,11 @@ mod tests {
         let pool = Pool::new(1);
         let store = ShardedStore::new(&pool, &cycles(1), 1).unwrap();
         assert!(matches!(
-            store.apply(&[EdgeUpdate::Insert(0, 99)]),
+            store.commit_shard(0, &[EdgeUpdate::Insert(0, 99)]),
+            Err(ServeError::VertexOutOfRange { vertex: 99, n: 5 })
+        ));
+        assert!(matches!(
+            store.migrate(99, 0),
             Err(ServeError::VertexOutOfRange { vertex: 99, n: 5 })
         ));
         assert!(store.answer(&Query::Connected(0, 99)).is_err());

@@ -79,6 +79,19 @@ impl Profile {
     }
 }
 
+impl std::str::FromStr for Profile {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
+        Profile::ALL
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Profile::ALL.iter().map(|p| p.name()).collect();
+                format!("unknown profile {s:?} ({})", names.join("|"))
+            })
+    }
+}
+
 /// Driver discipline (see the [module docs](self)).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum Mode {
@@ -347,6 +360,14 @@ mod tests {
         for e in a.edges() {
             assert_eq!(e.u / 30, e.v / 30, "edge {e:?} crosses parts");
         }
+    }
+
+    #[test]
+    fn profiles_parse_from_their_names_only() {
+        for p in Profile::ALL {
+            assert_eq!(p.name().parse::<Profile>(), Ok(p));
+        }
+        assert!("churny".parse::<Profile>().is_err());
     }
 
     #[test]

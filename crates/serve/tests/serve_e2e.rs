@@ -1,6 +1,6 @@
 //! End-to-end tests for the bcc-serve daemon: full spawn → submit →
 //! shutdown lifecycles over every profile/mode pair, the telemetry
-//! and migration paths, both writer topologies, admission-control
+//! and migration paths, per-shard commit attribution, admission-control
 //! shedding, and the TCP front-end — all through the typed
 //! [`Request`] / [`Response`] surface.
 
@@ -8,7 +8,7 @@ use bcc_query::{EdgeUpdate, Query};
 use bcc_serve::{
     component_grid, run_net_workload, run_workload, Admission, Daemon, Mode, NetClient,
     NetFrontend, Profile, RejectReason, Request, Response, ServeConfig, ShardedStore, SubmitError,
-    WorkloadConfig, Writers,
+    WorkloadConfig,
 };
 use bcc_smp::{Pool, Telemetry};
 use std::sync::Arc;
@@ -84,49 +84,40 @@ fn out_of_range_updates_are_invalid_at_submit() {
 
 #[test]
 fn every_profile_and_mode_runs_clean() {
-    for writers in [Writers::Single, Writers::PerShard] {
-        for profile in Profile::ALL {
-            for mode in [Mode::Closed, Mode::Open { rate: 3_000.0 }] {
-                let store = small_store(120, 4, 2);
-                let daemon = Daemon::spawn(
-                    Arc::clone(&store),
-                    ServeConfig::builder()
-                        .readers(2)
-                        .batch_max(16)
-                        .flush_interval(Duration::from_millis(1))
-                        .writers(writers)
-                        .build(),
-                );
-                let report = run_workload(
-                    daemon,
-                    &WorkloadConfig {
-                        profile,
-                        mode,
-                        duration: Duration::from_millis(60),
-                        parts: 4,
-                        seed: 5,
-                    },
-                );
-                assert!(
-                    report.serve.writer_error.is_none(),
-                    "{} / {} / {} writer failed",
-                    writers.name(),
-                    profile.name(),
-                    mode.name()
-                );
-                assert_eq!(report.serve.answered, report.offered_queries);
-                assert_eq!(report.serve.updates_applied, report.offered_updates);
-                assert!(
-                    report.serve.answered > 0,
-                    "{} answered none",
-                    profile.name()
-                );
-                let expected_threads = match writers {
-                    Writers::Single => 1,
-                    Writers::PerShard => 2,
-                };
-                assert_eq!(report.serve.writer_threads, expected_threads);
-            }
+    for profile in Profile::ALL {
+        for mode in [Mode::Closed, Mode::Open { rate: 3_000.0 }] {
+            let store = small_store(120, 4, 2);
+            let daemon = Daemon::spawn(
+                Arc::clone(&store),
+                ServeConfig::builder()
+                    .readers(2)
+                    .batch_max(16)
+                    .flush_interval(Duration::from_millis(1))
+                    .build(),
+            );
+            let report = run_workload(
+                daemon,
+                &WorkloadConfig {
+                    profile,
+                    mode,
+                    duration: Duration::from_millis(60),
+                    parts: 4,
+                    seed: 5,
+                },
+            );
+            assert!(
+                report.serve.writer_error.is_none(),
+                "{} / {} writer failed",
+                profile.name(),
+                mode.name()
+            );
+            assert_eq!(report.serve.answered, report.offered_queries);
+            assert_eq!(report.serve.updates_applied, report.offered_updates);
+            assert!(
+                report.serve.answered > 0,
+                "{} answered none",
+                profile.name()
+            );
         }
     }
 }
@@ -226,7 +217,6 @@ fn per_shard_writers_attribute_commits_to_their_shard() {
     let report = daemon.shutdown();
     assert!(report.writer_error.is_none());
     assert_eq!(report.updates_applied, 10);
-    assert_eq!(report.writer_threads, 2);
     let counts: Vec<u64> = report
         .shard_commit_latency
         .iter()

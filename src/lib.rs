@@ -26,7 +26,7 @@
 //! assert_eq!(result.bridges(&g), vec![3]); // edge index of (2,3)
 //! ```
 //!
-//! For explicit control over thread count, ranker, and telemetry use
+//! For explicit control over thread count, tuning, and telemetry use
 //! the [`BccConfig`] builder; each run returns the labels plus a
 //! structured [`PhaseReport`]:
 //!
@@ -60,9 +60,10 @@
 //!
 //! To keep answering while the graph changes, the [`serve`] layer runs
 //! that index as a daemon: sharded stores, a pool of reader threads
-//! over an MPMC queue, and a single batching writer, with per-answer
-//! latency and snapshot-lag histograms (see `examples/live_queries.rs`
-//! and `docs/ALGORITHMS.md` §12).
+//! over an MPMC queue, and one batching writer per shard plus a
+//! migration coordinator, with per-answer latency and snapshot-lag
+//! histograms (see `examples/live_queries.rs` and `docs/ALGORITHMS.md`
+//! §12 and §16).
 
 pub use bcc_connectivity as connectivity;
 pub use bcc_core as algorithms;
@@ -74,8 +75,8 @@ pub use bcc_serve as serve;
 pub use bcc_smp as smp;
 
 pub use bcc_core::{
-    double_bfs_upper_bound, Algorithm, BccConfig, BccError, BccResult, BccRun, PhaseReport, Ranker,
-    Step, StepReport,
+    double_bfs_upper_bound, Algorithm, BccConfig, BccError, BccResult, BccRun, PhaseReport, Step,
+    StepReport,
 };
 pub use bcc_graph::{Csr, Edge, Graph, GraphBuilder, GraphData, MappedCsr};
 pub use bcc_query::{BiconnectivityIndex, IndexStore};

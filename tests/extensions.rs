@@ -1,5 +1,5 @@
-//! Integration tests for the extensions beyond the paper's core:
-//! ranker variants, the synchronous Awerbuch–Shiloach algorithm, the
+//! Integration tests for the extensions beyond the paper's core: the
+//! synchronous Awerbuch–Shiloach algorithm, the
 //! double-BFS counting corollary, parallel derived outputs, and R-MAT
 //! workloads through the per-component driver.
 
@@ -8,26 +8,8 @@ use smp_bcc::algorithms::verify::{
 };
 use smp_bcc::connectivity::as_sync::awerbuch_shiloach;
 use smp_bcc::connectivity::seq::components_union_find;
-use smp_bcc::euler::Ranker;
 use smp_bcc::graph::gen;
 use smp_bcc::{bcc, double_bfs_upper_bound, Algorithm, BccConfig, Pool};
-
-#[test]
-fn tv_smp_ranker_variants_agree() {
-    let g = gen::random_connected(600, 2400, 3);
-    let base = bcc(&g, Algorithm::Sequential);
-    for p in [1, 4] {
-        let pool = Pool::new(p);
-        for ranker in [Ranker::Sequential, Ranker::Wyllie, Ranker::HelmanJaja] {
-            let r = BccConfig::new(Algorithm::TvSmp)
-                .ranker(ranker)
-                .run(&pool, &g)
-                .unwrap()
-                .result;
-            assert_eq!(r.edge_comp, base.edge_comp, "{ranker:?} p={p}");
-        }
-    }
-}
 
 #[test]
 fn awerbuch_shiloach_agrees_with_union_find_at_scale() {
