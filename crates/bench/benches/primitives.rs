@@ -9,7 +9,7 @@ use bcc_primitives::{
     list_rank::{list_rank_hj, list_rank_seq, list_rank_wyllie},
     rmq::{Extremum, RangeTable},
     scan::{exclusive_scan_par, exclusive_scan_seq},
-    sort::{par_radix_sort_u64, par_sample_sort},
+    sort::par_radix_sort_u64,
 };
 use bcc_smp::{Pool, NIL};
 
@@ -85,13 +85,6 @@ fn bench_sort(c: &mut Criterion) {
     });
     for &p in THREADS {
         let pool = Pool::new(p);
-        group.bench_with_input(BenchmarkId::new("sample_sort", p), &p, |b, _| {
-            b.iter(|| {
-                let mut a = base.clone();
-                par_sample_sort(&pool, &mut a);
-                std::hint::black_box(a[0])
-            })
-        });
         group.bench_with_input(BenchmarkId::new("radix_sort", p), &p, |b, _| {
             b.iter(|| {
                 let mut a = base.clone();

@@ -36,7 +36,6 @@
 use crate::tuning::{BfsStrategy, TraversalTuning};
 use bcc_graph::Csr;
 use bcc_smp::atomic::as_atomic_u32;
-use bcc_smp::workspace::{alloc_cap, alloc_filled, give_opt};
 use bcc_smp::{BccWorkspace, Bitmap, ChunkCounter, Pool, NIL};
 use std::sync::atomic::Ordering;
 
@@ -117,14 +116,16 @@ impl BfsTree {
 
 /// Sequential BFS tree from `root`.
 pub fn bfs_tree_seq(csr: &Csr, root: u32) -> BfsTree {
-    bfs_tree_seq_impl(csr, root, None)
+    bfs_tree_seq_ws(csr, root, &BccWorkspace::new())
 }
 
-fn bfs_tree_seq_impl(csr: &Csr, root: u32, ws: Option<&BccWorkspace>) -> BfsTree {
+/// [`bfs_tree_seq`] with the tree's arrays and the frontiers taken from
+/// `ws` (the sequential fallback of [`bfs_tree_ws`]).
+fn bfs_tree_seq_ws(csr: &Csr, root: u32, ws: &BccWorkspace) -> BfsTree {
     let n = csr.n() as usize;
-    let mut parent = alloc_filled(ws, n, NIL);
-    let mut parent_eid = alloc_filled(ws, n, NIL);
-    let mut level = alloc_filled(ws, n, u32::MAX);
+    let mut parent = ws.take_filled(n, NIL);
+    let mut parent_eid = ws.take_filled(n, NIL);
+    let mut level = ws.take_filled(n, u32::MAX);
     if n == 0 {
         return BfsTree {
             parent,
@@ -138,9 +139,9 @@ fn bfs_tree_seq_impl(csr: &Csr, root: u32, ws: Option<&BccWorkspace>) -> BfsTree
     }
     parent[root as usize] = root;
     level[root as usize] = 0;
-    let mut frontier: Vec<u32> = alloc_cap(ws, n);
+    let mut frontier: Vec<u32> = ws.take(n);
     frontier.push(root);
-    let mut next: Vec<u32> = alloc_cap(ws, n);
+    let mut next: Vec<u32> = ws.take(n);
     let mut reached = 1u32;
     let mut depth = 0u32;
     let mut frontier_sizes = vec![1u32];
@@ -163,8 +164,8 @@ fn bfs_tree_seq_impl(csr: &Csr, root: u32, ws: Option<&BccWorkspace>) -> BfsTree
         std::mem::swap(&mut frontier, &mut next);
         next.clear();
     }
-    give_opt(ws, frontier);
-    give_opt(ws, next);
+    ws.give(frontier);
+    ws.give(next);
     let directions = vec![BfsDirection::TopDown; frontier_sizes.len()];
     BfsTree {
         parent,
@@ -200,7 +201,7 @@ const SWEEP_WORDS_PER_CHUNK: usize = 16;
 /// falls back to [`bfs_tree_seq`]; the hybrid always runs its own loop
 /// so the direction optimization applies at every thread count.
 pub fn bfs_tree(pool: &Pool, csr: &Csr, root: u32, tuning: &TraversalTuning) -> BfsTree {
-    bfs_tree_impl(pool, csr, root, tuning, None)
+    bfs_tree_ws(pool, csr, root, tuning, &BccWorkspace::new())
 }
 
 /// [`bfs_tree`] with the tree's per-vertex arrays, the frontier, the
@@ -214,27 +215,17 @@ pub fn bfs_tree_ws(
     tuning: &TraversalTuning,
     ws: &BccWorkspace,
 ) -> BfsTree {
-    bfs_tree_impl(pool, csr, root, tuning, Some(ws))
-}
-
-fn bfs_tree_impl(
-    pool: &Pool,
-    csr: &Csr,
-    root: u32,
-    tuning: &TraversalTuning,
-    ws: Option<&BccWorkspace>,
-) -> BfsTree {
     let n = csr.n() as usize;
     let hybrid = tuning.bfs == BfsStrategy::Hybrid;
     if n == 0 || (!hybrid && (pool.threads() == 1 || n < 1 << 12)) {
-        return bfs_tree_seq_impl(csr, root, ws);
+        return bfs_tree_seq_ws(csr, root, ws);
     }
     let alpha = tuning.alpha.max(1) as usize;
     let beta = tuning.beta.max(1) as usize;
 
-    let mut parent = alloc_filled(ws, n, NIL);
-    let mut parent_eid = alloc_filled(ws, n, NIL);
-    let mut level = alloc_filled(ws, n, u32::MAX);
+    let mut parent = ws.take_filled(n, NIL);
+    let mut parent_eid = ws.take_filled(n, NIL);
+    let mut level = ws.take_filled(n, u32::MAX);
     parent[root as usize] = root;
     level[root as usize] = 0;
 
@@ -242,7 +233,7 @@ fn bfs_tree_impl(
     let eid_a = as_atomic_u32(&mut parent_eid);
     let level_a = as_atomic_u32(&mut level);
 
-    let mut frontier: Vec<u32> = alloc_cap(ws, n);
+    let mut frontier: Vec<u32> = ws.take(n);
     frontier.push(root);
     let mut frontier_arcs = csr.degree(root);
     let mut remaining_arcs = 2 * csr.m() - frontier_arcs;
@@ -283,10 +274,7 @@ fn bfs_tree_impl(
         depth += 1;
 
         let (next, next_arcs) = if bottom_up {
-            let bm = frontier_bm.get_or_insert_with(|| match ws {
-                Some(ws) => Bitmap::new_in(n, ws),
-                None => Bitmap::new(n),
-            });
+            let bm = frontier_bm.get_or_insert_with(|| Bitmap::new_in(n, ws));
             bm.clear();
             for &v in &frontier {
                 // Single-threaded fill phase: no other thread touches the
@@ -298,10 +286,7 @@ fn bfs_tree_impl(
             // word-partitioned pass), then only the survivors of the
             // previous sweep.
             let unvis = unvisited.get_or_insert_with(|| {
-                let unvis = match ws {
-                    Some(ws) => Bitmap::new_in(n, ws),
-                    None => Bitmap::new(n),
-                };
+                let unvis = Bitmap::new_in(n, ws);
                 pool.run(|ctx| {
                     for w in ctx.block_range_of(Bitmap::word_range_of(0..n)) {
                         let hi = (w * 64 + 64).min(n);
@@ -396,17 +381,15 @@ fn bfs_tree_impl(
                 BfsDirection::TopDown
             });
         }
-        give_opt(ws, std::mem::replace(&mut frontier, next));
+        ws.give(std::mem::replace(&mut frontier, next));
     }
 
-    give_opt(ws, frontier);
-    if let Some(ws) = ws {
-        if let Some(u) = unvisited.take() {
-            u.recycle(ws);
-        }
-        if let Some(bm) = frontier_bm.take() {
-            bm.recycle(ws);
-        }
+    ws.give(frontier);
+    if let Some(u) = unvisited {
+        u.recycle(ws);
+    }
+    if let Some(bm) = frontier_bm {
+        bm.recycle(ws);
     }
 
     BfsTree {
@@ -421,8 +404,8 @@ fn bfs_tree_impl(
 }
 
 /// Concatenates per-thread `(vertices, arc_count)` buffers.
-fn concat_parts(parts: Vec<(Vec<u32>, usize)>, ws: Option<&BccWorkspace>) -> (Vec<u32>, usize) {
-    let mut next: Vec<u32> = alloc_cap(ws, parts.iter().map(|(b, _)| b.len()).sum());
+fn concat_parts(parts: Vec<(Vec<u32>, usize)>, ws: &BccWorkspace) -> (Vec<u32>, usize) {
+    let mut next: Vec<u32> = ws.take(parts.iter().map(|(b, _)| b.len()).sum());
     let mut arcs = 0usize;
     for (mut b, a) in parts {
         next.append(&mut b);

@@ -28,7 +28,6 @@
 use crate::tuning::SvVariant;
 use bcc_graph::Edge;
 use bcc_smp::atomic::as_atomic_u32;
-use bcc_smp::workspace::{alloc_cap, alloc_filled, alloc_iota, give_opt};
 use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
@@ -52,7 +51,7 @@ pub struct SvResult {
 impl SvResult {
     /// Returns the result's owned arrays to `ws` for reuse. Call this
     /// instead of dropping when the result came from a `_ws`
-    /// constructor.
+    /// constructor with a long-lived arena.
     pub fn recycle(self, ws: &BccWorkspace) {
         ws.give(self.label);
         ws.give(self.tree_edges);
@@ -85,7 +84,7 @@ pub fn connected_components_with(
     edges: &[Edge],
     variant: SvVariant,
 ) -> SvResult {
-    connected_components_impl(pool, n, edges, variant, None)
+    connected_components_with_ws(pool, n, edges, variant, &BccWorkspace::new())
 }
 
 /// [`connected_components_with`] with the result's arrays and all
@@ -97,7 +96,7 @@ pub fn connected_components_with_ws(
     variant: SvVariant,
     ws: &BccWorkspace,
 ) -> SvResult {
-    connected_components_impl(pool, n, edges, variant, Some(ws))
+    connected_components_masked_with_ws(pool, n, edges, &|_| true, variant, ws)
 }
 
 /// [`connected_components_with_ws`] restricted to the edge subset where
@@ -117,21 +116,8 @@ pub fn connected_components_masked_with_ws(
     ws: &BccWorkspace,
 ) -> SvResult {
     match variant {
-        SvVariant::Classic => classic_sv(pool, n, edges, keep, Some(ws)),
-        SvVariant::FastSv => fast_sv(pool, n, edges, keep, Some(ws)),
-    }
-}
-
-fn connected_components_impl(
-    pool: &Pool,
-    n: u32,
-    edges: &[Edge],
-    variant: SvVariant,
-    ws: Option<&BccWorkspace>,
-) -> SvResult {
-    match variant {
-        SvVariant::Classic => classic_sv(pool, n, edges, &|_| true, ws),
-        SvVariant::FastSv => fast_sv(pool, n, edges, &|_| true, ws),
+        SvVariant::Classic => classic_sv(pool, n, edges, keep, ws),
+        SvVariant::FastSv => fast_sv(pool, n, edges, keep, ws),
     }
 }
 
@@ -141,14 +127,14 @@ fn classic_sv(
     n: u32,
     edges: &[Edge],
     keep: &(impl Fn(usize) -> bool + Sync),
-    ws: Option<&BccWorkspace>,
+    ws: &BccWorkspace,
 ) -> SvResult {
     let n_us = n as usize;
     let m = edges.len();
-    let mut label: Vec<u32> = alloc_iota(ws, n_us);
+    let mut label: Vec<u32> = ws.take_iota(n_us);
     // graft_edge[r] = index of the edge that grafted root r (NIL if r
     // was never grafted). Each slot is CAS-claimed at most once.
-    let mut graft_edge: Vec<u32> = alloc_filled(ws, n_us, NIL);
+    let mut graft_edge: Vec<u32> = ws.take_filled(n_us, NIL);
     let mut rounds = 0u32;
 
     if n > 0 && m > 0 {
@@ -243,12 +229,12 @@ fn fast_sv(
     n: u32,
     edges: &[Edge],
     keep: &(impl Fn(usize) -> bool + Sync),
-    ws: Option<&BccWorkspace>,
+    ws: &BccWorkspace,
 ) -> SvResult {
     let n_us = n as usize;
     let m = edges.len();
-    let mut label: Vec<u32> = alloc_iota(ws, n_us);
-    let mut graft_edge: Vec<u32> = alloc_filled(ws, n_us, NIL);
+    let mut label: Vec<u32> = ws.take_iota(n_us);
+    let mut graft_edge: Vec<u32> = ws.take_filled(n_us, NIL);
     let mut rounds = 0u32;
 
     if n > 0 && m > 0 {
@@ -307,11 +293,11 @@ fn finish(
     label: Vec<u32>,
     graft_edge: Vec<u32>,
     rounds: u32,
-    ws: Option<&BccWorkspace>,
+    ws: &BccWorkspace,
 ) -> SvResult {
-    let mut tree_edges: Vec<u32> = alloc_cap(ws, graft_edge.len());
+    let mut tree_edges: Vec<u32> = ws.take(graft_edge.len());
     tree_edges.extend(graft_edge.iter().copied().filter(|&e| e != NIL));
-    give_opt(ws, graft_edge);
+    ws.give(graft_edge);
     let num_components = n - tree_edges.len() as u32;
     SvResult {
         label,
@@ -361,21 +347,17 @@ fn find_root_compact(label: &[AtomicU32], v: u32) -> u32 {
 /// Relabels `label` so components are numbered `0..k` in order of their
 /// smallest vertex, in parallel. Returns `k`.
 pub fn normalize_labels(pool: &Pool, label: &mut [u32]) -> u32 {
-    normalize_labels_impl(pool, label, None)
+    normalize_labels_ws(pool, label, &BccWorkspace::new())
 }
 
 /// [`normalize_labels`] with scratch taken from (and returned to) `ws`.
 pub fn normalize_labels_ws(pool: &Pool, label: &mut [u32], ws: &BccWorkspace) -> u32 {
-    normalize_labels_impl(pool, label, Some(ws))
-}
-
-fn normalize_labels_impl(pool: &Pool, label: &mut [u32], ws: Option<&BccWorkspace>) -> u32 {
     let n = label.len();
     if n == 0 {
         return 0;
     }
     // A vertex is a representative iff label[v] == v.
-    let mut index = alloc_filled(ws, n, 0u32);
+    let mut index = ws.take_filled(n, 0u32);
     {
         let idx_s = SharedSlice::new(&mut index);
         let label_ro: &[u32] = label;
@@ -385,10 +367,7 @@ fn normalize_labels_impl(pool: &Pool, label: &mut [u32], ws: Option<&BccWorkspac
             }
         });
     }
-    let k = match ws {
-        Some(ws) => bcc_primitives::scan::exclusive_scan_par_ws(pool, &mut index, ws),
-        None => bcc_primitives::scan::exclusive_scan_par(pool, &mut index),
-    };
+    let k = bcc_primitives::scan::exclusive_scan_par_ws(pool, &mut index, ws);
     {
         let label_s = SharedSlice::new(label);
         let index_ro: &[u32] = &index;
@@ -399,7 +378,7 @@ fn normalize_labels_impl(pool: &Pool, label: &mut [u32], ws: Option<&BccWorkspac
             }
         });
     }
-    give_opt(ws, index);
+    ws.give(index);
     k
 }
 

@@ -38,7 +38,6 @@ use bcc_euler::TreeInfo;
 use bcc_graph::Edge;
 use bcc_primitives::compact::compact_with;
 use bcc_primitives::scan::exclusive_scan_par;
-use bcc_smp::workspace::{alloc_cap, alloc_filled, give_opt};
 use bcc_smp::{BccWorkspace, Bitmap, Pool, SharedSlice, NIL};
 
 /// The auxiliary graph G′ plus the nontree-edge numbering needed to map
@@ -192,7 +191,7 @@ pub fn build_aux_graph_fused(
     info: &TreeInfo,
     lh: &LowHigh,
 ) -> AuxGraph {
-    build_aux_graph_fused_impl(pool, n, edges, is_tree_edge, info, lh, None)
+    build_aux_graph_fused_ws(pool, n, edges, is_tree_edge, info, lh, &BccWorkspace::new())
 }
 
 /// [`build_aux_graph_fused`] with the result and scratch taken from
@@ -206,18 +205,6 @@ pub fn build_aux_graph_fused_ws(
     lh: &LowHigh,
     ws: &BccWorkspace,
 ) -> AuxGraph {
-    build_aux_graph_fused_impl(pool, n, edges, is_tree_edge, info, lh, Some(ws))
-}
-
-fn build_aux_graph_fused_impl(
-    pool: &Pool,
-    n: u32,
-    edges: &[Edge],
-    is_tree_edge: &[bool],
-    info: &TreeInfo,
-    lh: &LowHigh,
-    ws: Option<&BccWorkspace>,
-) -> AuxGraph {
     let m = edges.len();
     let p = pool.threads();
     const EMPTY: Edge = Edge { u: NIL, v: NIL };
@@ -228,12 +215,9 @@ fn build_aux_graph_fused_impl(
     // nontree edges, condition 3 (low/high escape test) for tree edges —
     // is recorded in `decisions` so the emit pass never re-evaluates it;
     // word-aligned ownership makes the bitmap stores plain, not atomic.
-    let decisions = match ws {
-        Some(ws) => Bitmap::new_in(m, ws),
-        None => Bitmap::new(m),
-    };
-    let mut nontree_counts = alloc_filled(ws, p + 1, 0u32);
-    let mut emit_counts = alloc_filled(ws, p + 1, 0u32);
+    let decisions = Bitmap::new_in(m, ws);
+    let mut nontree_counts = ws.take_filled(p + 1, 0u32);
+    let mut emit_counts = ws.take_filled(p + 1, 0u32);
     {
         let nc = SharedSlice::new(&mut nontree_counts);
         let ec = SharedSlice::new(&mut emit_counts);
@@ -274,7 +258,7 @@ fn build_aux_graph_fused_impl(
     let total_emit = emit_counts[p] as usize;
 
     // Emit pass: every thread owns the output ranges its counts claimed.
-    let mut nontree_index = alloc_filled(ws, m, 0u32);
+    let mut nontree_index = ws.take_filled(m, 0u32);
     // Capacity is the *bound* (every nontree edge emits once for
     // condition 1 and at most once for condition 2, every tree edge at
     // most once for condition 3), not `total_emit`: the bound depends
@@ -282,7 +266,7 @@ fn build_aux_graph_fused_impl(
     // a different (racily chosen) spanning tree of the same graph
     // requests the same arena class — `total_emit` varies with the
     // tree and would flake the zero-miss steady state across runs.
-    let mut aux_edges: Vec<Edge> = alloc_cap(ws, m + num_nontree as usize);
+    let mut aux_edges: Vec<Edge> = ws.take(m + num_nontree as usize);
     aux_edges.resize(total_emit, EMPTY);
     {
         let ni = SharedSlice::new(&mut nontree_index);
@@ -339,11 +323,9 @@ fn build_aux_graph_fused_impl(
             debug_assert_eq!(k, emit_base[ctx.tid() + 1] as usize);
         });
     }
-    if let Some(ws) = ws {
-        decisions.recycle(ws);
-    }
-    give_opt(ws, nontree_counts);
-    give_opt(ws, emit_counts);
+    decisions.recycle(ws);
+    ws.give(nontree_counts);
+    ws.give(emit_counts);
 
     AuxGraph {
         num_vertices: n + num_nontree,

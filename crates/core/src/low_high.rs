@@ -19,7 +19,6 @@ use bcc_euler::TreeInfo;
 use bcc_graph::Edge;
 use bcc_primitives::{Extremum, RangeTable};
 use bcc_smp::atomic::{as_atomic_u32, fetch_max_u32, fetch_min_u32};
-use bcc_smp::workspace::{alloc_cap, alloc_filled, give_opt};
 use bcc_smp::{BccWorkspace, Pool, SharedSlice};
 
 /// Per-vertex low/high values, in preorder numbers.
@@ -55,19 +54,7 @@ pub fn compute_low_high(
     is_tree_edge: &[bool],
     info: &TreeInfo,
 ) -> LowHigh {
-    low_high_level_sweep(pool, edges, is_tree_edge, info, None)
-}
-
-/// [`compute_low_high`] with the result and all scratch taken from
-/// `ws`; return the result's arrays with [`LowHigh::recycle`].
-pub fn compute_low_high_ws(
-    pool: &Pool,
-    edges: &[Edge],
-    is_tree_edge: &[bool],
-    info: &TreeInfo,
-    ws: &BccWorkspace,
-) -> LowHigh {
-    low_high_level_sweep(pool, edges, is_tree_edge, info, Some(ws))
+    compute_low_high_ws(pool, edges, is_tree_edge, info, &BccWorkspace::new())
 }
 
 /// The sparse-table reference construction: keys scattered into
@@ -128,23 +115,26 @@ pub fn compute_low_high_two_pass(
     LowHigh { low, high }
 }
 
+/// [`compute_low_high`] with the result and all scratch taken from
+/// `ws`; return the result's arrays with [`LowHigh::recycle`].
+///
 /// Level-synchronous bottom-up aggregation: vertices are bucketed by
 /// depth; sweeping levels deepest-first, each vertex folds its value
 /// into its parent with an atomic min/max. One barrier per level of at
-/// least [`SERIAL_LEVEL`] vertices; narrower levels run serially.
-fn low_high_level_sweep(
+/// least `SERIAL_LEVEL` vertices; narrower levels run serially.
+pub fn compute_low_high_ws(
     pool: &Pool,
     edges: &[Edge],
     is_tree_edge: &[bool],
     info: &TreeInfo,
-    ws: Option<&BccWorkspace>,
+    ws: &BccWorkspace,
 ) -> LowHigh {
     let n = info.preorder.len();
     let m = edges.len();
 
     // Per-VERTEX keys this time (no preorder indirection needed).
-    let mut low: Vec<u32> = alloc_filled(ws, n, 0);
-    let mut high: Vec<u32> = alloc_filled(ws, n, 0);
+    let mut low: Vec<u32> = ws.take_filled(n, 0);
+    let mut high: Vec<u32> = ws.take_filled(n, 0);
     {
         let low_s = SharedSlice::new(&mut low);
         let high_s = SharedSlice::new(&mut high);
@@ -181,23 +171,23 @@ fn low_high_level_sweep(
 
     // Bucket vertices by depth (counting sort).
     let max_depth = info.depth.iter().copied().max().unwrap_or(0) as usize;
-    let mut bucket_of = alloc_filled(ws, max_depth + 2, 0u32);
+    let mut bucket_of = ws.take_filled(max_depth + 2, 0u32);
     for &d in &info.depth {
         bucket_of[d as usize + 1] += 1;
     }
     for d in 0..=max_depth {
         bucket_of[d + 1] += bucket_of[d];
     }
-    let mut by_level = alloc_filled(ws, n, 0u32);
+    let mut by_level = ws.take_filled(n, 0u32);
     {
-        let mut cursor: Vec<u32> = alloc_cap(ws, bucket_of.len());
+        let mut cursor: Vec<u32> = ws.take(bucket_of.len());
         cursor.extend_from_slice(&bucket_of);
         for v in 0..n as u32 {
             let d = info.depth[v as usize] as usize;
             by_level[cursor[d] as usize] = v;
             cursor[d] += 1;
         }
-        give_opt(ws, cursor);
+        ws.give(cursor);
     }
 
     // Sweep levels deepest-first.
@@ -220,8 +210,8 @@ fn low_high_level_sweep(
         }
     }
 
-    give_opt(ws, bucket_of);
-    give_opt(ws, by_level);
+    ws.give(bucket_of);
+    ws.give(by_level);
 
     LowHigh { low, high }
 }

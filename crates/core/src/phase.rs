@@ -10,7 +10,6 @@
 
 use bcc_smp::telemetry::{Telemetry, TelemetrySnapshot};
 use bcc_smp::{BccWorkspace, WorkspaceStats};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Identifies one pipeline step (the rows of the paper's Fig. 4).
@@ -117,8 +116,8 @@ pub struct StepReport {
     /// Per-thread busy time during the step (empty without telemetry).
     pub busy: Vec<Duration>,
     /// Bytes freshly heap-allocated through the run's [`BccWorkspace`]
-    /// during the step (arena misses; 0 without a workspace-aware
-    /// recorder, and 0 in the steady state when every take hits).
+    /// during the step (arena misses; 0 in the steady state when every
+    /// take hits).
     pub alloc_bytes: u64,
 }
 
@@ -159,10 +158,10 @@ pub struct PhaseReport {
     /// Whole-run load-imbalance ratio (`1.0` without telemetry).
     pub imbalance: f64,
     /// Bytes freshly heap-allocated through the run's [`BccWorkspace`]
-    /// (arena misses; 0 without a workspace-aware recorder).
+    /// (arena misses).
     pub alloc_bytes: u64,
     /// Fraction of workspace takes served from the arena shelf
-    /// (`1.0` when every take hit, or when no workspace was observed).
+    /// (`1.0` when every take hit, or when the run took nothing).
     pub arena_hit_rate: f64,
     /// The run's machine-independent work counters.
     pub stats: PipelineStats,
@@ -190,7 +189,7 @@ pub struct PhaseRecorder<'a> {
     telem: Option<&'a Telemetry>,
     first: Option<TelemetrySnapshot>,
     prev: Option<TelemetrySnapshot>,
-    ws: Option<Arc<BccWorkspace>>,
+    ws: &'a BccWorkspace,
     ws_first: WorkspaceStats,
     ws_prev: WorkspaceStats,
 }
@@ -208,18 +207,13 @@ fn step_index(step: Step) -> usize {
 
 impl<'a> PhaseRecorder<'a> {
     /// A recorder reading telemetry deltas from `telem` (pass the
-    /// pool's sink, or `None` for timing-only reports).
-    pub fn new(telem: Option<&'a Telemetry>) -> Self {
-        Self::with_workspace(telem, None)
-    }
-
-    /// Like [`new`](PhaseRecorder::new), additionally observing `ws`:
-    /// each step's arena-miss bytes land in
+    /// pool's sink, or `None` for timing-only reports) and observing
+    /// the run's arena `ws`: each step's arena-miss bytes land in
     /// [`StepReport::alloc_bytes`], and the whole-run delta fills
     /// [`PhaseReport::alloc_bytes`] / [`PhaseReport::arena_hit_rate`].
-    pub fn with_workspace(telem: Option<&'a Telemetry>, ws: Option<Arc<BccWorkspace>>) -> Self {
+    pub fn new(telem: Option<&'a Telemetry>, ws: &'a BccWorkspace) -> Self {
         let first = telem.map(|t| t.snapshot());
-        let ws_first = ws.as_ref().map(|w| w.stats()).unwrap_or_default();
+        let ws_first = ws.stats();
         PhaseRecorder {
             order: Vec::new(),
             accum: Default::default(),
@@ -249,15 +243,9 @@ impl<'a> PhaseRecorder<'a> {
             }
         };
 
-        let alloc_bytes = match &self.ws {
-            None => 0,
-            Some(w) => {
-                let now = w.stats();
-                let delta = now.delta_since(&self.ws_prev);
-                self.ws_prev = now;
-                delta.bytes_allocated
-            }
-        };
+        let ws_now = self.ws.stats();
+        let alloc_bytes = ws_now.delta_since(&self.ws_prev).bytes_allocated;
+        self.ws_prev = ws_now;
 
         let slot = &mut self.accum[step_index(step)];
         match slot {
@@ -324,13 +312,7 @@ impl<'a> PhaseRecorder<'a> {
                 delta.imbalance(),
             ),
         };
-        let (alloc_bytes, arena_hit_rate) = match &self.ws {
-            None => (0, 1.0),
-            Some(w) => {
-                let delta = w.stats().delta_since(&self.ws_first);
-                (delta.bytes_allocated, delta.hit_rate())
-            }
-        };
+        let ws_delta = self.ws.stats().delta_since(&self.ws_first);
 
         PhaseReport {
             algorithm,
@@ -345,8 +327,8 @@ impl<'a> PhaseRecorder<'a> {
             barrier_episodes,
             barrier_wait,
             imbalance,
-            alloc_bytes,
-            arena_hit_rate,
+            alloc_bytes: ws_delta.bytes_allocated,
+            arena_hit_rate: ws_delta.hit_rate(),
             stats,
         }
     }
@@ -367,7 +349,8 @@ mod tests {
 
     #[test]
     fn recorder_merges_repeated_steps_in_first_seen_order() {
-        let mut rec = PhaseRecorder::new(None);
+        let ws = BccWorkspace::new();
+        let mut rec = PhaseRecorder::new(None, &ws);
         rec.step(Step::Filtering, || {
             std::thread::sleep(Duration::from_millis(2))
         });
@@ -400,7 +383,8 @@ mod tests {
             .threads(2)
             .telemetry(Arc::clone(&sink))
             .build();
-        let mut rec = PhaseRecorder::new(Some(&sink));
+        let ws = BccWorkspace::new();
+        let mut rec = PhaseRecorder::new(Some(&sink), &ws);
         rec.step(Step::SpanningTree, || {
             pool.run(|ctx| {
                 if ctx.tid() == 0 {

@@ -89,6 +89,9 @@ pub enum BccError {
     /// The parallel TV pipelines require a connected input graph; use
     /// [`BccConfig::run_any`] for general graphs.
     Disconnected,
+    /// An edge update named vertex id `u32::MAX`, the reserved `NIL`
+    /// sentinel: no `u32` vertex count can include it.
+    ReservedVertex(u32),
 }
 
 impl std::fmt::Display for BccError {
@@ -96,6 +99,9 @@ impl std::fmt::Display for BccError {
         match self {
             BccError::Disconnected => {
                 write!(f, "input graph is not connected (TV requires connectivity)")
+            }
+            BccError::ReservedVertex(v) => {
+                write!(f, "vertex id {v} is reserved (ids must be below u32::MAX)")
             }
         }
     }
@@ -215,7 +221,7 @@ impl BccConfig {
     pub fn run(&self, pool: &Pool, g: &Graph) -> Result<BccRun, BccError> {
         let start = Instant::now();
         let ws = self.resolve_workspace();
-        let mut rec = PhaseRecorder::with_workspace(self.sink(pool), Some(Arc::clone(&ws)));
+        let mut rec = PhaseRecorder::new(self.sink(pool), &ws);
         let result = run_connected(pool, g, self.alg, self.tuning, &ws, &mut rec)?;
         Ok(self.package(pool, g, rec, result, start))
     }
@@ -226,7 +232,7 @@ impl BccConfig {
     pub fn run_any(&self, pool: &Pool, g: &Graph) -> Result<BccRun, BccError> {
         let start = Instant::now();
         let ws = self.resolve_workspace();
-        let mut rec = PhaseRecorder::with_workspace(self.sink(pool), Some(Arc::clone(&ws)));
+        let mut rec = PhaseRecorder::new(self.sink(pool), &ws);
         let result =
             crate::per_component::run_per_component(pool, g, self.alg, self.tuning, &ws, &mut rec)?;
         Ok(self.package(pool, g, rec, result, start))

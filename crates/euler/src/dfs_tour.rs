@@ -17,7 +17,6 @@
 use crate::tour::EulerTour;
 use bcc_graph::Edge;
 use bcc_smp::atomic::as_atomic_u32;
-use bcc_smp::workspace::{alloc_filled, give_opt};
 use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
 use std::sync::atomic::Ordering;
 
@@ -33,7 +32,7 @@ pub fn dfs_euler_tour(
     parent: &[u32],
     root: u32,
 ) -> EulerTour {
-    dfs_euler_tour_impl(pool, n, edges, parent, root, None)
+    dfs_euler_tour_ws(pool, n, edges, parent, root, &BccWorkspace::new())
 }
 
 /// [`dfs_euler_tour`] with all scratch and the tour's arrays taken
@@ -45,17 +44,6 @@ pub fn dfs_euler_tour_ws(
     parent: &[u32],
     root: u32,
     ws: &BccWorkspace,
-) -> EulerTour {
-    dfs_euler_tour_impl(pool, n, edges, parent, root, Some(ws))
-}
-
-fn dfs_euler_tour_impl(
-    pool: &Pool,
-    n: u32,
-    edges: Vec<Edge>,
-    parent: &[u32],
-    root: u32,
-    ws: Option<&BccWorkspace>,
 ) -> EulerTour {
     let n_us = n as usize;
     assert_eq!(parent.len(), n_us);
@@ -73,7 +61,7 @@ fn dfs_euler_tour_impl(
     }
 
     // Children CSR keyed by parent: counting sort over tree edges.
-    let mut child_count = alloc_filled(ws, n_us, 0u32);
+    let mut child_count = ws.take_filled(n_us, 0u32);
     {
         let cc = as_atomic_u32(&mut child_count);
         let edges_ro: &[Edge] = &edges;
@@ -86,16 +74,13 @@ fn dfs_euler_tour_impl(
             }
         });
     }
-    let mut offsets = alloc_filled(ws, n_us + 1, 0u32);
+    let mut offsets = ws.take_filled(n_us + 1, 0u32);
     offsets[1..].copy_from_slice(&child_count);
-    match ws {
-        Some(ws) => bcc_primitives::scan::inclusive_scan_par_ws(pool, &mut offsets[1..], ws),
-        None => bcc_primitives::scan::inclusive_scan_par(pool, &mut offsets[1..]),
-    }
+    bcc_primitives::scan::inclusive_scan_par_ws(pool, &mut offsets[1..], ws);
 
     // child_arc[slot] = the advance arc (parent -> child) of each child.
-    let mut cursor = alloc_filled(ws, n_us, 0u32);
-    let mut child_arc = alloc_filled(ws, t, NIL);
+    let mut cursor = ws.take_filled(n_us, 0u32);
+    let mut child_arc = ws.take_filled(t, NIL);
     {
         let cur = as_atomic_u32(&mut cursor);
         let ca = SharedSlice::new(&mut child_arc);
@@ -118,11 +103,11 @@ fn dfs_euler_tour_impl(
 
     // Sequential DFS emit: iterative, O(n), contiguous writes.
     let num_arcs = 2 * t;
-    let mut pos = alloc_filled(ws, num_arcs, NIL);
-    let mut order = alloc_filled(ws, num_arcs, NIL);
+    let mut pos = ws.take_filled(num_arcs, NIL);
+    let mut order = ws.take_filled(num_arcs, NIL);
     let mut counter = 0u32;
     // Stack entries: (vertex, next child slot, entering advance arc).
-    let mut stack: Vec<(u32, u32, u32)> = bcc_smp::workspace::alloc_cap(ws, 64);
+    let mut stack: Vec<(u32, u32, u32)> = ws.take(64);
     stack.push((root, offsets[root as usize], NIL));
     while let Some(&mut (v, ref mut next_slot, enter)) = stack.last_mut() {
         if *next_slot < offsets[v as usize + 1] {
@@ -150,11 +135,11 @@ fn dfs_euler_tour_impl(
     }
     assert_eq!(counter as usize, num_arcs, "tour must cover every arc");
 
-    give_opt(ws, stack);
-    give_opt(ws, child_count);
-    give_opt(ws, offsets);
-    give_opt(ws, cursor);
-    give_opt(ws, child_arc);
+    ws.give(stack);
+    ws.give(child_count);
+    ws.give(offsets);
+    ws.give(cursor);
+    ws.give(child_arc);
 
     EulerTour {
         n,

@@ -11,7 +11,7 @@
 //!
 //! | construction | sort | ranking | emit |
 //! |---|---|---|---|
-//! | classic | parallel sample sort | required | — |
+//! | classic | parallel radix sort | required | — |
 //! | **rooted (this)** | none | required | — |
 //! | DFS-order | none | none | sequential O(n) |
 
@@ -19,12 +19,7 @@ use crate::tour::EulerTour;
 use crate::tour::Ranker;
 use crate::twin;
 use bcc_graph::Edge;
-use bcc_primitives::{
-    list_rank_hj, list_rank_hj_ws, list_rank_seq, list_rank_seq_ws, list_rank_wyllie,
-    list_rank_wyllie_ws,
-};
 use bcc_smp::atomic::as_atomic_u32;
-use bcc_smp::workspace::{alloc_filled, give_opt};
 use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
 use std::sync::atomic::Ordering;
 
@@ -39,7 +34,7 @@ pub fn rooted_euler_tour(
     root: u32,
     ranker: Ranker,
 ) -> EulerTour {
-    rooted_euler_tour_impl(pool, n, edges, parent, root, ranker, None)
+    rooted_euler_tour_ws(pool, n, edges, parent, root, ranker, &BccWorkspace::new())
 }
 
 /// [`rooted_euler_tour`] with all scratch and the tour's arrays taken
@@ -52,18 +47,6 @@ pub fn rooted_euler_tour_ws(
     root: u32,
     ranker: Ranker,
     ws: &BccWorkspace,
-) -> EulerTour {
-    rooted_euler_tour_impl(pool, n, edges, parent, root, ranker, Some(ws))
-}
-
-fn rooted_euler_tour_impl(
-    pool: &Pool,
-    n: u32,
-    edges: Vec<Edge>,
-    parent: &[u32],
-    root: u32,
-    ranker: Ranker,
-    ws: Option<&BccWorkspace>,
 ) -> EulerTour {
     let n_us = n as usize;
     assert_eq!(parent.len(), n_us);
@@ -83,7 +66,7 @@ fn rooted_euler_tour_impl(
 
     // Children CSR (parallel counting sort by parent), remembering each
     // child's slot so "next sibling" is a constant-time lookup.
-    let mut child_count = alloc_filled(ws, n_us, 0u32);
+    let mut child_count = ws.take_filled(n_us, 0u32);
     {
         let cc = as_atomic_u32(&mut child_count);
         let edges_ro: &[Edge] = &edges;
@@ -94,17 +77,14 @@ fn rooted_euler_tour_impl(
             }
         });
     }
-    let mut offsets = alloc_filled(ws, n_us + 1, 0u32);
+    let mut offsets = ws.take_filled(n_us + 1, 0u32);
     offsets[1..].copy_from_slice(&child_count);
-    match ws {
-        Some(ws) => bcc_primitives::scan::inclusive_scan_par_ws(pool, &mut offsets[1..], ws),
-        None => bcc_primitives::scan::inclusive_scan_par(pool, &mut offsets[1..]),
-    }
+    bcc_primitives::scan::inclusive_scan_par_ws(pool, &mut offsets[1..], ws);
 
-    let mut cursor = alloc_filled(ws, n_us, 0u32);
-    let mut child_arc = alloc_filled(ws, t, NIL); // advance arcs, grouped by parent
-    let mut slot_of = alloc_filled(ws, n_us, NIL); // child vertex -> its slot
-    let mut adv_arc = alloc_filled(ws, n_us, NIL); // child vertex -> its advance arc
+    let mut cursor = ws.take_filled(n_us, 0u32);
+    let mut child_arc = ws.take_filled(t, NIL); // advance arcs, grouped by parent
+    let mut slot_of = ws.take_filled(n_us, NIL); // child vertex -> its slot
+    let mut adv_arc = ws.take_filled(n_us, NIL); // child vertex -> its advance arc
     {
         let cur = as_atomic_u32(&mut cursor);
         let ca = SharedSlice::new(&mut child_arc);
@@ -135,7 +115,7 @@ fn rooted_euler_tour_impl(
     }
 
     // Tour successors, one O(1) rule per arc.
-    let mut succ = alloc_filled(ws, num_arcs, NIL);
+    let mut succ = ws.take_filled(num_arcs, NIL);
     {
         let succ_s = SharedSlice::new(&mut succ);
         let child_arc_ro: &[u32] = &child_arc;
@@ -177,15 +157,8 @@ fn rooted_euler_tour_impl(
     }
 
     let start = child_arc[offsets[root as usize] as usize];
-    let pos = match (ranker, ws) {
-        (Ranker::Sequential, None) => list_rank_seq(&succ, start),
-        (Ranker::Sequential, Some(ws)) => list_rank_seq_ws(&succ, start, ws),
-        (Ranker::Wyllie, None) => list_rank_wyllie(pool, &succ, start),
-        (Ranker::Wyllie, Some(ws)) => list_rank_wyllie_ws(pool, &succ, start, ws),
-        (Ranker::HelmanJaja, None) => list_rank_hj(pool, &succ, start),
-        (Ranker::HelmanJaja, Some(ws)) => list_rank_hj_ws(pool, &succ, start, ws),
-    };
-    let mut order = alloc_filled(ws, num_arcs, NIL);
+    let pos = ranker.rank(pool, &succ, start, ws);
+    let mut order = ws.take_filled(num_arcs, NIL);
     {
         let order_s = SharedSlice::new(&mut order);
         let pos_ro: &[u32] = &pos;
@@ -196,13 +169,13 @@ fn rooted_euler_tour_impl(
         });
     }
 
-    give_opt(ws, child_count);
-    give_opt(ws, offsets);
-    give_opt(ws, cursor);
-    give_opt(ws, child_arc);
-    give_opt(ws, slot_of);
-    give_opt(ws, adv_arc);
-    give_opt(ws, succ);
+    ws.give(child_count);
+    ws.give(offsets);
+    ws.give(cursor);
+    ws.give(child_arc);
+    ws.give(slot_of);
+    ws.give(adv_arc);
+    ws.give(succ);
 
     EulerTour {
         n,

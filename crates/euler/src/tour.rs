@@ -3,10 +3,11 @@
 //! This is the construction TV-SMP pays for (paper §3.1): the spanning
 //! tree arrives as a bare edge set, so a circular adjacency list with
 //! cross pointers must be built on the fly. We sort the 2(n−1) arcs by
-//! `(source, dest)` with the parallel sample sort, link each arc to the
-//! next arc around its source (circularly), and set the tour successor
-//! `succ[a] = next_around(twin(a))`. Ranking the successor list yields
-//! each arc's position in the tour.
+//! source with the parallel radix sort on packed `(source << 32) | arc`
+//! keys (the paper uses the Helman–JáJá sample sort), link each arc to
+//! the next arc around its source (circularly), and set the tour
+//! successor `succ[a] = next_around(twin(a))`. Ranking the successor
+//! list yields each arc's position in the tour.
 //!
 //! (The paper additionally sorts by `(min, max)` to pair anti-parallel
 //! arcs; our arc layout makes twins adjacent by construction — arc
@@ -16,10 +17,8 @@
 use crate::twin;
 use bcc_graph::Edge;
 use bcc_primitives::{
-    list_rank_hj, list_rank_hj_ws, list_rank_seq, list_rank_seq_ws, list_rank_wyllie,
-    list_rank_wyllie_ws, par_radix_sort_u64, par_radix_sort_u64_ws, par_sample_sort_by_key,
+    list_rank_hj_ws, list_rank_seq_ws, list_rank_wyllie_ws, par_radix_sort_u64_ws,
 };
-use bcc_smp::workspace::{alloc_filled, give_opt};
 use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
 
 /// Which list-ranking algorithm positions the tour.
@@ -31,6 +30,19 @@ pub enum Ranker {
     Wyllie,
     /// Helman–JáJá sampled sublists, O(n) work.
     HelmanJaja,
+}
+
+impl Ranker {
+    /// Ranks the successor list `succ` from `head` with this algorithm,
+    /// scratch and result drawn from `ws` — the step both tour
+    /// constructions share.
+    pub(crate) fn rank(self, pool: &Pool, succ: &[u32], head: u32, ws: &BccWorkspace) -> Vec<u32> {
+        match self {
+            Ranker::Sequential => list_rank_seq_ws(succ, head, ws),
+            Ranker::Wyllie => list_rank_wyllie_ws(pool, succ, head, ws),
+            Ranker::HelmanJaja => list_rank_hj_ws(pool, succ, head, ws),
+        }
+    }
 }
 
 /// An Euler tour of a tree given as an edge list.
@@ -91,7 +103,7 @@ pub fn euler_tour_classic(
     root: u32,
     ranker: Ranker,
 ) -> EulerTour {
-    euler_tour_classic_impl(pool, n, edges, root, ranker, None)
+    euler_tour_classic_ws(pool, n, edges, root, ranker, &BccWorkspace::new())
 }
 
 /// [`euler_tour_classic`] with every internal buffer (and the tour's
@@ -104,17 +116,6 @@ pub fn euler_tour_classic_ws(
     root: u32,
     ranker: Ranker,
     ws: &BccWorkspace,
-) -> EulerTour {
-    euler_tour_classic_impl(pool, n, edges, root, ranker, Some(ws))
-}
-
-fn euler_tour_classic_impl(
-    pool: &Pool,
-    n: u32,
-    edges: Vec<Edge>,
-    root: u32,
-    ranker: Ranker,
-    ws: Option<&BccWorkspace>,
 ) -> EulerTour {
     assert!(n >= 1);
     assert!(root < n);
@@ -134,32 +135,20 @@ fn euler_tour_classic_impl(
         };
     }
 
+    // Arc ids are `u32` throughout the tour, with `NIL` reserved.
+    assert!(
+        num_arcs < NIL as usize,
+        "{num_arcs} arcs overflow the u32 arc ids"
+    );
+
     // Sort arcs by source to form the circular adjacency list, as
-    // packed `(source << 32) | arc` keys. The fast path is the LSD
-    // radix sort — arc ids fit the low key half whenever `num_arcs`
-    // fits `u32`, which holds for every representable input; the
-    // original sample sort on `(source, dest)` pairs is kept as the
-    // fallback past that packing range. Any within-source circular
-    // order yields a valid Euler tour, so the two key layouts are
-    // interchangeable downstream.
-    let keys: Vec<u64> = if num_arcs <= u32::MAX as usize {
-        pack_adjacency_radix(pool, &edges, ws)
-    } else {
-        pack_adjacency_sample(pool, &edges)
-    };
-
-    tour_from_keys(pool, n, edges, root, ranker, keys, ws)
-}
-
-/// Builds the sorted circular-adjacency keys `(src << 32) | arc` with
-/// the parallel radix sort (the fast path).
-fn pack_adjacency_radix(pool: &Pool, edges: &[Edge], ws: Option<&BccWorkspace>) -> Vec<u64> {
-    let num_arcs = 2 * edges.len();
-    let mut keys: Vec<u64> = alloc_filled(ws, num_arcs, 0);
+    // packed `(source << 32) | arc` keys. Any within-source circular
+    // order yields a valid Euler tour.
+    let mut keys: Vec<u64> = ws.take_filled(num_arcs, 0);
     {
         let keys_s = SharedSlice::new(&mut keys);
         pool.run(|ctx| {
-            for i in ctx.block_range(edges.len()) {
+            for i in ctx.block_range(t) {
                 let e = edges[i];
                 let a = 2 * i as u64;
                 unsafe {
@@ -169,56 +158,12 @@ fn pack_adjacency_radix(pool: &Pool, edges: &[Edge], ws: Option<&BccWorkspace>) 
             }
         });
     }
-    match ws {
-        Some(ws) => par_radix_sort_u64_ws(pool, &mut keys, ws),
-        None => par_radix_sort_u64(pool, &mut keys),
-    }
-    keys
-}
-
-/// Builds the sorted circular-adjacency keys via the sample sort on
-/// `(source, dest)` pairs carrying the arc id — the fallback when arc
-/// ids cannot be packed into the low key half (and the construction
-/// the TV-SMP ablation used before the radix path).
-fn pack_adjacency_sample(pool: &Pool, edges: &[Edge]) -> Vec<u64> {
-    let num_arcs = 2 * edges.len();
-    let arc_src = |a: u32| -> u32 {
-        let e = edges[(a / 2) as usize];
-        if a & 1 == 0 {
-            e.u
-        } else {
-            e.v
-        }
-    };
-    let arc_dst = |a: u32| arc_src(twin(a));
-    let mut arcs: Vec<(u64, u32)> = (0..num_arcs as u32)
-        .map(|a| (((arc_src(a) as u64) << 32) | arc_dst(a) as u64, a))
-        .collect();
-    par_sample_sort_by_key(pool, &mut arcs, |&(k, _)| k);
-    // Re-pack into the uniform (src << 32) | arc layout.
-    arcs.iter()
-        .map(|&(k, a)| (k & 0xFFFF_FFFF_0000_0000) | a as u64)
-        .collect()
-}
-
-/// Everything after the adjacency sort: circular next-pointers, tour
-/// successors, circuit break at `root`, list ranking, inverse
-/// permutation. `keys[j] = (src << 32) | arc` sorted ascending.
-fn tour_from_keys(
-    pool: &Pool,
-    n: u32,
-    edges: Vec<Edge>,
-    root: u32,
-    ranker: Ranker,
-    keys: Vec<u64>,
-    ws: Option<&BccWorkspace>,
-) -> EulerTour {
-    let num_arcs = keys.len();
+    par_radix_sort_u64_ws(pool, &mut keys, ws);
 
     // next_around: successor within the source's circular arc list.
     // Position j links to j+1 unless j+1 starts a new source group, in
     // which case it wraps to its own group's start.
-    let mut next_around = alloc_filled(ws, num_arcs, NIL);
+    let mut next_around = ws.take_filled(num_arcs, NIL);
     {
         // group_start[j] = index of the first position of j's group —
         // computable per position by binary search on the packed key's
@@ -241,7 +186,7 @@ fn tour_from_keys(
     }
 
     // Tour successor: succ[a] = next arc around dst(a) after twin(a).
-    let mut succ = alloc_filled(ws, num_arcs, NIL);
+    let mut succ = ws.take_filled(num_arcs, NIL);
     {
         let succ_s = SharedSlice::new(&mut succ);
         let na: &[u32] = &next_around;
@@ -275,17 +220,10 @@ fn tour_from_keys(
     }
 
     // Rank the successor list.
-    let pos = match (ranker, ws) {
-        (Ranker::Sequential, None) => list_rank_seq(&succ, start),
-        (Ranker::Sequential, Some(ws)) => list_rank_seq_ws(&succ, start, ws),
-        (Ranker::Wyllie, None) => list_rank_wyllie(pool, &succ, start),
-        (Ranker::Wyllie, Some(ws)) => list_rank_wyllie_ws(pool, &succ, start, ws),
-        (Ranker::HelmanJaja, None) => list_rank_hj(pool, &succ, start),
-        (Ranker::HelmanJaja, Some(ws)) => list_rank_hj_ws(pool, &succ, start, ws),
-    };
+    let pos = ranker.rank(pool, &succ, start, ws);
 
     // Inverse permutation.
-    let mut order = alloc_filled(ws, num_arcs, NIL);
+    let mut order = ws.take_filled(num_arcs, NIL);
     {
         let order_s = SharedSlice::new(&mut order);
         let pos_ro: &[u32] = &pos;
@@ -296,9 +234,9 @@ fn tour_from_keys(
         });
     }
 
-    give_opt(ws, keys);
-    give_opt(ws, next_around);
-    give_opt(ws, succ);
+    ws.give(keys);
+    ws.give(next_around);
+    ws.give(succ);
 
     EulerTour {
         n,
@@ -413,29 +351,6 @@ mod tests {
         // The tour structure (succ list) is identical, so positions are too.
         assert_eq!(seq.pos, wy.pos);
         assert_eq!(seq.pos, hj.pos);
-    }
-
-    #[test]
-    fn sample_sort_fallback_produces_valid_tours() {
-        // Drive the fallback key construction directly (it is only
-        // reachable organically past the u32 arc-packing range).
-        for seed in 0..3u64 {
-            let g = gen::random_tree(500, seed);
-            for p in [1, 4] {
-                let pool = Pool::new(p);
-                let keys = pack_adjacency_sample(&pool, g.edges());
-                let tour = tour_from_keys(
-                    &pool,
-                    g.n(),
-                    tree_edges(&g),
-                    3,
-                    Ranker::HelmanJaja,
-                    keys,
-                    None,
-                );
-                assert_valid_tour(&tour, 3);
-            }
-        }
     }
 
     #[test]

@@ -14,7 +14,6 @@
 use crate::tour::EulerTour;
 use crate::twin;
 use bcc_smp::atomic::as_atomic_u32;
-use bcc_smp::workspace::{alloc_cap, alloc_filled, give_opt};
 use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
 use std::sync::atomic::Ordering;
 
@@ -69,7 +68,7 @@ impl TreeInfo {
 
 /// Derives rooting, preorder, subtree sizes, and depths from `tour`.
 pub fn tree_computations(pool: &Pool, tour: &EulerTour, root: u32) -> TreeInfo {
-    tree_computations_impl(pool, tour, root, None)
+    tree_computations_ws(pool, tour, root, &BccWorkspace::new())
 }
 
 /// [`tree_computations`] with all scratch and the result arrays taken
@@ -79,15 +78,6 @@ pub fn tree_computations_ws(
     tour: &EulerTour,
     root: u32,
     ws: &BccWorkspace,
-) -> TreeInfo {
-    tree_computations_impl(pool, tour, root, Some(ws))
-}
-
-fn tree_computations_impl(
-    pool: &Pool,
-    tour: &EulerTour,
-    root: u32,
-    ws: Option<&BccWorkspace>,
 ) -> TreeInfo {
     let n = tour.n as usize;
     let num_arcs = tour.num_arcs();
@@ -106,9 +96,9 @@ fn tree_computations_impl(
     }
 
     // Rooting: the earlier arc of each twin pair points parent → child.
-    let mut parent = alloc_filled(ws, n, NIL);
-    let mut parent_edge = alloc_filled(ws, n, NIL);
-    let mut adv_arc = alloc_filled(ws, n, NIL); // v's advance arc
+    let mut parent = ws.take_filled(n, NIL);
+    let mut parent_edge = ws.take_filled(n, NIL);
+    let mut adv_arc = ws.take_filled(n, NIL); // v's advance arc
     {
         let par_s = SharedSlice::new(&mut parent);
         let pe_s = SharedSlice::new(&mut parent_edge);
@@ -138,8 +128,8 @@ fn tree_computations_impl(
 
     // Advance flags in tour order, scanned inclusively: S[j] = number of
     // advance arcs at positions <= j.
-    let mut adv_scan = alloc_filled(ws, num_arcs, 0u32);
-    let mut depth_scan = alloc_filled(ws, num_arcs, 0i32);
+    let mut adv_scan = ws.take_filled(num_arcs, 0u32);
+    let mut depth_scan = ws.take_filled(num_arcs, 0i32);
     {
         let as_s = SharedSlice::new(&mut adv_scan);
         let ds_s = SharedSlice::new(&mut depth_scan);
@@ -154,21 +144,13 @@ fn tree_computations_impl(
             }
         });
     }
-    match ws {
-        Some(ws) => {
-            bcc_primitives::scan::inclusive_scan_par_ws(pool, &mut adv_scan, ws);
-            bcc_primitives::scan::inclusive_scan_par_ws(pool, &mut depth_scan, ws);
-        }
-        None => {
-            bcc_primitives::scan::inclusive_scan_par(pool, &mut adv_scan);
-            bcc_primitives::scan::inclusive_scan_par(pool, &mut depth_scan);
-        }
-    }
+    bcc_primitives::scan::inclusive_scan_par_ws(pool, &mut adv_scan, ws);
+    bcc_primitives::scan::inclusive_scan_par_ws(pool, &mut depth_scan, ws);
 
     // Per-vertex quantities.
-    let mut preorder = alloc_filled(ws, n, 0u32);
-    let mut size = alloc_filled(ws, n, 0u32);
-    let mut depth = alloc_filled(ws, n, 0u32);
+    let mut preorder = ws.take_filled(n, 0u32);
+    let mut size = ws.take_filled(n, 0u32);
+    let mut depth = ws.take_filled(n, 0u32);
     {
         let pre_s = SharedSlice::new(&mut preorder);
         let size_s = SharedSlice::new(&mut size);
@@ -200,7 +182,7 @@ fn tree_computations_impl(
     }
 
     // Inverse preorder permutation.
-    let mut vertex_at_preorder = alloc_filled(ws, n, 0u32);
+    let mut vertex_at_preorder = ws.take_filled(n, 0u32);
     {
         let inv_s = SharedSlice::new(&mut vertex_at_preorder);
         let pre_ro: &[u32] = &preorder;
@@ -211,9 +193,9 @@ fn tree_computations_impl(
         });
     }
 
-    give_opt(ws, adv_arc);
-    give_opt(ws, adv_scan);
-    give_opt(ws, depth_scan);
+    ws.give(adv_arc);
+    ws.give(adv_scan);
+    ws.give(depth_scan);
 
     TreeInfo {
         root,
@@ -247,7 +229,7 @@ fn tree_computations_impl(
 /// `parent_edge` is filled with `NIL` — the tail kernels never read
 /// it, and the skeleton path has no per-tree-edge numbering.
 pub fn bfs_tree_info(pool: &Pool, parent: &[u32], level: &[u32], root: u32) -> TreeInfo {
-    bfs_tree_info_impl(pool, parent, level, root, None)
+    bfs_tree_info_ws(pool, parent, level, root, &BccWorkspace::new())
 }
 
 /// [`bfs_tree_info`] with all scratch and the result arrays taken from
@@ -258,16 +240,6 @@ pub fn bfs_tree_info_ws(
     level: &[u32],
     root: u32,
     ws: &BccWorkspace,
-) -> TreeInfo {
-    bfs_tree_info_impl(pool, parent, level, root, Some(ws))
-}
-
-fn bfs_tree_info_impl(
-    pool: &Pool,
-    parent: &[u32],
-    level: &[u32],
-    root: u32,
-    ws: Option<&BccWorkspace>,
 ) -> TreeInfo {
     let n = parent.len();
     debug_assert_eq!(level.len(), n);
@@ -287,9 +259,9 @@ fn bfs_tree_info_impl(
 
     // Owned copies of the inputs (TreeInfo owns its arrays) plus the
     // inert parent_edge.
-    let mut parent_c = alloc_filled(ws, n, 0u32);
-    let mut depth = alloc_filled(ws, n, 0u32);
-    let parent_edge = alloc_filled(ws, n, NIL);
+    let mut parent_c = ws.take_filled(n, 0u32);
+    let mut depth = ws.take_filled(n, 0u32);
+    let parent_edge = ws.take_filled(n, NIL);
     {
         let par_s = SharedSlice::new(&mut parent_c);
         let dep_s = SharedSlice::new(&mut depth);
@@ -306,29 +278,29 @@ fn bfs_tree_info_impl(
     // Bucket vertices by level (counting sort, the low/high sweep's
     // idiom) so each level is a contiguous slice.
     let max_depth = level.iter().copied().max().unwrap_or(0) as usize;
-    let mut bucket_of = alloc_filled(ws, max_depth + 2, 0u32);
+    let mut bucket_of = ws.take_filled(max_depth + 2, 0u32);
     for &d in level {
         bucket_of[d as usize + 1] += 1;
     }
     for d in 0..=max_depth {
         bucket_of[d + 1] += bucket_of[d];
     }
-    let mut by_level = alloc_filled(ws, n, 0u32);
+    let mut by_level = ws.take_filled(n, 0u32);
     {
-        let mut cursor: Vec<u32> = alloc_cap(ws, bucket_of.len());
+        let mut cursor: Vec<u32> = ws.take(bucket_of.len());
         cursor.extend_from_slice(&bucket_of);
         for v in 0..n as u32 {
             let d = level[v as usize] as usize;
             by_level[cursor[d] as usize] = v;
             cursor[d] += 1;
         }
-        give_opt(ws, cursor);
+        ws.give(cursor);
     }
 
     // Children CSR: counts by atomic increment, offsets by scan, then a
     // racy scatter (sibling order is whatever the scatter produced —
     // any order yields a valid preorder).
-    let mut child_off = alloc_filled(ws, n + 1, 0u32);
+    let mut child_off = ws.take_filled(n + 1, 0u32);
     {
         let cnt = as_atomic_u32(&mut child_off[1..]);
         pool.run(|ctx| {
@@ -339,13 +311,10 @@ fn bfs_tree_info_impl(
             }
         });
     }
-    match ws {
-        Some(ws) => bcc_primitives::scan::inclusive_scan_par_ws(pool, &mut child_off, ws),
-        None => bcc_primitives::scan::inclusive_scan_par(pool, &mut child_off),
-    }
-    let mut children = alloc_filled(ws, n - 1, 0u32);
+    bcc_primitives::scan::inclusive_scan_par_ws(pool, &mut child_off, ws);
+    let mut children = ws.take_filled(n - 1, 0u32);
     {
-        let mut cursor: Vec<u32> = alloc_cap(ws, n);
+        let mut cursor: Vec<u32> = ws.take(n);
         cursor.extend_from_slice(&child_off[..n]);
         let cur = as_atomic_u32(&mut cursor);
         let ch_s = SharedSlice::new(&mut children);
@@ -357,13 +326,13 @@ fn bfs_tree_info_impl(
                 }
             }
         });
-        give_opt(ws, cursor);
+        ws.give(cursor);
     }
 
     // Subtree sizes bottom-up: one parallel round per level, deepest
     // first. A vertex at level d reads only children (level d + 1),
     // already final — no atomics.
-    let mut size = alloc_filled(ws, n, 1u32);
+    let mut size = ws.take_filled(n, 1u32);
     {
         let size_s = SharedSlice::new(&mut size);
         let children_ro: &[u32] = &children;
@@ -387,7 +356,7 @@ fn bfs_tree_info_impl(
     // Preorder top-down: each vertex hands its children disjoint
     // subranges of its own interval (serial per parent; parents of one
     // level run in parallel).
-    let mut preorder = alloc_filled(ws, n, 0u32);
+    let mut preorder = ws.take_filled(n, 0u32);
     {
         let pre_s = SharedSlice::new(&mut preorder);
         let children_ro: &[u32] = &children;
@@ -409,7 +378,7 @@ fn bfs_tree_info_impl(
     }
 
     // Inverse preorder permutation.
-    let mut vertex_at_preorder = alloc_filled(ws, n, 0u32);
+    let mut vertex_at_preorder = ws.take_filled(n, 0u32);
     {
         let inv_s = SharedSlice::new(&mut vertex_at_preorder);
         let pre_ro: &[u32] = &preorder;
@@ -420,10 +389,10 @@ fn bfs_tree_info_impl(
         });
     }
 
-    give_opt(ws, bucket_of);
-    give_opt(ws, by_level);
-    give_opt(ws, child_off);
-    give_opt(ws, children);
+    ws.give(bucket_of);
+    ws.give(by_level);
+    ws.give(child_off);
+    ws.give(children);
 
     TreeInfo {
         root,

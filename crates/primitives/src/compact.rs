@@ -76,7 +76,8 @@ where
 }
 
 /// Returns the elements `a[i]` for which `keep(i, a[i])` is true, in
-/// order, using the parallel flag+popcount → scatter pipeline.
+/// order, using the parallel flag+popcount → scatter pipeline (scratch
+/// from a fresh arena; see [`compact_with_ws`]).
 ///
 /// ```
 /// use bcc_primitives::compact::compact_with;
@@ -87,22 +88,10 @@ where
 /// ```
 pub fn compact_with<T, F>(pool: &Pool, a: &[T], keep: F) -> Vec<T>
 where
-    T: Copy + Send + Sync,
+    T: Copy + Send + Sync + 'static,
     F: Fn(usize, &T) -> bool + Sync,
 {
-    let n = a.len();
-    if n == 0 {
-        return vec![];
-    }
-    let flags = Bitmap::new(n);
-    let mut counts = vec![0u64; pool.threads() + 1];
-    flag_and_count(pool, n, &flags, &mut counts, |i| keep(i, &a[i]));
-    let total = counts[pool.threads()] as usize;
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    if total > 0 {
-        scatter(pool, n, &flags, &counts, &mut out, |i| a[i]);
-    }
-    out
+    compact_with_ws(pool, a, keep, &BccWorkspace::new())
 }
 
 /// [`compact_with`] with every buffer drawn from `ws`: the bitmap lines
@@ -114,40 +103,16 @@ where
     T: Copy + Send + Sync + 'static,
     F: Fn(usize, &T) -> bool + Sync,
 {
-    let n = a.len();
-    if n == 0 {
-        return ws.take(0);
-    }
-    let flags = Bitmap::new_in(n, ws);
-    let mut counts: Vec<u64> = ws.take_filled(pool.threads() + 1, 0);
-    flag_and_count(pool, n, &flags, &mut counts, |i| keep(i, &a[i]));
-    let total = counts[pool.threads()] as usize;
-    let mut out: Vec<T> = ws.take(total);
-    if total > 0 {
-        scatter(pool, n, &flags, &counts, &mut out, |i| a[i]);
-    }
-    flags.recycle(ws);
-    ws.give(counts);
-    out
+    compact_by(pool, a.len(), |i| keep(i, &a[i]), |i| a[i], ws)
 }
 
-/// Returns the *indices* `i` with `flag(i)` true, in ascending order.
+/// Returns the *indices* `i` with `flag(i)` true, in ascending order
+/// (scratch from a fresh arena; see [`compact_indices_ws`]).
 pub fn compact_indices<F>(pool: &Pool, n: usize, flag: F) -> Vec<u32>
 where
     F: Fn(usize) -> bool + Sync,
 {
-    if n == 0 {
-        return vec![];
-    }
-    let flags = Bitmap::new(n);
-    let mut counts = vec![0u64; pool.threads() + 1];
-    flag_and_count(pool, n, &flags, &mut counts, &flag);
-    let total = counts[pool.threads()] as usize;
-    let mut out: Vec<u32> = Vec::with_capacity(total);
-    if total > 0 {
-        scatter(pool, n, &flags, &counts, &mut out, |i| i as u32);
-    }
-    out
+    compact_indices_ws(pool, n, flag, &BccWorkspace::new())
 }
 
 /// [`compact_indices`] with scratch and output drawn from `ws` (the
@@ -156,16 +121,27 @@ pub fn compact_indices_ws<F>(pool: &Pool, n: usize, flag: F, ws: &BccWorkspace) 
 where
     F: Fn(usize) -> bool + Sync,
 {
+    compact_by(pool, n, flag, |i| i as u32, ws)
+}
+
+/// The one compaction body: flag+count, then scatter `emit(i)` for
+/// every kept `i`, with bitmap, counts and output drawn from `ws`.
+fn compact_by<T, F, G>(pool: &Pool, n: usize, keep: F, emit: G, ws: &BccWorkspace) -> Vec<T>
+where
+    T: Copy + Send + Sync + 'static,
+    F: Fn(usize) -> bool + Sync,
+    G: Fn(usize) -> T + Sync,
+{
     if n == 0 {
         return ws.take(0);
     }
     let flags = Bitmap::new_in(n, ws);
     let mut counts: Vec<u64> = ws.take_filled(pool.threads() + 1, 0);
-    flag_and_count(pool, n, &flags, &mut counts, &flag);
+    flag_and_count(pool, n, &flags, &mut counts, keep);
     let total = counts[pool.threads()] as usize;
-    let mut out: Vec<u32> = ws.take(total);
+    let mut out: Vec<T> = ws.take(total);
     if total > 0 {
-        scatter(pool, n, &flags, &counts, &mut out, |i| i as u32);
+        scatter(pool, n, &flags, &counts, &mut out, emit);
     }
     flags.recycle(ws);
     ws.give(counts);

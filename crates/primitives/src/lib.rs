@@ -9,14 +9,16 @@
 //! |-----------|--------|---------------|
 //! | prefix sum | [`scan`] | Helman–JáJá block scan: local sums → p-scan → rescan |
 //! | pointer jumping / list ranking | [`list_rank`] | Wyllie's jumping **and** Helman–JáJá sampled sublists |
-//! | sorting | [`sort`] | Helman–JáJá parallel sample sort, plus LSD radix sort |
+//! | sorting | [`sort`] | LSD radix sort on packed `u64` keys |
 //! | compaction | [`compact`] | scan-based stream compaction |
 //! | reductions | [`reduce`] | block-parallel sum/min/max |
 //!
 //! Every primitive takes a [`bcc_smp::Pool`] and works for any thread
 //! count `p >= 1`; the `p = 1` path degenerates to the straightforward
 //! sequential loop (so parallel overheads are purely algorithmic, as the
-//! paper's analysis assumes).
+//! paper's analysis assumes). Each kernel has one body, its `_ws` form,
+//! which draws every buffer from a [`bcc_smp::BccWorkspace`]; the plain
+//! name is a wrapper passing a fresh arena.
 
 pub mod compact;
 pub mod kernels;
@@ -37,7 +39,4 @@ pub use scan::{
     exclusive_scan_par, exclusive_scan_par_ws, exclusive_scan_seq, inclusive_scan_par,
     inclusive_scan_par_ws, inclusive_scan_seq,
 };
-pub use sort::{
-    par_radix_sort_u64, par_radix_sort_u64_ws, par_sample_sort, par_sample_sort_by_key,
-    par_sample_sort_by_key_ws,
-};
+pub use sort::{par_radix_sort_u64, par_radix_sort_u64_ws};

@@ -18,25 +18,20 @@
 //!   parallel, a p-sized chain of sublist lengths is scanned by thread 0,
 //!   and a second sweep adds offsets.
 
-use bcc_smp::workspace::{alloc_cap, alloc_filled, give_opt};
 use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
 
 /// Sequential list ranking. `succ[i]` is the successor of node `i`
 /// (`NIL` terminates). Every node must be on the single list starting at
 /// `head`. Returns `rank` with `rank[head] == 0`.
 pub fn list_rank_seq(succ: &[u32], head: u32) -> Vec<u32> {
-    list_rank_seq_impl(succ, head, None)
+    list_rank_seq_ws(succ, head, &BccWorkspace::new())
 }
 
 /// [`list_rank_seq`] with the rank array taken from `ws` (the caller
 /// owns it).
 pub fn list_rank_seq_ws(succ: &[u32], head: u32, ws: &BccWorkspace) -> Vec<u32> {
-    list_rank_seq_impl(succ, head, Some(ws))
-}
-
-fn list_rank_seq_impl(succ: &[u32], head: u32, ws: Option<&BccWorkspace>) -> Vec<u32> {
     let n = succ.len();
-    let mut rank = alloc_filled(ws, n, NIL);
+    let mut rank = ws.take_filled(n, NIL);
     if n == 0 {
         return rank;
     }
@@ -65,22 +60,13 @@ fn list_rank_seq_impl(succ: &[u32], head: u32, ws: Option<&BccWorkspace>) -> Vec
 /// Synchronous PRAM semantics are emulated with double buffering and a
 /// barrier per jumping round.
 pub fn list_rank_wyllie(pool: &Pool, succ: &[u32], head: u32) -> Vec<u32> {
-    list_rank_wyllie_impl(pool, succ, head, None)
+    list_rank_wyllie_ws(pool, succ, head, &BccWorkspace::new())
 }
 
 /// [`list_rank_wyllie`] with all four jumping buffers and the returned
 /// rank array taken from `ws` (scratch is given back; the caller owns
 /// the result).
 pub fn list_rank_wyllie_ws(pool: &Pool, succ: &[u32], head: u32, ws: &BccWorkspace) -> Vec<u32> {
-    list_rank_wyllie_impl(pool, succ, head, Some(ws))
-}
-
-fn list_rank_wyllie_impl(
-    pool: &Pool,
-    succ: &[u32],
-    head: u32,
-    ws: Option<&BccWorkspace>,
-) -> Vec<u32> {
     let n = succ.len();
     if n == 0 {
         return vec![];
@@ -88,12 +74,12 @@ fn list_rank_wyllie_impl(
     debug_assert!((head as usize) < n);
 
     // dist[i] = number of hops from i to the tail; next[i] jumps ahead.
-    let mut next_a: Vec<u32> = alloc_cap(ws, n);
+    let mut next_a: Vec<u32> = ws.take(n);
     next_a.extend_from_slice(succ);
-    let mut next_b: Vec<u32> = alloc_filled(ws, n, NIL);
-    let mut dist_a: Vec<u32> = alloc_cap(ws, n);
+    let mut next_b: Vec<u32> = ws.take_filled(n, NIL);
+    let mut dist_a: Vec<u32> = ws.take(n);
     dist_a.extend(succ.iter().map(|&s| u32::from(s != NIL)));
-    let mut dist_b: Vec<u32> = alloc_filled(ws, n, 0);
+    let mut dist_b: Vec<u32> = ws.take_filled(n, 0);
 
     let rounds = usize::BITS - (n - 1).leading_zeros().min(usize::BITS - 1); // ceil(log2 n)
     for _ in 0..rounds.max(1) {
@@ -130,7 +116,7 @@ fn list_rank_wyllie_impl(
         n - 1,
         "head must reach the tail through all nodes"
     );
-    let mut rank = alloc_filled(ws, n, 0u32);
+    let mut rank = ws.take_filled(n, 0u32);
     {
         let d = SharedSlice::new(&mut dist_a);
         let r = SharedSlice::new(&mut rank);
@@ -140,10 +126,10 @@ fn list_rank_wyllie_impl(
             }
         });
     }
-    give_opt(ws, next_a);
-    give_opt(ws, next_b);
-    give_opt(ws, dist_a);
-    give_opt(ws, dist_b);
+    ws.give(next_a);
+    ws.give(next_b);
+    ws.give(dist_a);
+    ws.give(dist_b);
     rank
 }
 
@@ -164,25 +150,21 @@ fn list_rank_wyllie_impl(
 /// splitter; sublist lengths form a tiny list that thread 0 scans; a
 /// second parallel walk writes final ranks.
 pub fn list_rank_hj(pool: &Pool, succ: &[u32], head: u32) -> Vec<u32> {
-    list_rank_hj_impl(pool, succ, head, None)
+    list_rank_hj_ws(pool, succ, head, &BccWorkspace::new())
 }
 
 /// [`list_rank_hj`] with all scratch and the returned rank array taken
 /// from `ws` (scratch is given back; the caller owns the result).
 pub fn list_rank_hj_ws(pool: &Pool, succ: &[u32], head: u32, ws: &BccWorkspace) -> Vec<u32> {
-    list_rank_hj_impl(pool, succ, head, Some(ws))
-}
-
-fn list_rank_hj_impl(pool: &Pool, succ: &[u32], head: u32, ws: Option<&BccWorkspace>) -> Vec<u32> {
     let n = succ.len();
     if n == 0 {
         return vec![];
     }
     let p = pool.threads();
     if p == 1 || n < 4 * p {
-        return list_rank_seq_impl(succ, head, ws);
+        return list_rank_seq_ws(succ, head, ws);
     }
-    let mut rank = alloc_filled(ws, n, NIL);
+    let mut rank = ws.take_filled(n, NIL);
 
     // Deterministic splitter choice: head plus every stride-th node *by
     // index*. Indices are uncorrelated with list positions for the lists
@@ -190,8 +172,8 @@ fn list_rank_hj_impl(pool: &Pool, succ: &[u32], head: u32, ws: Option<&BccWorksp
     // sublist lengths as in the randomized original.
     let s = (8 * p).min(n);
     let stride = n / s;
-    let mut is_splitter = alloc_filled(ws, n, false);
-    let mut splitters: Vec<u32> = alloc_cap(ws, s + 1);
+    let mut is_splitter = ws.take_filled(n, false);
+    let mut splitters: Vec<u32> = ws.take(s + 1);
     is_splitter[head as usize] = true;
     splitters.push(head);
     for k in 0..s {
@@ -203,14 +185,14 @@ fn list_rank_hj_impl(pool: &Pool, succ: &[u32], head: u32, ws: Option<&BccWorksp
     }
     let ns = splitters.len();
     // splitter_id[v] for splitter nodes.
-    let mut splitter_id = alloc_filled(ws, n, NIL);
+    let mut splitter_id = ws.take_filled(n, NIL);
     for (j, &v) in splitters.iter().enumerate() {
         splitter_id[v as usize] = j as u32;
     }
 
     // Per-splitter: length of its sublist and the id of the next splitter.
-    let mut sub_len = alloc_filled(ws, ns, 0u32);
-    let mut next_split = alloc_filled(ws, ns, NIL);
+    let mut sub_len = ws.take_filled(ns, 0u32);
+    let mut next_split = ws.take_filled(ns, NIL);
 
     {
         let rank_s = SharedSlice::new(&mut rank);
@@ -247,7 +229,7 @@ fn list_rank_hj_impl(pool: &Pool, succ: &[u32], head: u32, ws: Option<&BccWorksp
     }
 
     // Thread 0 work (tiny, O(s)): scan the splitter chain from the head.
-    let mut offset = alloc_filled(ws, ns, NIL);
+    let mut offset = ws.take_filled(ns, NIL);
     {
         let mut j = 0u32; // head's splitter id is 0 by construction
         let mut acc = 0u32;
@@ -285,12 +267,12 @@ fn list_rank_hj_impl(pool: &Pool, succ: &[u32], head: u32, ws: Option<&BccWorksp
         });
     }
 
-    give_opt(ws, is_splitter);
-    give_opt(ws, splitters);
-    give_opt(ws, splitter_id);
-    give_opt(ws, sub_len);
-    give_opt(ws, next_split);
-    give_opt(ws, offset);
+    ws.give(is_splitter);
+    ws.give(splitters);
+    ws.give(splitter_id);
+    ws.give(sub_len);
+    ws.give(next_split);
+    ws.give(offset);
     rank
 }
 

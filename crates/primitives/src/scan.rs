@@ -137,9 +137,10 @@ pub fn exclusive_scan_seq<T: ScanElem>(a: &mut [T]) -> T {
     T::scan_block_exclusive(a, T::ZERO)
 }
 
-/// In-place parallel inclusive scan over `a` using `pool`.
-pub fn inclusive_scan_par<T: ScanElem>(pool: &Pool, a: &mut [T]) {
-    scan_par_impl(pool, a, true);
+/// In-place parallel inclusive scan over `a` using `pool`, with its
+/// scratch drawn from a fresh arena (see [`inclusive_scan_par_ws`]).
+pub fn inclusive_scan_par<T: ScanElem + 'static>(pool: &Pool, a: &mut [T]) {
+    inclusive_scan_par_ws(pool, a, &BccWorkspace::new());
 }
 
 /// In-place parallel exclusive scan over `a`; returns the total.
@@ -154,45 +155,27 @@ pub fn inclusive_scan_par<T: ScanElem>(pool: &Pool, a: &mut [T]) {
 /// assert_eq!(a, vec![0, 3, 4, 8, 9]);
 /// assert_eq!(total, 14);
 /// ```
-pub fn exclusive_scan_par<T: ScanElem>(pool: &Pool, a: &mut [T]) -> T {
-    scan_par_impl(pool, a, false)
+pub fn exclusive_scan_par<T: ScanElem + 'static>(pool: &Pool, a: &mut [T]) -> T {
+    exclusive_scan_par_ws(pool, a, &BccWorkspace::new())
 }
 
-/// [`inclusive_scan_par`] with the O(p) block-totals scratch taken from
-/// (and returned to) `ws`.
+/// In-place parallel inclusive scan with the O(p) block-totals scratch
+/// taken from (and returned to) `ws`.
 pub fn inclusive_scan_par_ws<T: ScanElem + 'static>(pool: &Pool, a: &mut [T], ws: &BccWorkspace) {
-    scan_par_ws_impl(pool, a, true, ws);
+    scan_par(pool, a, true, ws);
 }
 
-/// [`exclusive_scan_par`] with the O(p) block-totals scratch taken from
-/// (and returned to) `ws`; returns the total.
+/// In-place parallel exclusive scan with the O(p) block-totals scratch
+/// taken from (and returned to) `ws`; returns the total.
 pub fn exclusive_scan_par_ws<T: ScanElem + 'static>(
     pool: &Pool,
     a: &mut [T],
     ws: &BccWorkspace,
 ) -> T {
-    scan_par_ws_impl(pool, a, false, ws)
+    scan_par(pool, a, false, ws)
 }
 
-fn scan_seq_impl<T: ScanElem>(a: &mut [T], inclusive: bool) -> T {
-    if inclusive {
-        T::scan_block(a, T::ZERO)
-    } else {
-        T::scan_block_exclusive(a, T::ZERO)
-    }
-}
-
-fn scan_par_impl<T: ScanElem>(pool: &Pool, a: &mut [T], inclusive: bool) -> T {
-    let n = a.len();
-    let p = pool.threads();
-    if p == 1 || n < 2 * p {
-        return scan_seq_impl(a, inclusive);
-    }
-    let mut block_totals = vec![T::ZERO; p + 1];
-    scan_par_body(pool, a, inclusive, &mut block_totals)
-}
-
-fn scan_par_ws_impl<T: ScanElem + 'static>(
+fn scan_par<T: ScanElem + 'static>(
     pool: &Pool,
     a: &mut [T],
     inclusive: bool,
@@ -201,25 +184,15 @@ fn scan_par_ws_impl<T: ScanElem + 'static>(
     let n = a.len();
     let p = pool.threads();
     if p == 1 || n < 2 * p {
-        return scan_seq_impl(a, inclusive);
+        return if inclusive {
+            T::scan_block(a, T::ZERO)
+        } else {
+            T::scan_block_exclusive(a, T::ZERO)
+        };
     }
     let mut block_totals = ws.take_filled(p + 1, T::ZERO);
-    let total = scan_par_body(pool, a, inclusive, &mut block_totals);
-    ws.give(block_totals);
-    total
-}
-
-fn scan_par_body<T: ScanElem>(
-    pool: &Pool,
-    a: &mut [T],
-    inclusive: bool,
-    block_totals: &mut [T],
-) -> T {
-    let n = a.len();
-    let p = pool.threads();
-    debug_assert_eq!(block_totals.len(), p + 1);
     let a_s = SharedSlice::new(a);
-    let totals_s = SharedSlice::new(block_totals);
+    let totals_s = SharedSlice::new(&mut block_totals);
 
     pool.run(|ctx: &Ctx| {
         let r = ctx.block_range(n);
@@ -253,7 +226,9 @@ fn scan_par_body<T: ScanElem>(
         }
     });
 
-    block_totals[p]
+    let total = block_totals[p];
+    ws.give(block_totals);
+    total
 }
 
 #[cfg(test)]

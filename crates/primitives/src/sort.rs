@@ -1,180 +1,12 @@
-//! Parallel sorting: Helman–JáJá sample sort and LSD radix sort.
+//! Parallel LSD radix sort on packed `u64` keys.
 //!
-//! TV-SMP needs a sort twice: to pair anti-parallel arcs (cross pointers
-//! for the Euler tour) and to group arcs by source vertex (circular
-//! adjacency). The paper uses the Helman–JáJá sample sort; we provide it
-//! plus an LSD radix sort on packed `u64` keys, which the bench crate
-//! compares as an ablation.
+//! TV-SMP needs a sort to group arcs by source vertex (the circular
+//! adjacency list of its Euler tour). The paper uses the Helman–JáJá
+//! sample sort; the tour packs each arc as a `(source << 32) | arc` key
+//! and sorts those with this radix sort instead (EXPERIMENTS.md notes
+//! the deviation).
 
 use bcc_smp::{BccWorkspace, Ctx, Pool, SharedSlice};
-
-/// Oversampling factor for splitter selection.
-const OVERSAMPLE: usize = 32;
-
-/// Parallel sample sort, in place, ascending by `Ord`.
-///
-/// ```
-/// use bcc_primitives::sort::par_sample_sort;
-/// use bcc_smp::Pool;
-///
-/// let mut a = vec![5u64, 2, 9, 1];
-/// par_sample_sort(&Pool::new(2), &mut a);
-/// assert_eq!(a, vec![1, 2, 5, 9]);
-/// ```
-pub fn par_sample_sort<T: Copy + Ord + Send + Sync + 'static>(pool: &Pool, a: &mut [T]) {
-    par_sample_sort_by_key(pool, a, |x| *x)
-}
-
-/// Parallel sample sort, in place, ascending by `key(x)` (stable between
-/// equal keys is *not* guaranteed).
-pub fn par_sample_sort_by_key<T, K, F>(pool: &Pool, a: &mut [T], key: F)
-where
-    T: Copy + Send + Sync + 'static,
-    K: Ord + Copy + Send + Sync,
-    F: Fn(&T) -> K + Sync,
-{
-    par_sample_sort_by_key_impl(pool, a, key, None)
-}
-
-/// [`par_sample_sort_by_key`] with the O(n) double-buffer taken from
-/// (and returned to) `ws`.
-pub fn par_sample_sort_by_key_ws<T, K, F>(pool: &Pool, a: &mut [T], key: F, ws: &BccWorkspace)
-where
-    T: Copy + Send + Sync + 'static,
-    K: Ord + Copy + Send + Sync,
-    F: Fn(&T) -> K + Sync,
-{
-    par_sample_sort_by_key_impl(pool, a, key, Some(ws))
-}
-
-fn par_sample_sort_by_key_impl<T, K, F>(pool: &Pool, a: &mut [T], key: F, ws: Option<&BccWorkspace>)
-where
-    T: Copy + Send + Sync + 'static,
-    K: Ord + Copy + Send + Sync,
-    F: Fn(&T) -> K + Sync,
-{
-    let n = a.len();
-    let p = pool.threads();
-    if p == 1 || n < 4 * p * OVERSAMPLE {
-        a.sort_unstable_by_key(|x| key(x));
-        return;
-    }
-
-    // Phase 1: local sorts + sample gathering.
-    let mut samples: Vec<K> = Vec::new();
-    {
-        let a_s = SharedSlice::new(a);
-        let per_thread: Vec<Vec<K>> = pool.run_map(|ctx: &Ctx| {
-            let r = ctx.block_range(n);
-            let block = unsafe { a_s.slice_mut(r.start, r.end) };
-            block.sort_unstable_by_key(|x| key(x));
-            // Evenly spaced samples from the sorted block.
-            let mut local = Vec::with_capacity(OVERSAMPLE);
-            if !block.is_empty() {
-                for k in 0..OVERSAMPLE {
-                    let idx = (k * block.len()) / OVERSAMPLE;
-                    local.push(key(&block[idx]));
-                }
-            }
-            local
-        });
-        for mut s in per_thread {
-            samples.append(&mut s);
-        }
-    }
-    samples.sort_unstable();
-    // p-1 splitters at regular sample positions.
-    let splitters: Vec<K> = (1..p).map(|b| samples[(b * samples.len()) / p]).collect();
-
-    // Block boundaries (same partition `block_range` used above).
-    let block_starts: Vec<usize> = (0..=p)
-        .map(|t| {
-            if t == p {
-                n
-            } else {
-                bcc_smp::pool::block_range(t, p, n).start
-            }
-        })
-        .collect();
-
-    // Phase 2: bucket b owns keys in [splitters[b-1], splitters[b]).
-    // Each bucket-thread finds its slice of every sorted block by binary
-    // search, then copies and sorts.
-    // Filled with copies of a[0] (n > 0 past the early return) so the
-    // buffer is initialized — every slot is overwritten by the scatter.
-    let mut out: Vec<T> = match ws {
-        Some(ws) => ws.take(n),
-        None => Vec::with_capacity(n),
-    };
-    out.resize(n, a[0]);
-    let mut bucket_sizes = vec![0usize; p + 1];
-    {
-        let a_ro: &[T] = a;
-        let key = &key;
-        let splitters = &splitters;
-        let block_starts = &block_starts;
-        // Pre-compute each bucket's per-block ranges and sizes.
-        let ranges: Vec<Vec<(usize, usize)>> = pool.run_map(|ctx: &Ctx| {
-            let b = ctx.tid();
-            let mut rs = Vec::with_capacity(p);
-            for j in 0..p {
-                let block = &a_ro[block_starts[j]..block_starts[j + 1]];
-                let lo = if b == 0 {
-                    0
-                } else {
-                    block.partition_point(|x| key(x) < splitters[b - 1])
-                };
-                let hi = if b == p - 1 {
-                    block.len()
-                } else {
-                    block.partition_point(|x| key(x) < splitters[b])
-                };
-                rs.push((block_starts[j] + lo, block_starts[j] + hi));
-            }
-            rs
-        });
-        for (b, rs) in ranges.iter().enumerate() {
-            bucket_sizes[b + 1] = rs.iter().map(|&(lo, hi)| hi - lo).sum();
-        }
-        for b in 0..p {
-            bucket_sizes[b + 1] += bucket_sizes[b];
-        }
-        debug_assert_eq!(bucket_sizes[p], n);
-
-        let out_s = SharedSlice::new(&mut out);
-        let bucket_sizes = &bucket_sizes;
-        let ranges = &ranges;
-        pool.run(|ctx: &Ctx| {
-            let b = ctx.tid();
-            let mut cursor = bucket_sizes[b];
-            for &(lo, hi) in &ranges[b] {
-                for (k, item) in a_ro[lo..hi].iter().enumerate() {
-                    unsafe { out_s.write(cursor + k, *item) };
-                }
-                cursor += hi - lo;
-            }
-            // The bucket is a concatenation of <= p sorted runs; a final
-            // local sort keeps the code simple (runs are nearly sorted,
-            // pdqsort handles this well).
-            let bucket = unsafe { out_s.slice_mut(bucket_sizes[b], bucket_sizes[b + 1]) };
-            bucket.sort_unstable_by_key(|x| key(x));
-        });
-    }
-
-    // Phase 3: copy back in parallel.
-    {
-        let a_s = SharedSlice::new(a);
-        let out_ro: &[T] = &out;
-        pool.run(|ctx: &Ctx| {
-            let r = ctx.block_range(n);
-            let dst = unsafe { a_s.slice_mut(r.start, r.end) };
-            dst.copy_from_slice(&out_ro[r]);
-        });
-    }
-    if let Some(ws) = ws {
-        ws.give(out);
-    }
-}
 
 /// Parallel LSD radix sort of `u64` keys (8 passes of 8 bits), stable.
 ///
@@ -182,16 +14,12 @@ where
 /// a (256 × p) exclusive scan by thread 0 in bin-major order (stability),
 /// then a scatter with per-thread cursors.
 pub fn par_radix_sort_u64(pool: &Pool, a: &mut [u64]) {
-    par_radix_sort_u64_impl(pool, a, None)
+    par_radix_sort_u64_ws(pool, a, &BccWorkspace::new())
 }
 
 /// [`par_radix_sort_u64`] with the O(n) double-buffer and O(256·p)
 /// histogram taken from (and returned to) `ws`.
 pub fn par_radix_sort_u64_ws(pool: &Pool, a: &mut [u64], ws: &BccWorkspace) {
-    par_radix_sort_u64_impl(pool, a, Some(ws))
-}
-
-fn par_radix_sort_u64_impl(pool: &Pool, a: &mut [u64], ws: Option<&BccWorkspace>) {
     let n = a.len();
     let p = pool.threads();
     if p == 1 || n < 1 << 14 {
@@ -199,10 +27,8 @@ fn par_radix_sort_u64_impl(pool: &Pool, a: &mut [u64], ws: Option<&BccWorkspace>
         return;
     }
     const BINS: usize = 256;
-    let (mut buf, mut hist): (Vec<u64>, Vec<usize>) = match ws {
-        Some(ws) => (ws.take_filled(n, 0), ws.take_filled(BINS * p, 0)),
-        None => (vec![0u64; n], vec![0usize; BINS * p]),
-    };
+    let mut buf: Vec<u64> = ws.take_filled(n, 0);
+    let mut hist: Vec<usize> = ws.take_filled(BINS * p, 0);
 
     // Skip passes whose byte is constant across the array (common when
     // keys are packed (u,v) pairs with small vertex counts).
@@ -276,10 +102,8 @@ fn par_radix_sort_u64_impl(pool: &Pool, a: &mut [u64], ws: Option<&BccWorkspace>
     if !src_is_a {
         a.copy_from_slice(&buf);
     }
-    if let Some(ws) = ws {
-        ws.give(buf);
-        ws.give(hist);
-    }
+    ws.give(buf);
+    ws.give(hist);
 }
 
 #[cfg(test)]
@@ -291,58 +115,6 @@ mod tests {
     fn random_u64s(n: usize, seed: u64, max: u64) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_range(0..max)).collect()
-    }
-
-    #[test]
-    fn sample_sort_small_and_large() {
-        for p in [1, 2, 4, 6] {
-            let pool = Pool::new(p);
-            for n in [0usize, 1, 2, 10, 1000, 20_000] {
-                let mut a = random_u64s(n, n as u64 + p as u64, u64::MAX);
-                let mut want = a.clone();
-                want.sort_unstable();
-                par_sample_sort(&pool, &mut a);
-                assert_eq!(a, want, "p={p} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn sample_sort_many_duplicates() {
-        let pool = Pool::new(4);
-        let mut a = random_u64s(50_000, 99, 8); // only 8 distinct keys
-        let mut want = a.clone();
-        want.sort_unstable();
-        par_sample_sort(&pool, &mut a);
-        assert_eq!(a, want);
-    }
-
-    #[test]
-    fn sample_sort_already_sorted_and_reversed() {
-        let pool = Pool::new(4);
-        let mut asc: Vec<u64> = (0..30_000).collect();
-        let want = asc.clone();
-        par_sample_sort(&pool, &mut asc);
-        assert_eq!(asc, want);
-
-        let mut desc: Vec<u64> = (0..30_000).rev().collect();
-        par_sample_sort(&pool, &mut desc);
-        assert_eq!(desc, want);
-    }
-
-    #[test]
-    fn sample_sort_by_key_orders_pairs() {
-        let pool = Pool::new(3);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut pairs: Vec<(u32, u32)> = (0..25_000).map(|i| (rng.gen_range(0..1000), i)).collect();
-        par_sample_sort_by_key(&pool, &mut pairs, |&(k, _)| k);
-        for w in pairs.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-        }
-        // All payloads still present exactly once.
-        let mut payloads: Vec<u32> = pairs.iter().map(|&(_, v)| v).collect();
-        payloads.sort_unstable();
-        assert!(payloads.iter().enumerate().all(|(i, &v)| v == i as u32));
     }
 
     #[test]
@@ -371,17 +143,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
-        #[test]
-        fn sample_sort_equals_std(v in proptest::collection::vec(any::<u64>(), 0..4000),
-                                  p in 1usize..5) {
-            let pool = Pool::new(p);
-            let mut a = v.clone();
-            let mut want = v;
-            want.sort_unstable();
-            par_sample_sort(&pool, &mut a);
-            prop_assert_eq!(a, want);
-        }
-
         #[test]
         fn radix_sort_equals_std(v in proptest::collection::vec(any::<u64>(), 0..4000),
                                  p in 1usize..5) {

@@ -204,22 +204,18 @@ impl BiconnectivityIndex {
     /// (TV-filter) into its own [`ComponentIndex`]. Works for any
     /// input — disconnected graphs and isolated vertices included.
     pub fn from_graph(pool: &Pool, g: &Graph) -> Result<Self, BccError> {
-        Self::from_graph_ws(pool, g, &Arc::new(BccWorkspace::new()))
+        Self::from_graph_with(pool, g, Algorithm::TvFilter, &Arc::new(BccWorkspace::new()))
     }
 
-    /// [`from_graph`](Self::from_graph) drawing the pipeline's scratch
-    /// from `ws`. Long-lived callers that rebuild repeatedly (the
-    /// epoch store) pass one workspace across rebuilds so steady-state
-    /// reconstruction performs near-zero heap allocation.
-    pub fn from_graph_ws(pool: &Pool, g: &Graph, ws: &Arc<BccWorkspace>) -> Result<Self, BccError> {
-        Self::from_graph_with(pool, g, Algorithm::TvFilter, ws)
-    }
-
-    /// [`from_graph_ws`](Self::from_graph_ws) with an explicit labeling
-    /// [`Algorithm`] for the per-component pipelines (all algorithms
-    /// produce identical canonical labels; they differ in speed and
-    /// auxiliary space — [`Algorithm::FastBcc`] keeps the build's
-    /// footprint O(n) beyond the input and the index itself).
+    /// [`from_graph`](Self::from_graph) with an explicit labeling
+    /// [`Algorithm`] for the per-component pipelines, drawing their
+    /// scratch from `ws` (all algorithms produce identical canonical
+    /// labels; they differ in speed and auxiliary space —
+    /// [`Algorithm::FastBcc`] keeps the build's footprint O(n) beyond
+    /// the input and the index itself). Long-lived callers that rebuild
+    /// repeatedly (the epoch store) pass one workspace across rebuilds
+    /// so steady-state reconstruction performs near-zero heap
+    /// allocation.
     pub fn from_graph_with(
         pool: &Pool,
         g: &Graph,

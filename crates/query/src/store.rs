@@ -235,9 +235,10 @@ impl Txn<'_> {
     /// Applies the staged updates and publishes the next epoch,
     /// rebuilding only the touched components; returns the new
     /// snapshot. An empty transaction is a no-op returning the current
-    /// snapshot. On a rebuild error the previous epoch stays published
-    /// and nothing is lost — the failed batch was owned by this
-    /// (consumed) transaction.
+    /// snapshot. On an error — a rebuild failure, or
+    /// [`BccError::ReservedVertex`] for an insert naming `u32::MAX` —
+    /// the previous epoch stays published and nothing is lost: the
+    /// failed batch was owned by this (consumed) transaction.
     pub fn commit(self) -> Result<Arc<Snapshot>, BccError> {
         self.store.commit_updates(&self.updates, false)
     }
@@ -396,10 +397,14 @@ impl IndexStore {
                 }
             }
         }
+        // A net insert naming the reserved id `u32::MAX` is refused
+        // here, before anything is built: the previous epoch stays
+        // published and the store keeps committing.
         let mut new_n = old_n;
         for (&key, &is_insert) in &ops {
             if is_insert {
-                new_n = new_n.max(((key >> 32) as u32).max(key as u32) + 1);
+                let hi = ((key >> 32) as u32).max(key as u32);
+                new_n = new_n.max(hi.checked_add(1).ok_or(BccError::ReservedVertex(hi))?);
             }
         }
 
@@ -599,6 +604,24 @@ mod tests {
     use super::*;
     use crate::index::Failure;
     use bcc_graph::gen;
+
+    #[test]
+    fn reserved_vertex_id_is_a_typed_error_and_the_store_keeps_committing() {
+        let store = IndexStore::new(Pool::new(2), gen::cycle(6)).unwrap();
+        let mut txn = store.begin();
+        txn.insert(0, u32::MAX);
+        assert_eq!(txn.commit().err(), Some(BccError::ReservedVertex(u32::MAX)));
+        assert_eq!(
+            store.latest_epoch(),
+            0,
+            "the failed batch published nothing"
+        );
+        let mut txn = store.begin();
+        txn.insert(0, 6);
+        let snap = txn.commit().unwrap();
+        assert_eq!((snap.epoch, snap.graph.n()), (1, 7));
+        assert_eq!(snap.index.num_bridges(), 1);
+    }
 
     #[test]
     fn fast_bcc_store_matches_default_across_commits() {

@@ -44,6 +44,11 @@ use std::time::{Duration, Instant};
 /// flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
+/// Longest a frame may take to arrive once its first byte has: a peer
+/// that trickles a frame slower than this is dropped as truncated, so
+/// it cannot pin its connection thread and payload buffer.
+const FRAME_DEADLINE: Duration = Duration::from_secs(2);
+
 /// Encodes `resp` as one `[len][payload]` buffer and writes it in a
 /// single `write_all` under the connection's write lock.
 fn send_response(stream: &Mutex<TcpStream>, resp: &Response) {
@@ -92,7 +97,16 @@ impl NetFrontend {
                             let stop = Arc::clone(&stop);
                             let handle =
                                 std::thread::spawn(move || connection_loop(stream, &daemon, &stop));
-                            connections.lock().unwrap().push(handle);
+                            let mut held =
+                                connections.lock().expect("connection list lock poisoned");
+                            // Join the connections that have hung up, so
+                            // only live ones keep a handle and a stack.
+                            let (done, live) = held.drain(..).partition(|h| h.is_finished());
+                            *held = live;
+                            for h in done {
+                                let _ = h.join();
+                            }
+                            held.push(handle);
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(5));
@@ -211,14 +225,17 @@ fn is_timeout(e: &io::Error) -> bool {
 /// timeout re-checks `stop`. Once it holds, a read between frames ends
 /// the stream cleanly (`Ok(None)`) and a half-read frame is abandoned
 /// as truncated, so a peer that stalls mid-frame cannot hold up
-/// shutdown. Until then mid-frame timeouts keep waiting: abandoning a
-/// half-read frame would desynchronize the stream of a slow peer.
+/// shutdown. A frame still incomplete [`FRAME_DEADLINE`] after its
+/// first byte is abandoned as truncated too. Short of that deadline a
+/// slow peer is waited for: an abandoned frame desynchronizes the
+/// stream, so the caller drops the peer.
 fn read_frame_polling(
     r: &mut TcpStream,
     stop: impl Fn() -> bool,
 ) -> Result<Option<Vec<u8>>, WireError> {
     let mut header = [0u8; 4];
-    match fill_polling(r, &mut header, &stop)? {
+    let mut started = None;
+    match fill_polling(r, &mut header, &stop, &mut started)? {
         0 => return Ok(None),
         4 => {}
         _ => return Err(WireError::TruncatedFrame),
@@ -228,18 +245,22 @@ fn read_frame_polling(
         return Err(WireError::Oversized { len });
     }
     let mut payload = vec![0u8; len as usize];
-    if fill_polling(r, &mut payload, &stop)? < payload.len() {
+    if fill_polling(r, &mut payload, &stop, &mut started)? < payload.len() {
         return Err(WireError::TruncatedFrame);
     }
     Ok(Some(payload))
 }
 
-/// Reads into `buf` until it is full, the peer hangs up, or a timeout
-/// finds `stop` set; returns how many bytes arrived.
+/// Reads into `buf` until it is full, the peer hangs up, a timeout
+/// finds `stop` set, or the frame outlives [`FRAME_DEADLINE`]; returns
+/// how many bytes arrived. `started` is when the frame's first byte
+/// arrived: one clock read per frame, plus one per read that leaves
+/// the frame still incomplete.
 fn fill_polling(
     r: &mut TcpStream,
     buf: &mut [u8],
     stop: &impl Fn() -> bool,
+    started: &mut Option<Instant>,
 ) -> Result<usize, WireError> {
     let mut filled = 0;
     while filled < buf.len() {
@@ -253,6 +274,11 @@ fn fill_polling(
                 }
             }
             Err(e) => return Err(WireError::Io(e)),
+        }
+        match *started {
+            None if filled > 0 => *started = Some(Instant::now()),
+            Some(t) if filled < buf.len() && t.elapsed() > FRAME_DEADLINE => break,
+            _ => {}
         }
     }
     Ok(filled)
@@ -589,6 +615,81 @@ mod tests {
         // The server hangs up after a protocol violation.
         assert_eq!(wire::read_response(&mut stream).unwrap(), None);
         frontend.shutdown();
+    }
+
+    fn connected_0_1(id: u64) -> Request {
+        Request::Query {
+            id,
+            query: Query::Connected(0, 1),
+        }
+    }
+
+    #[test]
+    fn exited_connection_threads_are_joined_as_new_peers_arrive() {
+        let frontend = serve_grid(1);
+        for id in 0..200 {
+            let mut client = NetClient::connect(frontend.local_addr()).unwrap();
+            assert_eq!(
+                client.call(&connected_0_1(id)).unwrap(),
+                Response::Answer {
+                    id,
+                    answer: Answer::Bool(true)
+                }
+            );
+        }
+        let held = frontend.connections.lock().unwrap().len();
+        assert!(
+            held < 20,
+            "{held} handles held after 200 closed connections"
+        );
+        assert_eq!(frontend.shutdown().answered, 200);
+    }
+
+    #[test]
+    fn a_trickling_peer_is_dropped_while_others_keep_being_served() {
+        let frontend = serve_grid(1);
+        let t0 = Instant::now();
+        // Announce a 1000-byte frame, then send it a byte at a time
+        // every ~50 ms: it would take 50 s to arrive.
+        let mut trickler = TcpStream::connect(frontend.local_addr()).unwrap();
+        trickler.write_all(&1000u32.to_le_bytes()).unwrap();
+        trickler
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let mut client = NetClient::connect(frontend.local_addr()).unwrap();
+        let mut answered = 0;
+        let dropped_after = loop {
+            let waited = t0.elapsed();
+            assert!(
+                waited < 3 * FRAME_DEADLINE,
+                "trickling peer still connected after {waited:?}"
+            );
+            let _ = trickler.write_all(&[0]);
+            match trickler.read(&mut [0u8; 1]) {
+                Ok(0) => break waited,
+                Ok(_) => panic!("the server answered a partial frame"),
+                Err(e) if !is_timeout(&e) => break waited,
+                Err(_) => {}
+            }
+            // The well-behaved peer is answered all along.
+            let resp = client.call(&connected_0_1(answered)).unwrap();
+            assert_eq!(
+                resp,
+                Response::Answer {
+                    id: answered,
+                    answer: Answer::Bool(true)
+                }
+            );
+            answered += 1;
+            std::thread::sleep(Duration::from_millis(30));
+        };
+        assert!(
+            dropped_after >= FRAME_DEADLINE,
+            "dropped after {dropped_after:?}"
+        );
+        assert!(answered >= 10, "only {answered} answers while trickled");
+        drop(client);
+        assert_eq!(frontend.shutdown().answered, answered);
     }
 
     #[test]

@@ -230,7 +230,7 @@ impl Pool {
 
     /// Runs `f` per thread and collects each thread's return value,
     /// ordered by thread id. Useful for gathering per-thread partial
-    /// results (sample sort local samples, per-thread frontier buffers).
+    /// results (per-thread frontier buffers).
     pub fn run_map<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&Ctx) -> R + Sync,

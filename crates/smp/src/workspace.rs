@@ -275,46 +275,6 @@ impl WorkspaceStats {
     }
 }
 
-/// `vec![fill; len]`, arena-served when `ws` is set.
-///
-/// The pipeline threads an `Option<&BccWorkspace>` through its
-/// internals (the public API defaults to `None` = plain allocation);
-/// these free helpers keep that threading to one line per buffer.
-pub fn alloc_filled<T: Clone + Send + 'static>(
-    ws: Option<&BccWorkspace>,
-    len: usize,
-    fill: T,
-) -> Vec<T> {
-    match ws {
-        Some(ws) => ws.take_filled(len, fill),
-        None => vec![fill; len],
-    }
-}
-
-/// An empty `Vec` with `capacity >= cap`, arena-served when `ws` is
-/// set.
-pub fn alloc_cap<T: Send + 'static>(ws: Option<&BccWorkspace>, cap: usize) -> Vec<T> {
-    match ws {
-        Some(ws) => ws.take(cap),
-        None => Vec::with_capacity(cap),
-    }
-}
-
-/// `0..len as u32` collected, arena-served when `ws` is set.
-pub fn alloc_iota(ws: Option<&BccWorkspace>, len: usize) -> Vec<u32> {
-    match ws {
-        Some(ws) => ws.take_iota(len),
-        None => (0..len as u32).collect(),
-    }
-}
-
-/// Returns `v` to the arena when `ws` is set; drops it otherwise.
-pub fn give_opt<T: Send + 'static>(ws: Option<&BccWorkspace>, v: Vec<T>) {
-    if let Some(ws) = ws {
-        ws.give(v);
-    }
-}
-
 /// A counting wrapper around the system allocator, for steady-state
 /// allocation tests.
 ///

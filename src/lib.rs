@@ -6,7 +6,7 @@
 //! Multiprocessors (SMPs)* (IPDPS 2005): the sequential Tarjan baseline
 //! plus the three parallel pipelines the paper studies (TV-SMP, TV-opt,
 //! TV-filter) on top of from-scratch SMP implementations of the
-//! underlying primitives (prefix sums, list ranking, sample sort,
+//! underlying primitives (prefix sums, list ranking, radix sort,
 //! Shiloach–Vishkin connectivity, BFS and work-stealing spanning trees,
 //! Euler tours, tree computations).
 //!
