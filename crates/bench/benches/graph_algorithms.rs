@@ -29,10 +29,10 @@ fn bench_connectivity(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("work_stealing", p), &p, |b, _| {
             b.iter(|| std::hint::black_box(work_stealing_tree(&pool, &csr, 0).reached))
         });
-        group.bench_with_input(BenchmarkId::new("csr_build", p), &p, |b, _| {
-            b.iter(|| std::hint::black_box(Csr::build_par(&pool, &g).m()))
-        });
     }
+    group.bench_function("csr_build", |b| {
+        b.iter(|| std::hint::black_box(Csr::build(&g).m()))
+    });
     group.finish();
 }
 

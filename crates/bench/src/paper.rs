@@ -245,10 +245,10 @@ pub fn run_paper(preset: Preset, cfg: &PaperConfig, mut progress: impl FnMut(&st
                     black_box(awerbuch_shiloach(top, n, edges).num_components);
                 }));
                 cells.push(kernel(fields("bfs"), move || {
-                    black_box(bfs_tree_par(top, &Csr::build_par(top, g), 0).reached);
+                    black_box(bfs_tree_par(top, &Csr::build(g), 0).reached);
                 }));
                 cells.push(kernel(fields("work-stealing"), move || {
-                    black_box(work_stealing_tree(top, &Csr::build_par(top, g), 0).reached);
+                    black_box(work_stealing_tree(top, &Csr::build(g), 0).reached);
                 }));
             }
             _ => {

@@ -31,7 +31,10 @@
 //! word-at-a-time (64 vertices per load, claims cleared with one plain
 //! store per word); top-down levels pull degree-weighted chunks from a
 //! [`ChunkCounter`] so hub vertices cannot serialize a chunk behind one
-//! thread.
+//! thread. A top-down level whose frontier has fewer out-arcs than the
+//! pool grain runs on the calling thread: on a high-diameter graph
+//! (a road lattice has ~2,000 levels of a few thousand arcs each) one
+//! pool round per level would cost more than the level's work.
 
 use crate::tuning::{BfsStrategy, TraversalTuning};
 use bcc_graph::Csr;
@@ -195,11 +198,14 @@ const SWEEP_WORDS_PER_CHUNK: usize = 16;
 /// BFS tree from `root` under explicit [`TraversalTuning`].
 ///
 /// Top-down levels CAS-claim neighbors from dynamically scheduled,
-/// degree-weighted frontier chunks; bottom-up levels sweep the
-/// unvisited vertices against a frontier bitmap. With
-/// [`BfsStrategy::TopDown`] and a single thread (or a tiny graph) this
-/// falls back to [`bfs_tree_seq`]; the hybrid always runs its own loop
-/// so the direction optimization applies at every thread count.
+/// degree-weighted frontier chunks; a level whose frontier has fewer
+/// than [`GRAIN`](bcc_smp::GRAIN) out-arcs runs on the calling thread
+/// ([`Pool::run_sized`]), so a long thin stretch of levels costs no
+/// pool round per level. Bottom-up levels sweep the unvisited vertices
+/// against a frontier bitmap. With [`BfsStrategy::TopDown`] and a
+/// single thread this falls back to [`bfs_tree_seq`]; the hybrid always
+/// runs its own loop so the direction optimization applies at every
+/// thread count.
 pub fn bfs_tree(pool: &Pool, csr: &Csr, root: u32, tuning: &TraversalTuning) -> BfsTree {
     bfs_tree_ws(pool, csr, root, tuning, &BccWorkspace::new())
 }
@@ -217,7 +223,7 @@ pub fn bfs_tree_ws(
 ) -> BfsTree {
     let n = csr.n() as usize;
     let hybrid = tuning.bfs == BfsStrategy::Hybrid;
-    if n == 0 || (!hybrid && (pool.threads() == 1 || n < 1 << 12)) {
+    if n == 0 || (!hybrid && pool.threads() == 1) {
         return bfs_tree_seq_ws(csr, root, ws);
     }
     let alpha = tuning.alpha.max(1) as usize;
@@ -345,7 +351,7 @@ pub fn bfs_tree_ws(
             let work =
                 ChunkCounter::weighted(frontier.len(), EDGE_BUDGET, |i| csr.degree(frontier[i]));
             let frontier_ro: &[u32] = &frontier;
-            let parts = pool.run_map(|_ctx| {
+            let parts = pool.run_sized(frontier_arcs, |_ctx| {
                 let mut local = Vec::new();
                 let mut local_arcs = 0usize;
                 while let Some(chunk) = work.next_chunk() {

@@ -13,7 +13,7 @@
 
 use bcc_graph::Csr;
 use bcc_smp::atomic::as_atomic_u32;
-use bcc_smp::{Pool, NIL};
+use bcc_smp::{Pool, GRAIN, NIL};
 use crossbeam_deque::{Steal, Stealer, Worker};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -45,7 +45,7 @@ pub fn work_stealing_tree(pool: &Pool, csr: &Csr, root: u32) -> SpanningTree {
     }
     parent[root as usize] = root;
 
-    if p == 1 || n < 1 << 12 {
+    if p == 1 || n < GRAIN {
         // Sequential DFS traversal; same output contract.
         let mut stack = vec![root];
         let mut reached = 1u32;

@@ -48,7 +48,7 @@ pub fn double_bfs_upper_bound(pool: &Pool, g: &Graph) -> Result<u32, crate::BccE
     if m == 0 {
         return Ok(0);
     }
-    let csr = Csr::build_par(pool, g);
+    let csr = Csr::build(g);
     let bfs = bfs_tree_par(pool, &csr, 0);
     if bfs.reached != n {
         return Err(crate::BccError::Disconnected);

@@ -72,7 +72,7 @@ pub(crate) fn certificate_impl(
     // strategy: keep it out of the Spanning-tree step so the ablation
     // columns compare traversals, not CSR construction (it still counts
     // toward `total`).
-    let csr = Csr::build_par(pool, g);
+    let csr = Csr::build(g);
 
     // Step 1: BFS skeleton T.
     let root = 0u32;

@@ -38,12 +38,6 @@ impl LowHigh {
     }
 }
 
-/// Levels narrower than this are folded on the calling thread instead
-/// of paying a pool round (wake, block split, barrier). At this value
-/// the sweep beat the range table in every pipeline on both repository
-/// benchmark workloads (R-MAT and road lattice) at p = 2.
-const SERIAL_LEVEL: usize = 4096;
-
 /// Computes low/high for all vertices with the level sweep.
 ///
 /// `is_tree_edge[i]` flags the spanning-tree edges within `edges`;
@@ -120,8 +114,9 @@ pub fn compute_low_high_two_pass(
 ///
 /// Level-synchronous bottom-up aggregation: vertices are bucketed by
 /// depth; sweeping levels deepest-first, each vertex folds its value
-/// into its parent with an atomic min/max. One barrier per level of at
-/// least `SERIAL_LEVEL` vertices; narrower levels run serially.
+/// into its parent with an atomic min/max. One pool round per level of
+/// at least [`GRAIN`](bcc_smp::GRAIN) vertices; narrower levels run on
+/// the calling thread ([`Pool::run_sized`]).
 pub fn compute_low_high_ws(
     pool: &Pool,
     edges: &[Edge],
@@ -202,11 +197,9 @@ pub fn compute_low_high_ws(
         };
         for d in (1..=max_depth).rev() {
             let level = &by_level[bucket_of[d] as usize..bucket_of[d + 1] as usize];
-            if level.len() < SERIAL_LEVEL {
-                level.iter().for_each(|&v| fold(v));
-            } else {
-                pool.run(|ctx| ctx.block_range(level.len()).for_each(|k| fold(level[k])));
-            }
+            pool.run_sized(level.len(), |ctx| {
+                ctx.block_range(level.len()).for_each(|k| fold(level[k]))
+            });
         }
     }
 
@@ -222,7 +215,7 @@ mod tests {
     use bcc_connectivity::bfs::bfs_tree_seq;
     use bcc_euler::{dfs_euler_tour, tree_computations};
     use bcc_graph::{gen, Csr, Graph, GraphBuilder};
-    use bcc_smp::NIL;
+    use bcc_smp::{GRAIN, NIL};
 
     /// Builds (edges, is_tree, info) for `g` rooted at `root` using a
     /// BFS tree.
@@ -300,16 +293,16 @@ mod tests {
     #[test]
     fn fused_matches_two_pass_and_ws_rerun_is_all_hits() {
         // The small inputs fold every level serially; the n = 20k ones
-        // have BFS levels of at least SERIAL_LEVEL vertices, so the
-        // sweep's pool-parallel branch runs too.
+        // have BFS levels of at least GRAIN vertices, so the sweep's
+        // pool-parallel branch runs too.
         let small = (0..4u64).map(|seed| gen::random_connected(150, 450, seed));
         let wide = (0..3u64).map(|seed| gen::random_connected(20_000, 80_000, seed));
         for (k, g) in small.chain(wide).enumerate() {
             for p in [1, 3] {
                 let pool = Pool::new(p);
                 let (edges, is_tree, info) = setup(&g, 0, &pool);
-                if g.n() as usize > SERIAL_LEVEL {
-                    assert!(widest_level(&info) >= SERIAL_LEVEL, "input {k}");
+                if g.n() as usize > GRAIN {
+                    assert!(widest_level(&info) >= GRAIN, "input {k}");
                 }
                 let a = compute_low_high(&pool, &edges, &is_tree, &info);
                 let b = compute_low_high_two_pass(&pool, &edges, &is_tree, &info);

@@ -390,7 +390,7 @@ fn tv_opt_impl(
     // (per-thread deques, atomics) and are not arena-threaded.
     let root = 0u32;
     let st = rec.step(Step::SpanningTree, || {
-        let csr = Csr::build_par(pool, g);
+        let csr = Csr::build(g);
         work_stealing_tree(pool, &csr, root)
     });
     if st.reached != n {

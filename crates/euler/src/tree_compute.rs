@@ -219,7 +219,9 @@ pub fn tree_computations_ws(
 /// top-down one level per round. Auxiliary space is O(n) — one
 /// children-CSR plus the level buckets — versus the tour path's arc
 /// arrays and ranking scratch; rounds are O(tree depth), which is
-/// O(graph diameter) for a BFS tree.
+/// O(graph diameter) for a BFS tree, and a round over a level of
+/// fewer than [`GRAIN`](bcc_smp::GRAIN) vertices runs on the calling
+/// thread ([`Pool::run_sized`]) instead of the pool.
 ///
 /// Preconditions: `parent[root] == root`, every vertex is reached
 /// (`parent[v] != NIL`), and `level[v]` is v's BFS depth. Sibling
@@ -329,9 +331,10 @@ pub fn bfs_tree_info_ws(
         ws.give(cursor);
     }
 
-    // Subtree sizes bottom-up: one parallel round per level, deepest
-    // first. A vertex at level d reads only children (level d + 1),
-    // already final — no atomics.
+    // Subtree sizes bottom-up: one round per level, deepest first, on
+    // the pool only when the level holds at least GRAIN vertices. A
+    // vertex at level d reads only children (level d + 1), already
+    // final — no atomics.
     let mut size = ws.take_filled(n, 1u32);
     {
         let size_s = SharedSlice::new(&mut size);
@@ -339,7 +342,7 @@ pub fn bfs_tree_info_ws(
         let off_ro: &[u32] = &child_off;
         for d in (0..max_depth).rev() {
             let lvl = &by_level[bucket_of[d] as usize..bucket_of[d + 1] as usize];
-            pool.run(|ctx| {
+            pool.run_sized(lvl.len(), |ctx| {
                 for k in ctx.block_range(lvl.len()) {
                     let v = lvl[k] as usize;
                     let mut s = 1u32;
@@ -355,7 +358,7 @@ pub fn bfs_tree_info_ws(
 
     // Preorder top-down: each vertex hands its children disjoint
     // subranges of its own interval (serial per parent; parents of one
-    // level run in parallel).
+    // level run in parallel when the level holds at least GRAIN).
     let mut preorder = ws.take_filled(n, 0u32);
     {
         let pre_s = SharedSlice::new(&mut preorder);
@@ -364,7 +367,7 @@ pub fn bfs_tree_info_ws(
         let size_ro: &[u32] = &size;
         for d in 0..max_depth {
             let lvl = &by_level[bucket_of[d] as usize..bucket_of[d + 1] as usize];
-            pool.run(|ctx| {
+            pool.run_sized(lvl.len(), |ctx| {
                 for k in ctx.block_range(lvl.len()) {
                     let v = lvl[k] as usize;
                     let mut cursor = pre_s.get(v) + 1;

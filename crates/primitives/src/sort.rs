@@ -6,13 +6,15 @@
 //! and sorts those with this radix sort instead (EXPERIMENTS.md notes
 //! the deviation).
 
-use bcc_smp::{BccWorkspace, Ctx, Pool, SharedSlice};
+use bcc_smp::{BccWorkspace, Ctx, Pool, SharedSlice, GRAIN};
 
 /// Parallel LSD radix sort of `u64` keys (8 passes of 8 bits), stable.
 ///
 /// Each pass: per-thread 256-bin histograms over block-partitioned input,
 /// a (256 × p) exclusive scan by thread 0 in bin-major order (stability),
-/// then a scatter with per-thread cursors.
+/// then a scatter with per-thread cursors. At p = 1, or below [`GRAIN`]
+/// keys, the keys are sorted on the calling thread with `sort_unstable`
+/// instead.
 pub fn par_radix_sort_u64(pool: &Pool, a: &mut [u64]) {
     par_radix_sort_u64_ws(pool, a, &BccWorkspace::new())
 }
@@ -22,7 +24,7 @@ pub fn par_radix_sort_u64(pool: &Pool, a: &mut [u64]) {
 pub fn par_radix_sort_u64_ws(pool: &Pool, a: &mut [u64], ws: &BccWorkspace) {
     let n = a.len();
     let p = pool.threads();
-    if p == 1 || n < 1 << 14 {
+    if p == 1 || n < GRAIN {
         a.sort_unstable();
         return;
     }

@@ -6,7 +6,9 @@
 //! block-partitioned index ranges, separated by software barriers. This
 //! crate reproduces that model:
 //!
-//! * [`Pool`] — runs an SPMD closure on `p` threads.
+//! * [`Pool`] — runs an SPMD closure on `p` threads; a dispatch that
+//!   states less work than [`GRAIN`] runs on the calling thread instead
+//!   ([`Pool::run_sized`]).
 //! * [`Ctx`] — per-thread view (thread id, thread count, barrier,
 //!   block-partition helpers).
 //! * [`Barrier`] — a sense-reversing centralized software barrier, the
@@ -61,7 +63,7 @@ pub mod workspace;
 pub use barrier::Barrier;
 pub use bitmap::Bitmap;
 pub use dynamic::ChunkCounter;
-pub use pool::{Ctx, Pool, PoolBuilder};
+pub use pool::{Ctx, Pool, PoolBuilder, GRAIN};
 pub use queue::{MpmcQueue, PopResult, TryPushError};
 pub use shared::SharedSlice;
 pub use telemetry::{Telemetry, TelemetrySnapshot};

@@ -21,6 +21,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+/// Work below which a dispatch runs on the calling thread
+/// ([`Pool::run_sized`]): waking the workers and joining them costs
+/// more than a few thousand elements of loop body on the 2-vCPU
+/// reference host, so a narrower parallel loop loses to its serial twin.
+pub const GRAIN: usize = 4096;
+
 /// An SPMD executor with a fixed thread count.
 ///
 /// The calling thread participates as thread 0; `p - 1` persistent
@@ -245,6 +251,25 @@ impl Pool {
         out.into_iter()
             .map(|m| m.into_inner().unwrap().expect("thread produced no value"))
             .collect()
+    }
+
+    /// [`run_map`](Pool::run_map) for a dispatch that states its `work`
+    /// (the elements or arcs its loop visits). Below [`GRAIN`], `f` runs
+    /// once on the calling thread with a one-thread [`Ctx`], the way
+    /// [`run`](Pool::run) runs at p = 1, and the result has one entry.
+    /// Such a run is not a pool phase: it wakes no worker and records
+    /// nothing in the telemetry sink, so `barrier_episodes` counts only
+    /// real dispatches.
+    pub fn run_sized<F, R>(&self, work: usize, f: F) -> Vec<R>
+    where
+        F: Fn(&Ctx) -> R + Sync,
+        R: Send,
+    {
+        if work >= GRAIN {
+            return self.run_map(f);
+        }
+        let barrier = Barrier::new(1);
+        vec![f(&Ctx::new(0, 1, &barrier, None))]
     }
 
     /// Applies `f` to every item of a slice under static block
@@ -827,6 +852,54 @@ mod tests {
                 snap.barrier_episodes, 10,
                 "p={p}: each run's join is exactly one episode"
             );
+        }
+    }
+
+    #[test]
+    fn run_sized_covers_every_index_once_on_both_sides_of_the_grain() {
+        for p in [1, 2, 4] {
+            let pool = Pool::new(p);
+            for len in [0, GRAIN - 1, GRAIN, GRAIN + 1] {
+                let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let parts = pool.run_sized(len, |ctx| {
+                    for i in ctx.block_range(len) {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                    ctx.tid()
+                });
+                let want: Vec<usize> = if len < GRAIN {
+                    vec![0]
+                } else {
+                    (0..p).collect()
+                };
+                assert_eq!(parts, want, "p={p} len={len}");
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "p={p} len={len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn below_grain_run_is_not_a_pool_phase() {
+        for p in [1, 2] {
+            let sink = Arc::new(Telemetry::new(p));
+            let pool = Pool::builder()
+                .threads(p)
+                .telemetry(Arc::clone(&sink))
+                .build();
+            pool.run_sized(GRAIN - 1, |ctx| {
+                assert_eq!(ctx.threads(), 1);
+                ctx.barrier();
+            });
+            let snap = sink.snapshot();
+            assert_eq!(snap.phase_runs, 0, "p={p}");
+            assert_eq!(snap.barrier_episodes, 0, "p={p}");
+            pool.run_sized(GRAIN, |_| {});
+            let snap = sink.snapshot();
+            assert_eq!(snap.phase_runs, 1, "p={p}");
+            assert_eq!(snap.barrier_episodes, 1, "p={p}");
         }
     }
 

@@ -68,6 +68,9 @@ mod tests {
         for i in (0..v.len()).step_by(4096) {
             v[i] = 1;
         }
+        // The vector is never read: without this the optimiser drops the
+        // allocation and its writes, and the watermark never moves.
+        std::hint::black_box(&mut v);
         let after = peak_rss_bytes().expect("VmHWM present");
         assert!(
             after >= before + (24 << 20),
