@@ -133,7 +133,7 @@ pub enum CellSet {
     Grid,
     /// `bcc-bench serve`: the `bcc-serve` daemon under its workload
     /// profiles, in-process (`serve/*`) and over loopback TCP
-    /// (`serve-net/*`), swept over reader counts.
+    /// (`serve-net/*`), swept over the shard pools' thread counts.
     Serve,
     /// `bcc-bench prims`: the vectorized primitives against their
     /// frozen scalar references (see [`crate::prims`]).
@@ -479,7 +479,7 @@ struct ServeScenario {
     shed: bool,
 }
 
-/// The scenarios each reader count runs, at open-loop arrival `rate`.
+/// The scenarios each thread count runs, at open-loop arrival `rate`.
 /// In-process: the read-heavy profile under both drive modes, then the
 /// churn-heavy and adversarial hot-component profiles open-loop — the
 /// mode where queueing behind commits shows up as tail latency instead
@@ -612,7 +612,6 @@ impl Cell for ServeCell<'_> {
         let daemon = Daemon::spawn(
             Arc::clone(&self.store),
             ServeConfig::builder()
-                .readers(self.p)
                 .flush_interval(Duration::from_millis(1))
                 .admission(if sc.shed {
                     SHED_ADMISSION

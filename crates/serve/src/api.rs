@@ -128,16 +128,16 @@ impl RejectReason {
 /// without cloning.
 #[derive(Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The target queue was full (transient — retry).
+    /// An update's writer queue was full (transient — retry).
     QueueFull(Request),
     /// Admission control shed the update (writers behind — back off).
     Overloaded(Request),
     /// The daemon is shutting down (final — give up).
     ShuttingDown(Request),
-    /// An update names a vertex outside the store's universe (final —
-    /// it can never be routed). Queries are *not* range-checked at
-    /// submit; the reader answers them with a
-    /// [`RejectReason::Invalid`] response instead.
+    /// The request names a vertex outside the store's universe (final —
+    /// it can never be routed). A refused query still counts in
+    /// `ServeReport::query_errors`, and a reply sink receives its
+    /// [`RejectReason::Invalid`] response.
     Invalid(Request),
 }
 

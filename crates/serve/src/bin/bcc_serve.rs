@@ -3,8 +3,7 @@
 //! TCP socket for `bcc-serve-client` to drive.
 //!
 //! ```text
-//! bcc-serve [--n 50000] [--parts 16] [--shards 4] [--readers 2]
-//!           [--graph <path>]
+//! bcc-serve [--n 50000] [--parts 16] [--shards 4] [--graph <path>]
 //!           [--profile read-heavy|churn-heavy|hot-component|update-storm]
 //!           [--mode closed|open] [--rate 50000] [--secs 2]
 //!           [--batch 64] [--flush-ms 2] [--seed 42]
@@ -45,7 +44,6 @@ const USAGE: &str = "bcc-serve: sharded biconnectivity query daemon\n\
      --parts K      components in the instance (default 16)\n\
      --graph PATH   serve a graph file (text or .bccsr) instead\n\
      --shards S     store shards, one writer thread each (default 4)\n\
-     --readers R    reader threads (default 2)\n\
      --profile P    read-heavy | churn-heavy | hot-component | update-storm\n\
      --mode M       closed | open (default open)\n\
      --rate Q       open-loop arrivals/sec (default 50000)\n\
@@ -100,7 +98,7 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    let (mut n, mut parts, mut shards, mut readers) = (50_000u32, 16u32, 4usize, 2usize);
+    let (mut n, mut parts, mut shards) = (50_000u32, 16u32, 4usize);
     let (mut profile, mut closed, mut rate, mut secs) = (Profile::ReadHeavy, false, 50_000.0, 2.0);
     let (mut batch_max, mut flush_ms, mut seed) = (64usize, 2u64, 42u64);
     let mut admission = Admission::default();
@@ -114,7 +112,6 @@ fn main() {
                 true
             }
             "--shards" => set(&mut shards, val),
-            "--readers" => set(&mut readers, val),
             "--profile" => {
                 profile = val.parse()?;
                 true
@@ -166,10 +163,10 @@ fn main() {
         None => component_grid(n, parts, seed),
     };
     let n = g.n();
-    let pool = Pool::new(readers.max(2));
+    // Each shard commits on a dedicated pool of this many threads.
+    let pool = Pool::new(2);
     let store = Arc::new(ShardedStore::new(&pool, &g, shards).expect("seed build"));
     let config = ServeConfig::builder()
-        .readers(readers)
         .batch_max(batch_max)
         .flush_interval(Duration::from_millis(flush_ms))
         .admission(admission)
@@ -206,7 +203,7 @@ fn main() {
 
     println!(
         "instance: {}n = {n}, {parts} components, {shards} shards; \
-         {readers} readers, profile {}, mode {}",
+         profile {}, mode {}",
         graph_path
             .as_deref()
             .map(|p| format!("{p}, "))

@@ -1,13 +1,13 @@
-//! The serving daemon: reader threads over an MPMC query queue,
-//! per-shard writer threads plus a migration coordinator over the
-//! update stream, and watermark-based admission control in front of
-//! both.
+//! The serving daemon: queries answered on the thread that submits
+//! them, per-shard writer threads plus a migration coordinator over
+//! the update stream, and watermark-based admission control in front
+//! of the writers.
 //!
 //! ```text
-//!                       ┌────────────┐   answer from routed shard's
-//!  submit(Query) ───▶   │ query MPMC │ ──▶ reader 0..R ── snapshot
-//!  (drivers, TCP)       └────────────┘      │ latency + lag hists
-//!                                           ▼ reply sink (TCP path)
+//!  submit(Query) ───▶ answer on the calling thread from the routed
+//!  (drivers, TCP      shard's snapshot ─▶ latency + lag records
+//!   connection)                         └▶ reply (returned / sink)
+//!
 //!                 route   ┌─────────────┐
 //!  submit(Update) ──┬──▶  │ shard 0 MPMC│ ──▶ writer 0 ─commit─▶ shard 0
 //!    │ admission    ├──▶  │ shard 1 MPMC│ ──▶ writer 1 ─commit─▶ shard 1
@@ -17,10 +17,15 @@
 //!                         └─────────────┘     (both locks, in order)
 //! ```
 //!
-//! * **Readers** pull [`QueryJob`]s and answer each against the
-//!   current snapshot of the shard the query routes to — never
-//!   blocking on commits. Each reader owns its latency/lag histograms;
-//!   they merge into one [`ServeReport`] at shutdown.
+//! * **Queries** are answered on the thread that submits them — the
+//!   in-process caller of [`Daemon::submit`], or the TCP connection
+//!   thread that decoded the frame — against the current snapshot of
+//!   the shard the query routes to. Snapshots are lock-free, so an
+//!   answer never waits on a commit or on another thread, and one
+//!   caller's reads and writes take effect in the order it sent them:
+//!   a query sent before an update is answered before that update is
+//!   even admitted. Each answering thread keeps the latency and lag
+//!   records; they merge into one [`ServeReport`] at shutdown.
 //! * **Shard writers**: one thread per shard drains that shard's
 //!   queue with group-commit batching ([`ServeConfig::batch_max`] /
 //!   [`ServeConfig::flush_interval`]) and commits under the shard's
@@ -41,10 +46,9 @@
 //!   Sheds count into [`ServeReport::shed_updates`] and the
 //!   [`Telemetry`] sink. Queries are never shed; protecting the read
 //!   tail is the point of shedding writes.
-//! * **Shutdown** closes the query queue first (readers drain and
-//!   exit), then the shard queues (writers flush their last batches,
-//!   re-dispatching strays), then the coordinator queue — so nothing
-//!   submitted before [`Daemon::shutdown`] is lost.
+//! * **Shutdown** closes the shard queues (writers flush their last
+//!   batches, re-dispatching strays), then the coordinator queue — so
+//!   nothing admitted before [`Daemon::shutdown`] is lost.
 
 use crate::api::{RejectReason, Request, Response, SubmitError};
 use crate::hist::LatencyHistogram;
@@ -52,13 +56,9 @@ use crate::shard::{ServeError, ShardedStore};
 use bcc_query::{Answer, EdgeUpdate, Query};
 use bcc_smp::{MpmcQueue, PopResult, Telemetry, TryPushError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Capacity of the query queue: the closed-loop outstanding-request
-/// bound.
-const QUERY_CAPACITY: usize = 1024;
 
 /// Capacity of each shard's update queue and of the coordinator's.
 const UPDATE_CAPACITY: usize = 1024;
@@ -84,8 +84,6 @@ pub struct Admission {
 /// struct-update syntax but new code should prefer the builder.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Reader threads pulling from the query queue.
-    pub readers: usize,
     /// A writer commits as soon as this many updates are staged…
     pub batch_max: usize,
     /// …or as soon as the oldest staged update is this old.
@@ -101,7 +99,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            readers: 1,
             batch_max: 64,
             flush_interval: Duration::from_millis(2),
             admission: Admission::default(),
@@ -127,12 +124,6 @@ pub struct ServeConfigBuilder {
 }
 
 impl ServeConfigBuilder {
-    /// Reader threads pulling from the query queue (default 1).
-    pub fn readers(mut self, readers: usize) -> Self {
-        self.config.readers = readers;
-        self
-    }
-
     /// Group-commit batch bound (default 64).
     pub fn batch_max(mut self, batch_max: usize) -> Self {
         self.config.batch_max = batch_max;
@@ -163,38 +154,16 @@ impl ServeConfigBuilder {
     }
 }
 
-/// A query's answer (or rejection) delivered asynchronously — the TCP
-/// front-end hands one per connection-submitted query so the reader
-/// thread can write the response frame.
-pub type ReplySink = Box<dyn FnOnce(Response) + Send>;
+/// Where [`Daemon::submit_with_reply`] delivers a request's
+/// [`Response`]; it runs on the submitting thread before the call
+/// returns.
+pub type ReplySink = Box<dyn FnOnce(Response)>;
 
-/// One queued query: what to ask and when it (nominally) arrived.
-/// Open-loop drivers stamp the *scheduled* arrival time, so queueing
-/// delay counts against latency (no coordinated omission).
-pub struct QueryJob {
-    /// The query to answer.
-    pub query: Query,
-    /// Arrival instant that latency is measured from.
-    pub issued: Instant,
-    /// Correlation id echoed into the reply (0 when uncorrelated).
-    id: u64,
-    /// Where to deliver the [`Response`], if anywhere.
-    reply: Option<ReplySink>,
-}
-
-impl std::fmt::Debug for QueryJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryJob")
-            .field("query", &self.query)
-            .field("issued", &self.issued)
-            .field("id", &self.id)
-            .field("reply", &self.reply.is_some())
-            .finish()
-    }
-}
-
-/// What one reader accumulated.
-struct ReaderReport {
+/// What the threads that answer queries recorded. Each TCP connection
+/// thread keeps its own and merges it into the daemon's when the peer
+/// hangs up; in-process callers record into the daemon's directly.
+#[derive(Default)]
+pub(crate) struct AnswerLog {
     answered: u64,
     errors: u64,
     /// Answers that came back `true`/non-empty — a cheap checksum so
@@ -204,6 +173,28 @@ struct ReaderReport {
     latency: LatencyHistogram,
     lag_commits: LatencyHistogram,
     lag_wall: LatencyHistogram,
+}
+
+impl AnswerLog {
+    fn merge(&mut self, other: &AnswerLog) {
+        self.answered += other.answered;
+        self.errors += other.errors;
+        self.positive += other.positive;
+        self.latency.merge(&other.latency);
+        self.lag_commits.merge(&other.lag_commits);
+        self.lag_wall.merge(&other.lag_wall);
+    }
+}
+
+/// The response to an update whose submission returned `admitted`.
+pub(crate) fn update_response(id: u64, admitted: &Result<(), SubmitError>) -> Response {
+    match admitted {
+        Ok(()) => Response::Accepted { id },
+        Err(e) => Response::Rejected {
+            id,
+            reason: e.reason(),
+        },
+    }
 }
 
 /// What one writer (or the coordinator) accumulated.
@@ -241,13 +232,16 @@ impl WriterReport {
 /// Merged end-of-run statistics for one daemon lifetime.
 #[derive(Debug)]
 pub struct ServeReport {
-    /// Queries answered across all readers.
+    /// Queries answered, over every answering thread.
     pub answered: u64,
     /// Queries rejected (out-of-range vertices).
     pub query_errors: u64,
-    /// Answers that were `true` / non-empty (see `ReaderReport`).
+    /// Answers that were `true` / non-empty (a checksum of the query
+    /// mix).
     pub positive: u64,
-    /// Per-answer latency (ns), from `QueryJob::issued` to answered.
+    /// Per-answer latency (ns), from the query's arrival stamp (the
+    /// `issued` of [`Daemon::submit_at`]; the decode instant over TCP)
+    /// to its answer.
     pub latency: LatencyHistogram,
     /// Per-answer snapshot lag in commits behind the shard's latest
     /// epoch (histogram over answers; values are commit counts).
@@ -277,7 +271,6 @@ pub struct ServeReport {
 /// A running serving instance (see the [module docs](self)).
 pub struct Daemon {
     store: Arc<ShardedStore>,
-    queries: Arc<MpmcQueue<QueryJob>>,
     /// One update queue per shard.
     shard_queues: Vec<Arc<MpmcQueue<EdgeUpdate>>>,
     /// Updates whose endpoints route to different shards.
@@ -287,28 +280,19 @@ pub struct Daemon {
     backlog: Arc<AtomicU64>,
     shed: AtomicU64,
     telemetry: Option<Arc<Telemetry>>,
-    readers: Vec<JoinHandle<ReaderReport>>,
+    /// Answers given in process, plus those of connections that have
+    /// hung up.
+    answers: Mutex<AnswerLog>,
     writers: Vec<JoinHandle<WriterReport>>,
     coordinator_thread: JoinHandle<WriterReport>,
 }
 
 impl Daemon {
-    /// Spawns the reader pool, one writer per shard, and the migration
-    /// coordinator over `store`.
+    /// Spawns one writer per shard and the migration coordinator over
+    /// `store`.
     pub fn spawn(store: Arc<ShardedStore>, config: ServeConfig) -> Daemon {
-        assert!(config.readers >= 1, "need at least one reader");
         assert!(config.batch_max >= 1, "writer batches need at least 1");
-        let queries = Arc::new(MpmcQueue::new(QUERY_CAPACITY));
         let backlog = Arc::new(AtomicU64::new(0));
-
-        let readers = (0..config.readers)
-            .map(|_| {
-                let store = Arc::clone(&store);
-                let queries = Arc::clone(&queries);
-                let telemetry = config.telemetry.clone();
-                std::thread::spawn(move || reader_loop(&store, &queries, telemetry.as_deref()))
-            })
-            .collect();
 
         let shard_queues: Vec<_> = (0..store.num_shards())
             .map(|_| Arc::new(MpmcQueue::new(UPDATE_CAPACITY)))
@@ -337,14 +321,13 @@ impl Daemon {
 
         Daemon {
             store,
-            queries,
             shard_queues,
             coordinator,
             admission: config.admission,
             backlog,
             shed: AtomicU64::new(0),
             telemetry: config.telemetry,
-            readers,
+            answers: Mutex::default(),
             writers,
             coordinator_thread,
         }
@@ -355,33 +338,32 @@ impl Daemon {
         &self.store
     }
 
-    /// Submits one [`Request`] arriving *now*, blocking while the
-    /// target queue is full (closed-loop backpressure). Admission
-    /// control may still shed an update *before* blocking — see
-    /// [`SubmitError`] for the full refusal contract.
+    /// Submits one [`Request`] arriving *now*. A query is answered on
+    /// this thread before the call returns; an update blocks while its
+    /// writer queue is full (closed-loop backpressure), though admission
+    /// control may shed it *before* blocking — see [`SubmitError`] for
+    /// the full refusal contract.
     pub fn submit(&self, request: Request) -> Result<(), SubmitError> {
         self.submit_at(request, Instant::now())
     }
 
     /// [`submit`](Self::submit) with an explicit arrival stamp
     /// (open-loop drivers pass the *scheduled* arrival, so time spent
-    /// waiting for queue room is charged to latency).
+    /// behind schedule is charged to latency).
     pub fn submit_at(&self, request: Request, issued: Instant) -> Result<(), SubmitError> {
         self.submit_inner(request, issued, None, true)
     }
 
-    /// Non-blocking [`submit`](Self::submit): a full queue returns
-    /// [`SubmitError::QueueFull`] immediately instead of waiting. The
-    /// TCP front-end uses this so a socket thread never stalls on a
-    /// saturated daemon.
+    /// Non-blocking [`submit`](Self::submit): an update whose queue is
+    /// full returns [`SubmitError::QueueFull`] immediately instead of
+    /// waiting. (Queries never wait.)
     pub fn try_submit(&self, request: Request) -> Result<(), SubmitError> {
         self.submit_inner(request, Instant::now(), None, false)
     }
 
-    /// Non-blocking submit attaching a reply sink to a query (the
-    /// answer or rejection is delivered on the reader thread). For an
-    /// update request the sink is invoked synchronously with the
-    /// acceptance/rejection before this returns.
+    /// Non-blocking submit that also hands the request's [`Response`]
+    /// — a query's answer, an update's acceptance, or the typed
+    /// rejection of either — to `reply` before it returns.
     pub fn submit_with_reply(&self, request: Request, reply: ReplySink) -> Result<(), SubmitError> {
         self.submit_inner(request, Instant::now(), Some(reply), false)
     }
@@ -393,39 +375,66 @@ impl Daemon {
         reply: Option<ReplySink>,
         blocking: bool,
     ) -> Result<(), SubmitError> {
-        match request {
+        let (response, result) = match request {
             Request::Query { id, query } => {
-                let job = QueryJob {
-                    query,
-                    issued,
-                    id,
-                    reply,
+                let mut log = self.answers.lock().expect("answer log poisoned");
+                let response = self.answer(id, &query, issued, &mut log);
+                let result = match response {
+                    Response::Rejected { .. } => Err(SubmitError::Invalid(request)),
+                    _ => Ok(()),
                 };
-                if blocking {
-                    self.queries
-                        .push(job)
-                        .map_err(|_| SubmitError::ShuttingDown(request))
-                } else {
-                    self.queries.try_push(job).map_err(|e| match e {
-                        TryPushError::Full(_) => SubmitError::QueueFull(request),
-                        TryPushError::Closed(_) => SubmitError::ShuttingDown(request),
-                    })
-                }
+                (response, result)
             }
             Request::Update { id, update } => {
                 let result = self.submit_update_inner(request, update, blocking);
-                if let Some(reply) = reply {
-                    reply(match &result {
-                        Ok(()) => Response::Accepted { id },
-                        Err(e) => Response::Rejected {
-                            id,
-                            reason: e.reason(),
-                        },
-                    });
-                }
-                result
+                (update_response(id, &result), result)
             }
+        };
+        if let Some(reply) = reply {
+            reply(response);
         }
+        result
+    }
+
+    /// Answers `query` on the calling thread from the routed shard's
+    /// current snapshot, recording its latency (from `issued`) and
+    /// snapshot lag into `log`. An out-of-range query is answered with
+    /// a typed `Invalid` rejection and counted as an error.
+    pub(crate) fn answer(
+        &self,
+        id: u64,
+        query: &Query,
+        issued: Instant,
+        log: &mut AnswerLog,
+    ) -> Response {
+        let Ok(lagged) = self.store.answer_with_lag(query) else {
+            log.errors += 1;
+            return Response::Rejected {
+                id,
+                reason: RejectReason::Invalid,
+            };
+        };
+        log.latency.record_duration(issued.elapsed());
+        log.lag_commits.record(lagged.lag_commits);
+        log.lag_wall.record_duration(lagged.lag_wall);
+        if let Some(t) = &self.telemetry {
+            t.record_snapshot_lag(lagged.lag_commits, lagged.lag_wall);
+        }
+        log.answered += 1;
+        log.positive += match &lagged.answer {
+            Answer::Bool(b) => *b as u64,
+            Answer::Vertices(v) => (!v.is_empty()) as u64,
+        };
+        Response::Answer {
+            id,
+            answer: lagged.answer,
+        }
+    }
+
+    /// Folds the answer records of a connection that hung up into the
+    /// daemon's.
+    pub(crate) fn merge_answers(&self, log: &AnswerLog) {
+        self.answers.lock().expect("answer log poisoned").merge(log);
     }
 
     fn submit_update_inner(
@@ -491,9 +500,11 @@ impl Daemon {
         })
     }
 
-    /// Queries waiting in the queue right now.
+    /// Queries waiting to be answered: always 0, because every query
+    /// is answered on the thread that submits it. Kept so callers that
+    /// sample it keep building.
     pub fn queued_queries(&self) -> usize {
-        self.queries.len()
+        0
     }
 
     /// Updates admitted but not yet committed (queued plus staged).
@@ -506,29 +517,29 @@ impl Daemon {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Drains the queues, stops every thread, and merges their
-    /// statistics. Everything *admitted* before this call is answered
-    /// or applied (shed updates were refused at the door, visibly).
+    /// Drains the update queues, stops every writer, and merges their
+    /// statistics with the answer records. Everything *admitted* before
+    /// this call is answered or applied (shed updates were refused at
+    /// the door, visibly).
     pub fn shutdown(self) -> ServeReport {
         let Daemon {
             store,
-            queries,
             shard_queues,
             coordinator,
             shed,
-            readers,
+            answers,
             writers,
             coordinator_thread,
             ..
         } = self;
-        queries.close();
+        let answers = answers.into_inner().expect("answer log poisoned");
         let mut report = ServeReport {
-            answered: 0,
-            query_errors: 0,
-            positive: 0,
-            latency: LatencyHistogram::new(),
-            lag_commits: LatencyHistogram::new(),
-            lag_wall: LatencyHistogram::new(),
+            answered: answers.answered,
+            query_errors: answers.errors,
+            positive: answers.positive,
+            latency: answers.latency,
+            lag_commits: answers.lag_commits,
+            lag_wall: answers.lag_wall,
             updates_applied: 0,
             shed_updates: shed.into_inner(),
             commits: 0,
@@ -539,15 +550,6 @@ impl Daemon {
                 .collect(),
             writer_error: None,
         };
-        for r in readers {
-            let rr = r.join().expect("reader thread panicked");
-            report.answered += rr.answered;
-            report.query_errors += rr.errors;
-            report.positive += rr.positive;
-            report.latency.merge(&rr.latency);
-            report.lag_commits.merge(&rr.lag_commits);
-            report.lag_wall.merge(&rr.lag_wall);
-        }
         // Shard writers first (they may still push migrations to the
         // coordinator while draining), coordinator last.
         for q in &shard_queues {
@@ -580,54 +582,6 @@ impl Daemon {
         );
         report
     }
-}
-
-fn reader_loop(
-    store: &ShardedStore,
-    queries: &MpmcQueue<QueryJob>,
-    telemetry: Option<&Telemetry>,
-) -> ReaderReport {
-    let mut rr = ReaderReport {
-        answered: 0,
-        errors: 0,
-        positive: 0,
-        latency: LatencyHistogram::new(),
-        lag_commits: LatencyHistogram::new(),
-        lag_wall: LatencyHistogram::new(),
-    };
-    while let Some(job) = queries.pop() {
-        match store.answer_with_lag(&job.query) {
-            Err(_) => {
-                rr.errors += 1;
-                if let Some(reply) = job.reply {
-                    reply(Response::Rejected {
-                        id: job.id,
-                        reason: RejectReason::Invalid,
-                    });
-                }
-            }
-            Ok(lagged) => {
-                rr.latency.record_duration(job.issued.elapsed());
-                rr.lag_commits.record(lagged.lag_commits);
-                rr.lag_wall.record_duration(lagged.lag_wall);
-                if let Some(t) = telemetry {
-                    t.record_snapshot_lag(lagged.lag_commits, lagged.lag_wall);
-                }
-                rr.answered += 1;
-                rr.positive += match &lagged.answer {
-                    Answer::Bool(b) => *b as u64,
-                    Answer::Vertices(v) => (!v.is_empty()) as u64,
-                };
-                if let Some(reply) = job.reply {
-                    reply(Response::Answer {
-                        id: job.id,
-                        answer: lagged.answer,
-                    });
-                }
-            }
-        }
-    }
-    rr
 }
 
 /// One shard's writer: group-commits its queue into the shard via

@@ -2,8 +2,9 @@
 //!
 //! Serving SLOs are tail statements — "p999 under a millisecond" — so
 //! the recorder must hold the full distribution cheaply and without
-//! locks on the read path (each reader thread owns one histogram and
-//! they are merged at shutdown). [`LatencyHistogram`] is the standard
+//! shared locks on the TCP read path (each connection thread owns its
+//! histograms, merged into the daemon's when its peer hangs up).
+//! [`LatencyHistogram`] is the standard
 //! log-linear construction: values below 32 get exact unit buckets;
 //! above that, each power of two splits into 32 linear sub-buckets, so
 //! any reported quantile is within `1/32` (≈3.2%) of the true value

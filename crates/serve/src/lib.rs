@@ -14,16 +14,17 @@
 //! * [`Request`] / [`Response`] — the typed request surface *and* the
 //!   TCP wire format's data model; one [`Daemon::submit`] entry point
 //!   serves in-process callers, workload drivers, and the socket.
-//! * [`Daemon`] — N reader threads pulling [`QueryJob`]s from a
-//!   bounded MPMC queue and answering from the routed shard's current
-//!   snapshot (never blocking on commits); one writer thread per
+//! * [`Daemon`] — queries answered on the thread that submits them,
+//!   from the routed shard's current snapshot (never blocking on
+//!   commits, never handed to another thread); one writer thread per
 //!   shard draining the update stream with group-commit batching
 //!   ([`ServeConfig::batch_max`] / [`ServeConfig::flush_interval`]),
 //!   a migration coordinator for cross-shard inserts, and
 //!   watermark-based admission control shedding update load with
 //!   typed rejections.
 //! * [`net`] — a length-prefixed binary protocol over TCP
-//!   (`bcc-serve --listen` / `bcc-serve-client`), std-only.
+//!   (`bcc-serve --listen` / `bcc-serve-client`), std-only; each
+//!   connection thread answers its own queries, in request order.
 //! * [`LatencyHistogram`] — HDR-style log-linear recorder behind the
 //!   p50/p99/p999 latency and snapshot-lag numbers in [`ServeReport`].
 //! * [`workload`] — closed-loop and open-loop (fixed-arrival-rate,
@@ -60,9 +61,7 @@ pub mod wire;
 pub mod workload;
 
 pub use api::{RejectReason, Request, Response, SubmitError};
-pub use daemon::{
-    Admission, Daemon, QueryJob, ReplySink, ServeConfig, ServeConfigBuilder, ServeReport,
-};
+pub use daemon::{Admission, Daemon, ReplySink, ServeConfig, ServeConfigBuilder, ServeReport};
 pub use hist::LatencyHistogram;
 pub use net::{run_net_workload, NetClient, NetFrontend, NetWorkloadReport};
 pub use shard::{LaggedAnswer, MigrateOutcome, ServeError, ShardCommit, ShardedStore};

@@ -2,24 +2,35 @@
 //!
 //! std-only networking (no async runtime, no extra crates): an
 //! acceptor thread polls a non-blocking `TcpListener`; each accepted
-//! connection gets a thread that reads [`wire`] frames
-//! and feeds the daemon's MPMC queues through the same typed
-//! [`Request`] surface in-process callers use.
+//! connection gets a thread that reads [`wire`] frames through one
+//! buffered reader and serves them in the order they arrive, through
+//! the same typed [`Request`] surface in-process callers use.
 //!
-//! * **Queries** are submitted with a *reply sink*: the daemon's
-//!   reader thread that answers the query writes the response frame
-//!   itself (the per-connection write half sits behind a mutex, so
-//!   frames never interleave). A query refused at admission is
-//!   answered synchronously with a typed [`Response::Rejected`].
+//! ```text
+//!  peer ──frames──▶ BufReader ─decode─▶ Query  ─▶ answer here, from the
+//!                      ▲                           routed shard's snapshot
+//!                      │                Update ─▶ admit to a writer queue
+//!  peer ◀──────── out buffer ◀── response frame of either
+//!   (written out before any read that has to wait on the socket)
+//! ```
+//!
+//! * **Queries** are answered on the connection thread itself, from
+//!   the routed shard's current snapshot — no hand-off to another
+//!   thread, so a connection's reads and writes take effect in the
+//!   order the peer sent them.
 //! * **Updates** are acknowledged synchronously — `Accepted` when
 //!   admitted to a writer queue, `Rejected` (queue-full, overloaded,
 //!   shutting-down, invalid) otherwise. Every request gets exactly
-//!   one response, which is what lets an open-loop client measure an
-//!   honest round-trip tail: nothing is silently dropped, so nothing
-//!   is silently missing from the histogram.
-//! * **Submission never blocks a socket thread**: the front-end uses
-//!   the daemon's non-blocking path, converting a saturated queue
-//!   into a `QueueFull` rejection the client can see and retry.
+//!   one response, in request order, which is what lets an open-loop
+//!   client measure an honest round-trip tail: nothing is silently
+//!   dropped, so nothing is silently missing from the histogram.
+//! * **Responses** collect in a per-connection buffer that is written
+//!   out before any read that could block, so a pipelined burst costs
+//!   one write per drained input buffer while no response waits on
+//!   the peer's next request.
+//! * **Submission never blocks a connection thread**: updates take
+//!   the daemon's non-blocking path, converting a saturated writer
+//!   queue into a `QueueFull` rejection the client can see and retry.
 //!
 //! [`run_net_workload`] is the socket twin of
 //! [`run_workload`](crate::run_workload): same deterministic
@@ -28,12 +39,12 @@
 //! socket buffers, and the loopback (or real) network.
 
 use crate::api::{RejectReason, Request, Response};
-use crate::daemon::{Daemon, ServeReport};
+use crate::daemon::{update_response, AnswerLog, Daemon, ServeReport};
 use crate::hist::LatencyHistogram;
 use crate::wire::{self, WireError};
 use crate::workload::{Mode, Op, OpGen, WorkloadConfig};
 use bcc_query::EdgeUpdate;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,19 +60,42 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// it cannot pin its connection thread and payload buffer.
 const FRAME_DEADLINE: Duration = Duration::from_secs(2);
 
-/// Encodes `resp` as one `[len][payload]` buffer and writes it in a
-/// single `write_all` under the connection's write lock.
-fn send_response(stream: &Mutex<TcpStream>, resp: &Response) {
-    let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(&[0u8; 4]);
-    wire::encode_response(resp, &mut buf);
-    let len = (buf.len() - 4) as u32;
-    buf[..4].copy_from_slice(&len.to_le_bytes());
-    let mut s = stream.lock().unwrap();
-    // A dead peer surfaces as a failed write; the connection's read
-    // side will observe the hangup and the thread exits — nothing to
-    // do here but not panic.
-    let _ = s.write_all(&buf);
+/// The socket under a connection's buffered reader. Responses queue in
+/// `out`, and every read that reaches the socket — the only reads that
+/// can block — first writes them out.
+struct Socket {
+    stream: TcpStream,
+    out: Vec<u8>,
+}
+
+impl Socket {
+    /// Queues `resp` as one `[len][payload]` frame.
+    fn push(&mut self, resp: &Response) {
+        let at = self.out.len();
+        self.out.extend_from_slice(&[0u8; 4]);
+        wire::encode_response(resp, &mut self.out);
+        let len = (self.out.len() - at - 4) as u32;
+        self.out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Writes the queued responses out. A failed write (a dead peer,
+    /// or one that stopped reading for the write timeout) comes back
+    /// as an error that is never a timeout, so the read loop drops the
+    /// peer instead of polling on.
+    fn flush_out(&mut self) -> io::Result<()> {
+        let written = self.stream.write_all(&self.out).map_err(io::Error::other);
+        self.out.clear();
+        written
+    }
+}
+
+impl Read for Socket {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if !self.out.is_empty() {
+            self.flush_out()?;
+        }
+        self.stream.read(buf)
+    }
 }
 
 /// A serving daemon listening on a TCP socket (see the
@@ -152,66 +186,41 @@ impl NetFrontend {
     }
 }
 
-/// One connection: decode request frames, submit, arrange responses.
+/// One connection: decode request frames in arrival order, answer each
+/// query on this thread, admit each update, and queue every response
+/// (see [`Socket`]). The connection's answer records merge into the
+/// daemon's when the peer hangs up.
 fn connection_loop(stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let write_half = match stream.try_clone() {
-        Ok(s) => Arc::new(Mutex::new(s)),
-        Err(_) => return,
-    };
-    let mut read_half = stream;
-
-    loop {
-        let payload = match read_frame_polling(&mut read_half, || stop.load(Ordering::Acquire)) {
-            Ok(Some(p)) => p,
-            Ok(None) => return, // clean EOF or shutdown between frames
-            Err(_) => return,   // truncated / oversized / io: drop the peer
-        };
-        match wire::decode_request(&payload) {
+    let mut conn = BufReader::new(Socket {
+        stream,
+        out: Vec::new(),
+    });
+    let mut log = AnswerLog::default();
+    // Ends on a clean EOF or shutdown between frames; drops the peer on
+    // a truncated or oversized frame or a failed read or write.
+    while let Ok(Some(payload)) = read_frame_polling(&mut conn, || stop.load(Ordering::Acquire)) {
+        let resp = match wire::decode_request(&payload) {
+            Ok(Request::Query { id, query }) => daemon.answer(id, &query, Instant::now(), &mut log),
+            Ok(req @ Request::Update { id, .. }) => update_response(id, &daemon.try_submit(req)),
             Err(_) => {
                 // A malformed frame is a protocol violation: answer
                 // with a typed rejection (id 0 — the frame's id is
                 // unreadable) and hang up rather than guess at the
                 // stream's framing from here on.
-                send_response(
-                    &write_half,
-                    &Response::Rejected {
-                        id: 0,
-                        reason: RejectReason::Invalid,
-                    },
-                );
-                return;
+                conn.get_mut().push(&Response::Rejected {
+                    id: 0,
+                    reason: RejectReason::Invalid,
+                });
+                break;
             }
-            Ok(req @ Request::Query { id, .. }) => {
-                let out = Arc::clone(&write_half);
-                let sink = Box::new(move |resp: Response| send_response(&out, &resp));
-                if let Err(e) = daemon.submit_with_reply(req, sink) {
-                    // The job (and its sink) never queued; reject
-                    // synchronously so every request keeps exactly
-                    // one response.
-                    send_response(
-                        &write_half,
-                        &Response::Rejected {
-                            id,
-                            reason: e.reason(),
-                        },
-                    );
-                }
-            }
-            Ok(req @ Request::Update { id, .. }) => {
-                let resp = match daemon.try_submit(req) {
-                    Ok(()) => Response::Accepted { id },
-                    Err(e) => Response::Rejected {
-                        id,
-                        reason: e.reason(),
-                    },
-                };
-                send_response(&write_half, &resp);
-            }
-        }
+        };
+        conn.get_mut().push(&resp);
     }
+    let _ = conn.get_mut().flush_out();
+    daemon.merge_answers(&log);
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -230,7 +239,7 @@ fn is_timeout(e: &io::Error) -> bool {
 /// slow peer is waited for: an abandoned frame desynchronizes the
 /// stream, so the caller drops the peer.
 fn read_frame_polling(
-    r: &mut TcpStream,
+    r: &mut impl Read,
     stop: impl Fn() -> bool,
 ) -> Result<Option<Vec<u8>>, WireError> {
     let mut header = [0u8; 4];
@@ -257,7 +266,7 @@ fn read_frame_polling(
 /// arrived: one clock read per frame, plus one per read that leaves
 /// the frame still incomplete.
 fn fill_polling(
-    r: &mut TcpStream,
+    r: &mut impl Read,
     buf: &mut [u8],
     stop: &impl Fn() -> bool,
     started: &mut Option<Instant>,

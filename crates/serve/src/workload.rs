@@ -2,10 +2,11 @@
 //!
 //! Two driver disciplines, because they answer different questions:
 //!
-//! * **Closed-loop** ([`Mode::Closed`]): the driver submits as fast as
-//!   the bounded query queue accepts — classic saturation testing.
-//!   Latency here measures the system at its own maximum throughput
-//!   (queueing included), and `queries_per_sec` is the capacity.
+//! * **Closed-loop** ([`Mode::Closed`]): the driver submits back to
+//!   back — each query is answered before its submit returns, each
+//!   update waits for room in its bounded writer queue — classic
+//!   saturation testing. Latency here measures the system at its own
+//!   maximum throughput, and `queries_per_sec` is the capacity.
 //! * **Open-loop** ([`Mode::Open`]): arrivals follow a fixed schedule
 //!   (`rate` per second) regardless of how the system is doing, and
 //!   every job is stamped with its *scheduled* arrival time. If the
@@ -15,7 +16,7 @@
 //!
 //! Four mixes: read-heavy (99/1), churn-heavy (90/10), an adversarial
 //! hot-component variant of the 99/1 mix where every operation targets
-//! one component — all commits land on one shard and every reader
+//! one component — all commits land on one shard and every query
 //! routes into it, so snapshot lag concentrates where the queries
 //! are — and an update-storm inversion (10/90) that drowns the write
 //! path: the overload cells drive it above commit capacity to prove
@@ -95,7 +96,7 @@ impl std::str::FromStr for Profile {
 /// Driver discipline (see the [module docs](self)).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum Mode {
-    /// Submit as fast as the bounded queue accepts.
+    /// Submit back to back, as fast as the daemon answers and admits.
     Closed,
     /// Fixed arrival schedule at `rate` operations per second.
     Open {
@@ -409,7 +410,6 @@ mod tests {
         let daemon = Daemon::spawn(
             Arc::clone(&store),
             ServeConfig::builder()
-                .readers(2)
                 .batch_max(8)
                 .flush_interval(Duration::from_millis(1))
                 .build(),

@@ -4,15 +4,21 @@
 //! shedding, and the TCP front-end — all through the typed
 //! [`Request`] / [`Response`] surface.
 
-use bcc_query::{EdgeUpdate, Query};
+use bcc_graph::GraphBuilder;
+use bcc_query::{Answer, EdgeUpdate, Query};
 use bcc_serve::{
     component_grid, run_net_workload, run_workload, Admission, Daemon, Mode, NetClient,
     NetFrontend, Profile, RejectReason, Request, Response, ServeConfig, ShardedStore, SubmitError,
     WorkloadConfig,
 };
 use bcc_smp::{Pool, Telemetry};
-use std::sync::Arc;
-use std::time::Duration;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::net::SocketAddr;
+use std::rc::Rc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn small_store(n: u32, parts: u32, shards: usize) -> Arc<ShardedStore> {
     let pool = Pool::new(2);
@@ -83,6 +89,47 @@ fn out_of_range_updates_are_invalid_at_submit() {
 }
 
 #[test]
+fn replies_arrive_before_submit_returns() {
+    let daemon = Daemon::spawn(small_store(60, 3, 2), ServeConfig::default());
+    let got = Rc::new(RefCell::new(Vec::new()));
+    let sink = |got: &Rc<RefCell<Vec<Response>>>| -> bcc_serve::ReplySink {
+        let got = Rc::clone(got);
+        Box::new(move |resp| got.borrow_mut().push(resp))
+    };
+    let ok = Request::Query {
+        id: 1,
+        query: Query::Connected(0, 5),
+    };
+    daemon.submit_with_reply(ok, sink(&got)).unwrap();
+    // Out of range: refused as invalid, and the sink still hears why.
+    let bad = Request::Query {
+        id: 2,
+        query: Query::Connected(0, 10_000),
+    };
+    assert_eq!(
+        daemon.submit_with_reply(bad, sink(&got)),
+        Err(SubmitError::Invalid(bad))
+    );
+    assert_eq!(
+        *got.borrow(),
+        [
+            Response::Answer {
+                id: 1,
+                answer: Answer::Bool(true)
+            },
+            Response::Rejected {
+                id: 2,
+                reason: RejectReason::Invalid
+            }
+        ]
+    );
+    assert_eq!(daemon.queued_queries(), 0);
+    let report = daemon.shutdown();
+    assert_eq!(report.answered, 1);
+    assert_eq!(report.query_errors, 1);
+}
+
+#[test]
 fn every_profile_and_mode_runs_clean() {
     for profile in Profile::ALL {
         for mode in [Mode::Closed, Mode::Open { rate: 3_000.0 }] {
@@ -90,7 +137,6 @@ fn every_profile_and_mode_runs_clean() {
             let daemon = Daemon::spawn(
                 Arc::clone(&store),
                 ServeConfig::builder()
-                    .readers(2)
                     .batch_max(16)
                     .flush_interval(Duration::from_millis(1))
                     .build(),
@@ -129,7 +175,6 @@ fn telemetry_sink_sees_every_answer_lag() {
     let daemon = Daemon::spawn(
         Arc::clone(&store),
         ServeConfig::builder()
-            .readers(2)
             .telemetry(Arc::clone(&sink))
             .batch_max(4)
             .flush_interval(Duration::from_micros(200))
@@ -158,7 +203,7 @@ fn telemetry_sink_sees_every_answer_lag() {
 #[test]
 fn cross_shard_churn_migrates_and_stays_correct() {
     // Two components, one per shard; the writers repeatedly link and
-    // unlink them through the daemon while readers hammer queries.
+    // unlink them through the daemon while queries hammer both.
     let pool = Pool::new(2);
     let g = component_grid(40, 2, 3);
     let store = Arc::new(ShardedStore::new(&pool, &g, 2).unwrap());
@@ -166,7 +211,6 @@ fn cross_shard_churn_migrates_and_stays_correct() {
     let daemon = Daemon::spawn(
         Arc::clone(&store),
         ServeConfig::builder()
-            .readers(2)
             .batch_max(1) // every update commits immediately
             .build(),
     );
@@ -332,7 +376,6 @@ fn open_loop_tcp_workload_accounts_for_every_request() {
     let daemon = Daemon::spawn(
         store,
         ServeConfig::builder()
-            .readers(2)
             .batch_max(16)
             .flush_interval(Duration::from_millis(1))
             .build(),
@@ -405,4 +448,226 @@ fn overloaded_daemon_sheds_over_tcp_while_reads_flow() {
     assert_eq!(report.shed_updates, 4);
     assert_eq!(report.answered, 4);
     assert_eq!(report.updates_applied, 0);
+}
+
+/// One client connection whose responses a background thread collects,
+/// so a pipelined burst never waits on the test to read them.
+struct Pipelined {
+    client: NetClient,
+    next_id: u64,
+    responses: mpsc::Receiver<Response>,
+    early: HashMap<u64, Response>,
+    receiver: JoinHandle<()>,
+}
+
+impl Pipelined {
+    fn connect(addr: SocketAddr) -> Pipelined {
+        let client = NetClient::connect(addr).unwrap();
+        let mut rx = client.try_clone().unwrap();
+        let (tx, responses) = mpsc::channel();
+        let receiver = std::thread::spawn(move || {
+            while let Ok(Some(resp)) = rx.recv() {
+                if tx.send(resp).is_err() {
+                    return;
+                }
+            }
+        });
+        Pipelined {
+            client,
+            next_id: 0,
+            responses,
+            early: HashMap::new(),
+            receiver,
+        }
+    }
+
+    /// Sends the request `make(id)` under the next id; returns the id.
+    fn send(&mut self, make: impl FnOnce(u64) -> Request) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.client.send(&make(id)).unwrap();
+        id
+    }
+
+    /// Waits for the response to request `id`, keeping the others.
+    fn response(&mut self, id: u64) -> Response {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !self.early.contains_key(&id) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let resp = self
+                .responses
+                .recv_timeout(left)
+                .unwrap_or_else(|e| panic!("no response to request {id}: {e}"));
+            self.early.insert(resp.id(), resp);
+        }
+        self.early.remove(&id).unwrap()
+    }
+
+    /// Every response still unclaimed once the server has hung up.
+    fn rest(self) -> Vec<Response> {
+        self.receiver.join().unwrap();
+        let mut rest: Vec<Response> = self.early.into_values().collect();
+        rest.extend(self.responses.try_iter());
+        rest
+    }
+}
+
+#[test]
+fn one_connection_reads_and_writes_in_the_order_sent() {
+    // A 30-vertex ring the burst queries read, and a path 30..=45:
+    // `SameBlock(30, 45)` holds exactly while the chord (30, 45) is in.
+    const BURST: u64 = 4_000;
+    const TOGGLES: u64 = 8;
+    let (a, b) = (30, 45);
+    let ring = (0..30).map(|i| (i, (i + 1) % 30));
+    let path = (30..45).map(|i| (i, i + 1));
+    let g = GraphBuilder::new(46)
+        .edges(ring.chain(path))
+        .build()
+        .unwrap();
+    let store = Arc::new(ShardedStore::new(&Pool::new(2), &g, 2).unwrap());
+    let daemon = Daemon::spawn(
+        store,
+        ServeConfig::builder()
+            .flush_interval(Duration::from_micros(100))
+            .build(),
+    );
+    let frontend = NetFrontend::spawn(daemon, "127.0.0.1:0").unwrap();
+    let mut conn = Pipelined::connect(frontend.local_addr());
+    let probe = |id| Request::Query {
+        id,
+        query: Query::SameBlock(a, b),
+    };
+    // The chord's state after `t` toggles: in iff `t` is odd.
+    let state = |t: u64| Answer::Bool(t % 2 == 1);
+    let mut queries = 0;
+    for t in 1..=TOGGLES {
+        // A burst, a probe, then the toggle that flips the probe's
+        // answer: sent in that order, the probe must see the state
+        // before the toggle however long the burst takes to answer.
+        for _ in 0..BURST {
+            conn.send(|id| Request::Query {
+                id,
+                query: Query::Connected(0, 15),
+            });
+        }
+        let before = conn.send(probe);
+        let update = if t % 2 == 1 {
+            EdgeUpdate::Insert(a, b)
+        } else {
+            EdgeUpdate::Remove(a, b)
+        };
+        let toggle = conn.send(|id| Request::Update { id, update });
+        queries += BURST + 1;
+        assert_eq!(
+            conn.response(before),
+            Response::Answer {
+                id: before,
+                answer: state(t - 1)
+            },
+            "the probe sent before toggle {t} did not get the state before it"
+        );
+        assert_eq!(conn.response(toggle), Response::Accepted { id: toggle });
+        // Probe until toggle `t` shows; once it has, no later probe
+        // may answer the state before it.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let (mut seen, mut after) = (false, 0);
+        while after < 3 {
+            assert!(Instant::now() < deadline, "toggle {t} never showed");
+            let id = conn.send(probe);
+            queries += 1;
+            match conn.response(id) {
+                Response::Answer { answer, .. } if answer == state(t) => {
+                    seen = true;
+                    after += 1;
+                }
+                resp => assert!(
+                    !seen,
+                    "probe answered {resp:?} after toggle {t} was visible"
+                ),
+            }
+        }
+    }
+    let report = frontend.shutdown();
+    // No read waits in a queue, so none is refused: every burst query
+    // was answered.
+    let rest = conn.rest();
+    assert_eq!(rest.len() as u64, TOGGLES * BURST);
+    assert!(rest.iter().all(|r| matches!(
+        r,
+        Response::Answer {
+            answer: Answer::Bool(true),
+            ..
+        }
+    )));
+    assert_eq!(report.answered, queries);
+    assert_eq!(report.updates_applied, TOGGLES);
+}
+
+#[test]
+fn answers_over_concurrent_connections_add_up_in_one_report() {
+    let sink = Arc::new(Telemetry::new(1));
+    let daemon = Daemon::spawn(
+        small_store(120, 4, 2),
+        ServeConfig::builder()
+            .telemetry(Arc::clone(&sink))
+            .flush_interval(Duration::from_micros(200))
+            .build(),
+    );
+    let frontend = NetFrontend::spawn(daemon, "127.0.0.1:0").unwrap();
+    let addr = frontend.local_addr();
+    // Two connections at once, each on its own component: queries with
+    // a chord toggled every tenth request, and on the first connection
+    // one out-of-range query.
+    let clients: Vec<_> = (0..2u32)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = NetClient::connect(addr).unwrap();
+                let (lo, mut answered, mut invalid) = (c * 30, 0u64, 0u64);
+                for i in 0..600u32 {
+                    let id = u64::from(i);
+                    let req = match i % 20 {
+                        9 => Request::Update {
+                            id,
+                            update: EdgeUpdate::Insert(lo, lo + 15),
+                        },
+                        19 => Request::Update {
+                            id,
+                            update: EdgeUpdate::Remove(lo, lo + 15),
+                        },
+                        _ if c == 0 && i == 300 => Request::Query {
+                            id,
+                            query: Query::Connected(0, 10_000),
+                        },
+                        _ => Request::Query {
+                            id,
+                            query: Query::SameBlock(lo + i % 30, lo + i * 7 % 30),
+                        },
+                    };
+                    match client.call(&req).unwrap() {
+                        Response::Answer { .. } => answered += 1,
+                        Response::Accepted { .. } => {}
+                        Response::Rejected {
+                            reason: RejectReason::Invalid,
+                            ..
+                        } => invalid += 1,
+                        other => panic!("connection {c}: {req:?} got {other:?}"),
+                    }
+                }
+                (answered, invalid)
+            })
+        })
+        .collect();
+    let (mut answered, mut invalid) = (0, 0);
+    for client in clients {
+        let (a, i) = client.join().unwrap();
+        answered += a;
+        invalid += i;
+    }
+    assert_eq!(invalid, 1);
+    let report = frontend.shutdown();
+    assert_eq!(report.answered, answered);
+    assert_eq!(report.query_errors, invalid);
+    assert_eq!(report.lag_commits.count(), answered);
+    assert_eq!(sink.snapshot().snapshot_lag_samples, answered);
 }

@@ -3,8 +3,9 @@
 //! The serving layer (`bcc-serve`) needs one ingredient the SPMD
 //! [`Pool`](crate::Pool) deliberately does not provide: a
 //! multi-producer multi-consumer channel where *independent* threads
-//! pull work items at their own pace — readers draining query jobs,
-//! one writer draining edge updates. [`MpmcQueue`] is that channel:
+//! pull work items at their own pace — each shard's writer draining
+//! its edge updates, the migration coordinator draining cross-shard
+//! inserts. [`MpmcQueue`] is that channel:
 //!
 //! * **Bounded.** [`push`](MpmcQueue::push) blocks while the queue is
 //!   at capacity, which is exactly the backpressure a closed-loop

@@ -3,8 +3,9 @@
 //!
 //! Builds a multi-component graph (rings with redundant chords),
 //! shards it across per-component [`smp_bcc::IndexStore`]s, and spawns
-//! the daemon: reader threads answering from lock-free snapshots, one
-//! writer thread group-committing edge updates. The main thread then
+//! the daemon: one writer thread per shard group-committing edge
+//! updates, while each query is answered from a lock-free snapshot on
+//! the thread that submits it. The main thread then
 //! plays operator-under-fire for a few seconds — toggling chord
 //! failures through the update queue while firing connectivity and
 //! survives-failure queries — and prints the SLO view a monitoring
@@ -12,7 +13,7 @@
 //! commits and in wall time) the answered snapshots were.
 //!
 //! ```text
-//! cargo run --release --example live_queries [n] [parts] [shards] [readers] [secs] [seed]
+//! cargo run --release --example live_queries [n] [parts] [shards] [secs] [seed]
 //! ```
 
 use smp_bcc::query::{EdgeUpdate, Failure, Query};
@@ -29,9 +30,8 @@ fn main() {
     let n = arg(1, 20_000) as u32;
     let parts = arg(2, 8) as u32;
     let shards = arg(3, 4) as usize;
-    let readers = arg(4, 2) as usize;
-    let secs = arg(5, 2);
-    let seed = arg(6, 42);
+    let secs = arg(4, 2);
+    let seed = arg(5, 42);
 
     // ---- Build and shard the index ------------------------------------
     let pool = Pool::machine();
@@ -54,12 +54,11 @@ fn main() {
     let daemon = Daemon::spawn(
         Arc::clone(&store),
         ServeConfig::builder()
-            .readers(readers)
             .batch_max(32)
             .flush_interval(Duration::from_millis(1))
             .build(),
     );
-    println!("daemon up: {readers} readers + {shards} writers, streaming for {secs}s...");
+    println!("daemon up: {shards} writers, queries answered here, streaming for {secs}s...");
 
     // ---- Stream failures while querying --------------------------------
     // Each component is a contiguous ring `lo..hi`; we fail and restore

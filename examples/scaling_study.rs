@@ -82,8 +82,9 @@ fn main() {
     // ---- Snapshot lag under churn --------------------------------------
     // The serving layer reports staleness through the same `Telemetry`
     // sink the pipelines use, so a batch run and a daemon run read
-    // uniformly. Sweep reader counts over a churn-heavy workload and
-    // print the lag stats straight from the shared sink.
+    // uniformly. Sweep the shard pools' thread counts over a
+    // churn-heavy workload and print the lag stats straight from the
+    // shared sink.
     let serve_n = (n / 10).clamp(1_200, 100_000);
     println!("\nsnapshot lag under churn (90/10 read/update, closed loop, n = {serve_n}):");
     let g = component_grid(serve_n, 8, 42);
@@ -98,7 +99,6 @@ fn main() {
         let daemon = Daemon::spawn(
             store,
             ServeConfig::builder()
-                .readers(p)
                 .telemetry(Arc::clone(&sink))
                 .flush_interval(Duration::from_millis(1))
                 .build(),

@@ -59,8 +59,8 @@
 //! ```
 //!
 //! To keep answering while the graph changes, the [`serve`] layer runs
-//! that index as a daemon: sharded stores, a pool of reader threads
-//! over an MPMC queue, and one batching writer per shard plus a
+//! that index as a daemon: sharded stores, queries answered on the
+//! thread that submits them, and one batching writer per shard plus a
 //! migration coordinator, with per-answer latency and snapshot-lag
 //! histograms (see `examples/live_queries.rs` and `docs/ALGORITHMS.md`
 //! §12 and §16).
