@@ -10,20 +10,37 @@
 //! fixpoint check costs one extra verification round.
 //!
 //! **FastSV** ([`SvVariant::FastSv`]): each edge is resolved *completely*
-//! in a single sweep — chase both endpoints to their roots (compacting
-//! the paths walked with `fetch_min` as we go), hook the higher root
-//! onto the lower by CAS, and on a lost race re-chase and retry instead
-//! of deferring to a next round. A lost CAS means another thread merged
-//! that root, so total retries are bounded by the n − 1 possible merges;
-//! after one sweep plus a flattening pass the labeling is final — no
-//! verification round, `rounds == 1` whenever there are edges.
+//! in a single sweep — chase both endpoints to their roots (halving the
+//! paths walked as we go), hook the higher root onto the lower by CAS,
+//! and on a lost race re-chase and retry instead of deferring to a next
+//! round. A lost CAS means another thread merged that root, so total
+//! retries are bounded by the n − 1 possible merges; after one sweep
+//! plus a flattening pass the labeling is final — no verification
+//! round, `rounds == 1` whenever there are edges.
 //!
-//! Both variants share the soundness argument: labels only decrease
-//! (grafts hook higher roots onto lower labels, compaction writes a
-//! chain minimum), so the pointer structure is acyclic at every instant
-//! and each CAS win merges two genuinely distinct trees; the winning
-//! edges therefore form a spanning forest (the paper's observation that
-//! "grafting defines the parent relationship naturally", §3.2).
+//! FastSV's sweep makes only three kinds of write to the label array
+//! (the concurrent-hook spec; Liu–Tarjan's link/compress framework):
+//!
+//! * the **hook CAS** `label[hi]: hi → lo`, with `lo < hi` both roots
+//!   when read. It succeeds only while `hi` is still a root, so each
+//!   root is hooked at most once and records one forest edge;
+//! * the **halving CAS** `label[x]: d → dd`, where `d` is `x`'s parent
+//!   and `dd ≠ d` was `d`'s parent when read. It lowers a non-root slot
+//!   to an ancestor in the same tree, and never touches a root slot;
+//! * the **flatten stores** of each vertex's root, made after the
+//!   sweep's barrier, when no hook can move a root any more.
+//!
+//! Each write replaces a slot's value by a smaller one, so labels only
+//! decrease, every parent pointer goes to a smaller id, and the pointer
+//! structure is acyclic at every instant: a winning hook merges two
+//! trees that are distinct at that instant (`hi` reachable from `lo`
+//! would force `hi ≤ lo < hi`). Every value a slot ever holds was read
+//! along the chain of an endpoint of a kept edge, so it lies in the
+//! slot's component. The trees left after the sweep are therefore the
+//! components, and the n − k winning edges form a spanning forest of
+//! the kept edges (the paper's observation that "grafting defines the
+//! parent relationship naturally", §3.2). Classic SV's grafts and
+//! shortcut stores keep the same invariants round by round.
 
 use crate::tuning::SvVariant;
 use bcc_graph::Edge;
@@ -115,196 +132,168 @@ pub fn connected_components_masked_with_ws(
     variant: SvVariant,
     ws: &BccWorkspace,
 ) -> SvResult {
-    match variant {
-        SvVariant::Classic => classic_sv(pool, n, edges, keep, ws),
-        SvVariant::FastSv => fast_sv(pool, n, edges, keep, ws),
+    let mut label: Vec<u32> = ws.take_iota(n as usize);
+    // graft_edge[r] = index of the edge that hooked root r (NIL if r
+    // was never hooked). Each slot is written at most once.
+    let mut graft_edge: Vec<u32> = ws.take_filled(n as usize, NIL);
+    let mut rounds = 0u32;
+    if n > 0 && !edges.is_empty() {
+        let label_a = as_atomic_u32(&mut label);
+        let graft_a = as_atomic_u32(&mut graft_edge);
+        rounds = match variant {
+            SvVariant::Classic => classic_sv(pool, label_a, graft_a, edges, keep),
+            SvVariant::FastSv => fast_sv(pool, label_a, graft_a, edges, keep),
+        };
+    }
+    let mut tree_edges: Vec<u32> = ws.take(graft_edge.len());
+    tree_edges.extend(graft_edge.iter().copied().filter(|&e| e != NIL));
+    ws.give(graft_edge);
+    SvResult {
+        label,
+        num_components: n - tree_edges.len() as u32,
+        tree_edges,
+        rounds,
     }
 }
 
 /// The classic synchronous graft-and-shortcut rounds (paper §3.2).
+/// Returns the number of rounds.
 fn classic_sv(
     pool: &Pool,
-    n: u32,
+    label_a: &[AtomicU32],
+    graft_a: &[AtomicU32],
     edges: &[Edge],
     keep: &(impl Fn(usize) -> bool + Sync),
-    ws: &BccWorkspace,
-) -> SvResult {
-    let n_us = n as usize;
-    let m = edges.len();
-    let mut label: Vec<u32> = ws.take_iota(n_us);
-    // graft_edge[r] = index of the edge that grafted root r (NIL if r
-    // was never grafted). Each slot is CAS-claimed at most once.
-    let mut graft_edge: Vec<u32> = ws.take_filled(n_us, NIL);
-    let mut rounds = 0u32;
+) -> u32 {
+    let (n_us, m) = (label_a.len(), edges.len());
+    let changed = AtomicBool::new(true);
+    let shortcut_live = AtomicBool::new(true);
+    let round_ctr = AtomicU32::new(0);
 
-    if n > 0 && m > 0 {
-        let label_a = as_atomic_u32(&mut label);
-        let graft_a = as_atomic_u32(&mut graft_edge);
-        let changed = AtomicBool::new(true);
-        let shortcut_live = AtomicBool::new(true);
-        let round_ctr = AtomicU32::new(0);
-
-        pool.run(|ctx| {
-            loop {
-                // --- check fixpoint from the previous round ---
-                ctx.barrier();
-                if !changed.load(Ordering::Acquire) {
-                    break;
-                }
-                ctx.barrier();
-                if ctx.is_leader() {
-                    changed.store(false, Ordering::Release);
-                    round_ctr.fetch_add(1, Ordering::Relaxed);
-                }
-                ctx.barrier();
-
-                // --- graft phase ---
-                let mut local_changed = false;
-                for i in ctx.block_range(m) {
-                    if !keep(i) {
-                        continue;
-                    }
-                    let e = edges[i];
-                    let ru = find_root(label_a, e.u);
-                    let rv = find_root(label_a, e.v);
-                    if ru == rv {
-                        continue;
-                    }
-                    let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
-                    if label_a[hi as usize]
-                        .compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        // This root merges exactly once: record the edge.
-                        let prev = graft_a[hi as usize].swap(i as u32, Ordering::Relaxed);
-                        debug_assert_eq!(prev, NIL);
-                        local_changed = true;
-                    } else {
-                        // Someone grafted hi concurrently; the edge will
-                        // be reconsidered next round if still needed.
-                        local_changed = true;
-                    }
-                }
-                if local_changed {
-                    changed.store(true, Ordering::Release);
-                }
-                ctx.barrier();
-
-                // --- shortcut phase: jump until flat ---
-                loop {
-                    ctx.barrier();
-                    if ctx.is_leader() {
-                        shortcut_live.store(false, Ordering::Release);
-                    }
-                    ctx.barrier();
-                    let mut any = false;
-                    for v in ctx.block_range(n_us) {
-                        let d = label_a[v].load(Ordering::Relaxed);
-                        let dd = label_a[d as usize].load(Ordering::Relaxed);
-                        if d != dd {
-                            label_a[v].store(dd, Ordering::Relaxed);
-                            any = true;
-                        }
-                    }
-                    if any {
-                        shortcut_live.store(true, Ordering::Release);
-                    }
-                    ctx.barrier();
-                    if !shortcut_live.load(Ordering::Acquire) {
-                        break;
-                    }
-                }
+    pool.run(|ctx| {
+        loop {
+            // --- check fixpoint from the previous round ---
+            ctx.barrier();
+            if !changed.load(Ordering::Acquire) {
+                break;
             }
-        });
-        rounds = round_ctr.load(Ordering::Relaxed);
-    }
+            ctx.barrier();
+            if ctx.is_leader() {
+                changed.store(false, Ordering::Release);
+                round_ctr.fetch_add(1, Ordering::Relaxed);
+            }
+            ctx.barrier();
 
-    finish(n, label, graft_edge, rounds, ws)
-}
-
-/// FastSV-style asynchronous hooking: one sweep over the edges with
-/// in-place CAS retry and path compaction, then one flattening pass.
-fn fast_sv(
-    pool: &Pool,
-    n: u32,
-    edges: &[Edge],
-    keep: &(impl Fn(usize) -> bool + Sync),
-    ws: &BccWorkspace,
-) -> SvResult {
-    let n_us = n as usize;
-    let m = edges.len();
-    let mut label: Vec<u32> = ws.take_iota(n_us);
-    let mut graft_edge: Vec<u32> = ws.take_filled(n_us, NIL);
-    let mut rounds = 0u32;
-
-    if n > 0 && m > 0 {
-        let label_a = as_atomic_u32(&mut label);
-        let graft_a = as_atomic_u32(&mut graft_edge);
-
-        pool.run(|ctx| {
-            // --- single hooking sweep: resolve each edge to completion ---
+            // --- graft phase ---
+            let mut local_changed = false;
             for i in ctx.block_range(m) {
                 if !keep(i) {
                     continue;
                 }
                 let e = edges[i];
-                loop {
-                    let ru = find_root_compact(label_a, e.u);
-                    let rv = find_root_compact(label_a, e.v);
-                    if ru == rv {
-                        break;
-                    }
-                    let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
-                    if label_a[hi as usize]
-                        .compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        let prev = graft_a[hi as usize].swap(i as u32, Ordering::Relaxed);
-                        debug_assert_eq!(prev, NIL);
-                        break;
-                    }
-                    // Lost the race: another thread merged `hi`, i.e. the
-                    // forest shrank — re-chase the (new) roots and retry.
-                    // Total retries across all threads are bounded by the
-                    // n - 1 possible merges.
+                let ru = find_root(label_a, e.u);
+                let rv = find_root(label_a, e.v);
+                if ru == rv {
+                    continue;
                 }
+                let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
+                if label_a[hi as usize]
+                    .compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+                {
+                    // This root merges exactly once: record the edge.
+                    let prev = graft_a[hi as usize].swap(i as u32, Ordering::Relaxed);
+                    debug_assert_eq!(prev, NIL);
+                }
+                // A lost CAS means someone grafted hi concurrently; the
+                // edge is reconsidered next round if still needed.
+                local_changed = true;
+            }
+            if local_changed {
+                changed.store(true, Ordering::Release);
             }
             ctx.barrier();
-            // --- flatten: the forest is now fixed, so one pass of
-            // walk-to-root stores suffices (stores only ever write root
-            // values, which are chain minima, preserving monotonicity
-            // for concurrent walkers). Root slots are left untouched.
-            for v in ctx.block_range(n_us) {
-                let r = find_root(label_a, v as u32);
-                if label_a[v].load(Ordering::Relaxed) != r {
-                    label_a[v].store(r, Ordering::Relaxed);
+
+            // --- shortcut phase: jump until flat ---
+            loop {
+                ctx.barrier();
+                if ctx.is_leader() {
+                    shortcut_live.store(false, Ordering::Release);
+                }
+                ctx.barrier();
+                let mut any = false;
+                for v in ctx.block_range(n_us) {
+                    let d = label_a[v].load(Ordering::Relaxed);
+                    let dd = label_a[d as usize].load(Ordering::Relaxed);
+                    if d != dd {
+                        label_a[v].store(dd, Ordering::Relaxed);
+                        any = true;
+                    }
+                }
+                if any {
+                    shortcut_live.store(true, Ordering::Release);
+                }
+                ctx.barrier();
+                if !shortcut_live.load(Ordering::Acquire) {
+                    break;
                 }
             }
-        });
-        rounds = 1;
-    }
-
-    finish(n, label, graft_edge, rounds, ws)
+        }
+    });
+    round_ctr.load(Ordering::Relaxed)
 }
 
-/// Collects tree edges and counts components.
-fn finish(
-    n: u32,
-    label: Vec<u32>,
-    graft_edge: Vec<u32>,
-    rounds: u32,
-    ws: &BccWorkspace,
-) -> SvResult {
-    let mut tree_edges: Vec<u32> = ws.take(graft_edge.len());
-    tree_edges.extend(graft_edge.iter().copied().filter(|&e| e != NIL));
-    ws.give(graft_edge);
-    let num_components = n - tree_edges.len() as u32;
-    SvResult {
-        label,
-        tree_edges,
-        num_components,
-        rounds,
-    }
+/// FastSV-style asynchronous hooking: one sweep over the edges with
+/// in-place CAS retry and path halving, then one flattening pass.
+/// Returns the number of rounds (always 1).
+fn fast_sv(
+    pool: &Pool,
+    label_a: &[AtomicU32],
+    graft_a: &[AtomicU32],
+    edges: &[Edge],
+    keep: &(impl Fn(usize) -> bool + Sync),
+) -> u32 {
+    pool.run(|ctx| {
+        // --- single hooking sweep: resolve each edge to completion ---
+        for i in ctx.block_range(edges.len()) {
+            if !keep(i) {
+                continue;
+            }
+            let e = edges[i];
+            loop {
+                let ru = find_root_halving(label_a, e.u);
+                let rv = find_root_halving(label_a, e.v);
+                if ru == rv {
+                    break;
+                }
+                let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
+                if label_a[hi as usize]
+                    .compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+                {
+                    // Only the winner writes this slot; it is read
+                    // after the pool's join.
+                    graft_a[hi as usize].store(i as u32, Ordering::Relaxed);
+                    break;
+                }
+                // Lost the race: another thread merged `hi` — re-chase
+                // the (new) roots and retry. Total retries across all
+                // threads are bounded by the n - 1 possible merges.
+            }
+        }
+        ctx.barrier();
+        // --- flatten: the forest is now fixed, so one pass of
+        // walk-to-root stores suffices (stores only ever write root
+        // values, which are chain minima, preserving monotonicity
+        // for concurrent walkers). Root slots are left untouched.
+        for v in ctx.block_range(label_a.len()) {
+            let r = find_root(label_a, v as u32);
+            if label_a[v].load(Ordering::Relaxed) != r {
+                label_a[v].store(r, Ordering::Relaxed);
+            }
+        }
+    });
+    1
 }
 
 /// Follows labels to the current root (labels only decrease, so this
@@ -321,27 +310,36 @@ fn find_root(label: &[AtomicU32], v: u32) -> u32 {
     }
 }
 
-/// [`find_root`] plus aggressive path-shortcutting: every non-root slot
-/// on the walked chain is lowered toward the discovered root with
-/// `fetch_min`, so later chases through the same region are O(1)-ish.
+/// [`find_root`] with one-pass path halving: at each non-root `x` whose
+/// grandparent `dd` differs from its parent `d`, CAS `x`'s slot from
+/// `d` to `dd` and continue from `dd`. A vertex that already points at
+/// its root is read, never written, so a flat region costs two loads
+/// and no locked read-modify-write; a lost CAS (another thread lowered
+/// the slot first) or a spurious weak failure only skips that halving.
 ///
-/// Only slots *observed* to be non-roots are written (a slot whose label
-/// has ever dropped below its index can never become a root again), and
-/// `fetch_min` keeps labels monotonically decreasing, so root slots are
-/// never clobbered and grafting's CAS/forest-recording invariants hold.
+/// The loads and the halving CAS are `Relaxed`: the label array is the
+/// only shared data, and no label publishes other memory. The
+/// invariants of the module doc hold per slot under every interleaving
+/// coherence allows: a slot's values only decrease, `dd` was read from
+/// the chain `x` lies on, and a slot observed as a non-root never reads
+/// as a root again. The graft record is ordered by the pool's join,
+/// not by any label.
 #[inline]
-fn find_root_compact(label: &[AtomicU32], v: u32) -> u32 {
-    let root = find_root(label, v);
+fn find_root_halving(label: &[AtomicU32], v: u32) -> u32 {
     let mut x = v;
-    while x != root {
-        let d = label[x as usize].load(Ordering::Acquire);
+    loop {
+        let d = label[x as usize].load(Ordering::Relaxed);
         if d == x {
-            break; // x is (still) a root; never write root slots
+            return x;
         }
-        label[x as usize].fetch_min(root, Ordering::AcqRel);
-        x = d;
+        let dd = label[d as usize].load(Ordering::Relaxed);
+        if dd == d {
+            return d;
+        }
+        let _ =
+            label[x as usize].compare_exchange_weak(d, dd, Ordering::Relaxed, Ordering::Relaxed);
+        x = dd;
     }
-    root
 }
 
 /// Relabels `label` so components are numbered `0..k` in order of their
@@ -642,6 +640,79 @@ mod tests {
                         }
                     }
                     masked.recycle(&ws);
+                }
+            }
+        }
+    }
+
+    /// Contention shapes for the concurrent-hook spec: edge orders that
+    /// make threads hook, halve and lose CAS races on the same slots.
+    fn contention_shapes() -> Vec<(&'static str, u32, Vec<Edge>)> {
+        // A path listed from its top end down: every hook moves the
+        // root a neighbouring block is chasing.
+        let n = 3000u32;
+        let path = (1..n).rev().map(|v| Edge::new(v, v - 1)).collect();
+        // A mid-id hub whose spokes appear twice, once per orientation,
+        // in the same order: at p = 2k, threads k apart race on a spoke.
+        let hub = n / 2;
+        let spokes: Vec<u32> = (0..n).filter(|&v| v != hub).collect();
+        let mut star: Vec<Edge> = spokes.iter().map(|&s| Edge::new(hub, s)).collect();
+        star.extend(spokes.iter().map(|&s| Edge::new(s, hub)));
+        // Two cliques interleaved with hundreds of parallel edges
+        // between three fixed pairs across them.
+        let k = 40u32;
+        let clique = |base: u32| {
+            (0..k).flat_map(move |a| (a + 1..k).map(move |b| Edge::new(base + b, base + a)))
+        };
+        let cross = (0..300u32).map(|i| Edge::new(k - 1 - i % 3, 2 * k - 1 - i % 3));
+        let mut clusters = Vec::new();
+        for ((a, b), c) in clique(0).zip(clique(k)).zip(cross.cycle()) {
+            clusters.extend([a, c, b]);
+        }
+        // A self-loop on every vertex, between edges that pair them up.
+        let loops = (0..n)
+            .flat_map(|v| [Edge::new(v, v), Edge::new(v ^ 1, v), Edge::new(v, v)])
+            .collect();
+        vec![
+            ("descending path", n, path),
+            ("doubled hub", n, star),
+            ("joined clusters", 2 * k, clusters),
+            ("self-loops", n, loops),
+        ]
+    }
+
+    #[test]
+    fn concurrent_hooks_match_union_find_under_contention() {
+        let runs = if cfg!(debug_assertions) { 10 } else { 100 };
+        let ws = BccWorkspace::new();
+        for (shape, n, edges) in contention_shapes() {
+            for masked in [false, true] {
+                let keep = |i: usize| !masked || i % 3 != 1;
+                let kept: Vec<Edge> = (0..edges.len())
+                    .filter(|&i| keep(i))
+                    .map(|i| edges[i])
+                    .collect();
+                let oracle = seq::components_union_find(n, &kept);
+                for p in [2, 4, 8] {
+                    let pool = Pool::new(p);
+                    for variant in VARIANTS {
+                        for run in 0..runs {
+                            let what =
+                                format!("{shape} masked={masked} p={p} {variant:?} run {run}");
+                            let r = connected_components_masked_with_ws(
+                                &pool, n, &edges, &keep, variant, &ws,
+                            );
+                            assert_eq!(r.label, oracle.label, "{what}: component minima");
+                            assert_eq!(r.num_components, oracle.count, "{what}");
+                            assert_eq!(r.tree_edges.len() as u32, n - oracle.count, "{what}");
+                            assert!(r.tree_edges.iter().all(|&i| keep(i as usize)), "{what}");
+                            let forest: Vec<Edge> =
+                                r.tree_edges.iter().map(|&i| edges[i as usize]).collect();
+                            let spans = seq::components_union_find(n, &forest);
+                            assert_eq!(spans.label, oracle.label, "{what}: forest partition");
+                            r.recycle(&ws);
+                        }
+                    }
                 }
             }
         }

@@ -24,9 +24,10 @@ pub enum BfsStrategy {
 pub enum SvVariant {
     /// The classic synchronous graft-and-shortcut rounds (paper §3.2).
     Classic,
-    /// FastSV-style rounds: hooking with in-round CAS retry, aggressive
-    /// path-shortcutting during root chases, and an early exit that
-    /// skips the trailing verification sweep.
+    /// FastSV-style single sweep: hooking with in-place CAS retry, path
+    /// halving during root chases (a slot already pointing at its root
+    /// is never written), and an early exit that skips the trailing
+    /// verification sweep.
     #[default]
     FastSv,
 }

@@ -7,6 +7,14 @@
 //! [`BccConfig::run_any`](crate::BccConfig::run_any); the per-subgraph
 //! step times accumulate into one [`PhaseRecorder`], so the final
 //! report reads like a single run over the whole edge list.
+//!
+//! A component with fewer than [`bcc_smp::GRAIN`] edges runs on the
+//! one-thread pool [`Pool::sized`] hands out: every phase of its
+//! pipeline runs inline on the calling thread, with no wake, join or
+//! barrier episode: waking the workers costs more than a component of a
+//! few edges, and an R-MAT graph has hundreds of them. The giant
+//! component, and a connected input, run on the caller's pool; labels
+//! do not depend on the pool, since they are canonicalised at the end.
 
 use crate::phase::PhaseRecorder;
 use crate::pipeline::{run_connected, Algorithm, BccError, BccResult};
@@ -80,7 +88,7 @@ pub(crate) fn run_per_component(
             .edges(std::mem::take(&mut sub_edges[c]))
             .build()
             .unwrap();
-        let r = run_connected(pool, &sub, alg, tuning, ws, rec)?;
+        let r = run_connected(&pool.sized(sub.m()), &sub, alg, tuning, ws, rec)?;
         for (j, &orig) in sub_orig[c].iter().enumerate() {
             edge_comp[orig as usize] = base + r.edge_comp[j];
         }

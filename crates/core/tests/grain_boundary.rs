@@ -1,15 +1,21 @@
-//! Level-synchronous kernels on a graph whose levels straddle the pool
-//! grain: long paths (one vertex, two arcs per BFS level) on both sides
-//! of a lattice strip whose columns are BFS levels of more than `GRAIN`
-//! vertices. Narrow levels run on the calling thread, wide ones on the
-//! pool; the results must not depend on which.
+//! Kernels and `run_any` on inputs that straddle the pool grain.
+//!
+//! * Level-synchronous kernels: long paths (one vertex, two arcs per BFS
+//!   level) on both sides of a lattice strip whose columns are BFS
+//!   levels of more than `GRAIN` vertices. Narrow levels run on the
+//!   calling thread, wide ones on the pool.
+//! * `run_any`'s per-component runs: one component above `GRAIN` edges
+//!   beside hundreds of small ones and isolated vertices. Small
+//!   components run on a one-thread pool, the giant on the caller's.
+//!
+//! The results must not depend on which side of the grain ran them.
 
 use bcc_connectivity::bfs::{bfs_tree, bfs_tree_seq, BfsTree};
 use bcc_connectivity::seq::assert_valid_rooted_tree;
 use bcc_connectivity::TraversalTuning;
-use bcc_core::{compute_low_high, compute_low_high_two_pass};
+use bcc_core::{compute_low_high, compute_low_high_two_pass, Algorithm, BccConfig};
 use bcc_euler::{bfs_tree_info, dfs_euler_tour, tree_computations, TreeInfo};
-use bcc_graph::{Csr, Edge, Graph, GraphBuilder};
+use bcc_graph::{gen, Csr, Edge, Graph, GraphBuilder};
 use bcc_smp::{Pool, Telemetry, GRAIN};
 use std::sync::Arc;
 
@@ -133,4 +139,66 @@ fn narrow_levels_dispatch_no_pool_phase() {
     assert!(t.levels > 2 * PATH);
     assert!(bfs_phases <= COLS as u64 + 2, "{bfs_phases} BFS phases");
     assert!(info_phases <= 2 * COLS as u64 + 8, "{info_phases} phases");
+}
+
+/// A 48 × 48 torus (4,608 edges, above the grain) on the lowest ids,
+/// then `small` components cycling through single edges, triangles and
+/// 5-cycles, then 30 isolated vertices. The torus's ids do not depend on
+/// `small`, so neither does its pipeline run.
+fn giant_and_small(small: u32) -> Graph {
+    let torus = gen::torus(48, 48);
+    assert!(torus.m() >= GRAIN);
+    let mut edges: Vec<Edge> = torus.edges().to_vec();
+    let mut next = torus.n();
+    for i in 0..small {
+        let size = [2, 3, 5][i as usize % 3];
+        let ring = (0..size).map(|j| Edge::new(next + j, next + (j + 1) % size));
+        // A 2-ring is one edge listed twice; keep the simple graph.
+        edges.extend(ring.take(if size == 2 { 1 } else { size as usize }));
+        next += size;
+    }
+    GraphBuilder::new(next + 30).edges(edges).build().unwrap()
+}
+
+const PARALLEL: [Algorithm; 4] = [
+    Algorithm::TvSmp,
+    Algorithm::TvOpt,
+    Algorithm::TvFilter,
+    Algorithm::FastBcc,
+];
+
+#[test]
+fn run_any_labels_match_sequential_on_both_sides_of_the_grain() {
+    let g = giant_and_small(200);
+    let want = BccConfig::new(Algorithm::Sequential)
+        .run_any(&Pool::new(1), &g)
+        .unwrap()
+        .result;
+    for p in [1, 2, 4] {
+        let pool = Pool::new(p);
+        for alg in PARALLEL {
+            let r = BccConfig::new(alg).run_any(&pool, &g).unwrap().result;
+            assert_eq!(r.edge_comp, want.edge_comp, "{} p={p}", alg.name());
+            assert_eq!(r.num_components, want.num_components);
+        }
+    }
+}
+
+#[test]
+fn small_components_dispatch_no_pool_phase() {
+    let sink = Arc::new(Telemetry::new(2));
+    let pool = Pool::builder()
+        .threads(2)
+        .telemetry(Arc::clone(&sink))
+        .build();
+    let (few, many) = (giant_and_small(50), giant_and_small(200));
+    for alg in PARALLEL {
+        let episodes = |g: &Graph| {
+            let run = BccConfig::new(alg).run_any(&pool, g).unwrap();
+            run.report.barrier_episodes
+        };
+        let (a, b) = (episodes(&few), episodes(&many));
+        assert!(a > 0, "{}: the giant runs on the pool", alg.name());
+        assert_eq!(a, b, "{}: 150 more small components", alg.name());
+    }
 }
