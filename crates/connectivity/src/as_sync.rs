@@ -17,6 +17,44 @@
 //! both graft sub-steps — the work/overhead trade the asynchronous
 //! [`crate::sv`] implementation makes differently. Both are exposed so
 //! the bench crate can compare them (ABL-SPT).
+//!
+//! **Concurrent-hook spec.** Barriers split every round into sub-steps,
+//! and the kernel makes five kinds of write:
+//!
+//! * the **graft CAS** `label[r]: r → l`, made by a thread that read
+//!   `r` as the root of one endpoint's tree and `l` as the other
+//!   endpoint's label. It succeeds only while `r` is still a root, so
+//!   each root is hooked at most once, and a tree's vertex set moves
+//!   only as a whole. A conditional graft hooks onto a smaller label,
+//!   so those grafts cannot close a cycle. An unconditional graft hooks
+//!   a stagnant star, which neither hooked nor was hooked onto in the
+//!   conditional sub-step, and only onto a tree the `hooked` flag does
+//!   not mark. Two adjacent stagnant stars cannot both exist after the
+//!   conditional sub-step, and a marked tree never hooks in this
+//!   sub-step, so no two trees hook onto each other;
+//! * the **graft record** `graft_edge[r] = i`, made only by the thread
+//!   whose CAS on `r` won, and read only after the pool run. A record
+//!   found already taken would mean a second winner on `r`; the kernel
+//!   flags it and asserts after the run that no root was hooked twice;
+//! * the **star flags**, stored between the barriers of star
+//!   detection. A flag is only cleared after it is set, and the
+//!   barrier that ends detection orders every clear before the graft
+//!   sub-step reads the flags;
+//! * the **hooked flags**, cleared at the start of a round and set by
+//!   a winning conditional graft onto `l`'s tree. A barrier separates
+//!   each set from the unconditional graft that reads it;
+//! * the **pointer-jumping stores** `label[v] = label[label[v]]`, made
+//!   between barriers when no graft runs. A root points to itself and
+//!   is never written, and a racing read sees an old or a new value,
+//!   both ancestors of `v`. So a jump keeps every tree's vertex set and
+//!   root, and the loop ends when every tree is a star.
+//!
+//! Between grafts every label points into its own tree, and a winning
+//! graft merges two distinct trees. So the trees left at the end are
+//! the components, and the recorded graft edges form a spanning forest
+//! of n − k edges. The unconditional graft may hook onto a larger
+//! label, so the final labels are not the component minima, unlike
+//! [`crate::sv`]'s.
 
 use crate::sv::SvResult;
 use bcc_graph::Edge;
@@ -46,6 +84,10 @@ pub fn awerbuch_shiloach(pool: &Pool, n: u32, edges: &[Edge]) -> SvResult {
         let changed = AtomicBool::new(true);
         let live = AtomicBool::new(true);
         let round_ctr = AtomicU32::new(0);
+        // Set if a root's graft record was already taken: the graft CAS
+        // failed to keep the hook unique (checked after the run, since a
+        // panic inside the barrier-synchronized run would hang it).
+        let hooked_twice = AtomicBool::new(false);
 
         // One graft attempt: hook the root of `hi_root` onto `lo`,
         // recording the winning edge. Exactly one CAS can win per root.
@@ -54,7 +96,9 @@ pub fn awerbuch_shiloach(pool: &Pool, n: u32, edges: &[Edge]) -> SvResult {
                 .compare_exchange(hi_root, lo, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                graft_a[hi_root as usize].swap(eid, Ordering::Relaxed);
+                if graft_a[hi_root as usize].swap(eid, Ordering::Relaxed) != NIL {
+                    hooked_twice.store(true, Ordering::Relaxed);
+                }
                 true
             } else {
                 false
@@ -171,6 +215,10 @@ pub fn awerbuch_shiloach(pool: &Pool, n: u32, edges: &[Edge]) -> SvResult {
             }
         });
         rounds = round_ctr.load(Ordering::Relaxed);
+        assert!(
+            !hooked_twice.load(Ordering::Relaxed),
+            "a root was hooked twice"
+        );
     }
 
     let tree_edges: Vec<u32> = graft_edge.iter().copied().filter(|&e| e != NIL).collect();
@@ -187,6 +235,7 @@ pub fn awerbuch_shiloach(pool: &Pool, n: u32, edges: &[Edge]) -> SvResult {
 mod tests {
     use super::*;
     use crate::seq;
+    use crate::sv::tests::contention_shapes;
     use bcc_graph::{gen, Graph};
 
     fn check(g: &Graph, p: usize) {
@@ -231,6 +280,42 @@ mod tests {
             check(&gen::torus(5, 6), p);
             check(&gen::random_connected(800, 2400, p as u64), p);
             check(&gen::random_gnm(800, 500, p as u64), p);
+        }
+    }
+
+    /// Relabels by first appearance: two labelings are equal after this
+    /// iff they induce the same partition.
+    fn canonical(label: &[u32]) -> Vec<u32> {
+        let mut rename = std::collections::HashMap::new();
+        label
+            .iter()
+            .map(|&l| {
+                let next = rename.len() as u32;
+                *rename.entry(l).or_insert(next)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_hooks_match_union_find_under_contention() {
+        let runs = if cfg!(debug_assertions) { 10 } else { 200 };
+        for (shape, n, edges) in contention_shapes() {
+            let oracle = seq::components_union_find(n, &edges);
+            let want = canonical(&oracle.label);
+            for p in [2, 4, 8] {
+                let pool = Pool::new(p);
+                for run in 0..runs {
+                    let what = format!("{shape} p={p} run {run}");
+                    let r = awerbuch_shiloach(&pool, n, &edges);
+                    assert_eq!(canonical(&r.label), want, "{what}: partition");
+                    assert_eq!(r.num_components, oracle.count, "{what}");
+                    assert_eq!(r.tree_edges.len() as u32, n - oracle.count, "{what}");
+                    let forest: Vec<Edge> =
+                        r.tree_edges.iter().map(|&i| edges[i as usize]).collect();
+                    let spans = seq::components_union_find(n, &forest);
+                    assert_eq!(spans.label, oracle.label, "{what}: forest partition");
+                }
+            }
         }
     }
 

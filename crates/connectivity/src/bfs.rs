@@ -1,5 +1,5 @@
-//! Breadth-first search trees: sequential, level-synchronous top-down,
-//! and direction-optimizing hybrid.
+//! Breadth-first search trees and forests: sequential, level-synchronous
+//! top-down, and direction-optimizing hybrid.
 //!
 //! TV-filter's correctness (paper Lemma 1) requires the primary spanning
 //! tree to be a **BFS** tree: a nontree edge of a BFS tree never joins an
@@ -31,15 +31,29 @@
 //! word-at-a-time (64 vertices per load, claims cleared with one plain
 //! store per word); top-down levels pull degree-weighted chunks from a
 //! [`ChunkCounter`] so hub vertices cannot serialize a chunk behind one
-//! thread. A top-down level whose frontier has fewer out-arcs than the
-//! pool grain runs on the calling thread: on a high-diameter graph
-//! (a road lattice has ~2,000 levels of a few thousand arcs each) one
-//! pool round per level would cost more than the level's work.
+//! thread. A level whose frontier has fewer out-arcs than the pool grain
+//! runs top-down on the calling thread, and never switches bottom-up:
+//! on a high-diameter graph (a road lattice has ~2,000 levels of a few
+//! thousand arcs each) one pool round per level would cost more than
+//! the level's work, and a sweep over every unvisited vertex would cost
+//! more than the frontier's arcs.
+//!
+//! **Forests.** [`bfs_forest_ws`] runs the same traversal over a graph
+//! that may be disconnected. It starts at vertex 0; when a tree is
+//! exhausted it restarts at the smallest unreached vertex, found by one
+//! scan pointer over `parent` (O(n) in total), and hangs that root off
+//! vertex 0 at level 1, as if a virtual edge joined them. A degree-0
+//! vertex becomes such a leaf of vertex 0 up front, without a round, so
+//! it never enters the bottom-up sweep domain. The result is the BFS
+//! tree of G plus the virtual edges: every parent sits exactly one
+//! level up and every edge of G spans at most one level, which is what
+//! Lemma 1 needs.
 
+use crate::next_root;
 use crate::tuning::{BfsStrategy, TraversalTuning};
 use bcc_graph::Csr;
 use bcc_smp::atomic::as_atomic_u32;
-use bcc_smp::{BccWorkspace, Bitmap, ChunkCounter, Pool, NIL};
+use bcc_smp::{BccWorkspace, Bitmap, ChunkCounter, Pool, GRAIN, NIL};
 use std::sync::atomic::Ordering;
 
 /// How one BFS level was discovered (recorded per level for telemetry
@@ -52,15 +66,20 @@ pub enum BfsDirection {
     BottomUp,
 }
 
-/// A rooted BFS tree (or partial tree if the graph is disconnected).
+/// A rooted BFS tree — partial if the graph is disconnected — or, from
+/// [`bfs_forest_ws`], a BFS forest spanning every vertex.
 #[derive(Clone, Debug)]
 pub struct BfsTree {
     /// `parent[v]`; `parent[root] == root`, unreachable vertices `NIL`.
+    /// In a forest the root is vertex 0, and every other component's
+    /// smallest vertex has parent 0 as well.
     pub parent: Vec<u32>,
     /// Edge id (index into the graph's edge list) of the parent edge;
-    /// `NIL` for the root and unreachable vertices.
+    /// `NIL` for the root, unreachable vertices, and a forest's other
+    /// component roots.
     pub parent_eid: Vec<u32>,
-    /// `level[v]` = BFS depth; `u32::MAX` if unreachable.
+    /// `level[v]` = BFS depth; `u32::MAX` if unreachable. A forest's
+    /// other component roots are at level 1.
     pub level: Vec<u32>,
     /// Number of vertices reached (including the root).
     pub reached: u32,
@@ -69,7 +88,8 @@ pub struct BfsTree {
     pub levels: u32,
     /// Vertices discovered at each depth (`frontier_sizes[0] == 1`, the
     /// root; `frontier_sizes.len() == levels`). The raw material for
-    /// effective-diameter estimates.
+    /// effective-diameter estimates. A forest's restarted trees count at
+    /// their depth below vertex 0.
     pub frontier_sizes: Vec<u32>,
     /// Direction used to discover each depth (`directions[0]` is the
     /// root's trivial `TopDown`); parallel to `frontier_sizes`.
@@ -117,18 +137,13 @@ impl BfsTree {
     }
 }
 
-/// Sequential BFS tree from `root`.
+/// Sequential queue BFS tree from `root` — the oracle the tests hold
+/// [`bfs_tree`] to.
 pub fn bfs_tree_seq(csr: &Csr, root: u32) -> BfsTree {
-    bfs_tree_seq_ws(csr, root, &BccWorkspace::new())
-}
-
-/// [`bfs_tree_seq`] with the tree's arrays and the frontiers taken from
-/// `ws` (the sequential fallback of [`bfs_tree_ws`]).
-fn bfs_tree_seq_ws(csr: &Csr, root: u32, ws: &BccWorkspace) -> BfsTree {
     let n = csr.n() as usize;
-    let mut parent = ws.take_filled(n, NIL);
-    let mut parent_eid = ws.take_filled(n, NIL);
-    let mut level = ws.take_filled(n, u32::MAX);
+    let mut parent = vec![NIL; n];
+    let mut parent_eid = vec![NIL; n];
+    let mut level = vec![u32::MAX; n];
     if n == 0 {
         return BfsTree {
             parent,
@@ -142,9 +157,8 @@ fn bfs_tree_seq_ws(csr: &Csr, root: u32, ws: &BccWorkspace) -> BfsTree {
     }
     parent[root as usize] = root;
     level[root as usize] = 0;
-    let mut frontier: Vec<u32> = ws.take(n);
-    frontier.push(root);
-    let mut next: Vec<u32> = ws.take(n);
+    let mut frontier = vec![root];
+    let mut next = Vec::new();
     let mut reached = 1u32;
     let mut depth = 0u32;
     let mut frontier_sizes = vec![1u32];
@@ -167,8 +181,6 @@ fn bfs_tree_seq_ws(csr: &Csr, root: u32, ws: &BccWorkspace) -> BfsTree {
         std::mem::swap(&mut frontier, &mut next);
         next.clear();
     }
-    ws.give(frontier);
-    ws.give(next);
     let directions = vec![BfsDirection::TopDown; frontier_sizes.len()];
     BfsTree {
         parent,
@@ -199,21 +211,18 @@ const SWEEP_WORDS_PER_CHUNK: usize = 16;
 ///
 /// Top-down levels CAS-claim neighbors from dynamically scheduled,
 /// degree-weighted frontier chunks; a level whose frontier has fewer
-/// than [`GRAIN`](bcc_smp::GRAIN) out-arcs runs on the calling thread
-/// ([`Pool::run_sized`]), so a long thin stretch of levels costs no
-/// pool round per level. Bottom-up levels sweep the unvisited vertices
-/// against a frontier bitmap. With [`BfsStrategy::TopDown`] and a
-/// single thread this falls back to [`bfs_tree_seq`]; the hybrid always
-/// runs its own loop so the direction optimization applies at every
-/// thread count.
+/// than [`GRAIN`] out-arcs runs on the calling thread, so a long thin
+/// stretch of levels costs no pool round per level. Bottom-up levels
+/// sweep the unvisited vertices against a frontier bitmap. The hybrid
+/// applies the direction optimization at every thread count.
 pub fn bfs_tree(pool: &Pool, csr: &Csr, root: u32, tuning: &TraversalTuning) -> BfsTree {
     bfs_tree_ws(pool, csr, root, tuning, &BccWorkspace::new())
 }
 
-/// [`bfs_tree`] with the tree's per-vertex arrays, the frontier, the
-/// bottom-up bitmap, and the unvisited-domain scratch taken from `ws`;
+/// [`bfs_tree`] with the tree's per-vertex arrays, the frontiers, the
+/// bottom-up bitmaps, and the unvisited-domain scratch taken from `ws`;
 /// return the tree's buffers with [`BfsTree::recycle`]. (Per-thread
-/// frontier chunks inside a level remain ordinary allocations.)
+/// frontier chunks of a pool level remain ordinary allocations.)
 pub fn bfs_tree_ws(
     pool: &Pool,
     csr: &Csr,
@@ -221,32 +230,93 @@ pub fn bfs_tree_ws(
     tuning: &TraversalTuning,
     ws: &BccWorkspace,
 ) -> BfsTree {
-    let n = csr.n() as usize;
-    let hybrid = tuning.bfs == BfsStrategy::Hybrid;
-    if n == 0 || (!hybrid && pool.threads() == 1) {
-        return bfs_tree_seq_ws(csr, root, ws);
-    }
-    let alpha = tuning.alpha.max(1) as usize;
-    let beta = tuning.beta.max(1) as usize;
+    traverse(pool, csr, Some(root), tuning, ws)
+}
 
+/// The BFS forest of the whole graph: [`bfs_tree_ws`]'s traversal from
+/// vertex 0, restarted at the smallest unreached vertex until every
+/// vertex is reached (see the module docs). Each restart's root hangs
+/// off vertex 0 by a virtual edge: parent 0, level 1, no parent edge,
+/// so the vertices without a parent edge are exactly one root per
+/// component.
+pub fn bfs_forest_ws(
+    pool: &Pool,
+    csr: &Csr,
+    tuning: &TraversalTuning,
+    ws: &BccWorkspace,
+) -> BfsTree {
+    traverse(pool, csr, None, tuning, ws)
+}
+
+/// The one BFS body: the tree of `root`, or with `None` the forest
+/// whose restarts hang off vertex 0.
+fn traverse(
+    pool: &Pool,
+    csr: &Csr,
+    root: Option<u32>,
+    tuning: &TraversalTuning,
+    ws: &BccWorkspace,
+) -> BfsTree {
+    let n = csr.n() as usize;
+    let forest = root.is_none();
+    let first = root.unwrap_or(0);
     let mut parent = ws.take_filled(n, NIL);
     let mut parent_eid = ws.take_filled(n, NIL);
     let mut level = ws.take_filled(n, u32::MAX);
-    parent[root as usize] = root;
-    level[root as usize] = 0;
+    let mut frontier_sizes = Vec::new();
+    let mut directions = Vec::new();
+    let mut reached = 0u32;
+    // Vertices a traversal can reach: the β exit test's `n`.
+    let mut live = n;
+    if n > 0 {
+        parent[first as usize] = first;
+        level[first as usize] = 0;
+        reached = 1;
+        record(&mut frontier_sizes, &mut directions, 0, 1, false);
+    }
+    if forest {
+        // Degree-0 vertices are leaves of vertex 0 from the start: no
+        // restart visits them and no bottom-up sweep scans them.
+        let mut isolated = 0u32;
+        for v in 1..n {
+            if csr.degree(v as u32) == 0 {
+                parent[v] = first;
+                level[v] = 1;
+                isolated += 1;
+            }
+        }
+        if isolated > 0 {
+            record(&mut frontier_sizes, &mut directions, 1, isolated, false);
+        }
+        reached += isolated;
+        live -= isolated as usize;
+    }
+    let hybrid = tuning.bfs == BfsStrategy::Hybrid;
+    let alpha = tuning.alpha.max(1) as usize;
+    let beta = tuning.beta.max(1) as usize;
 
     let parent_a = as_atomic_u32(&mut parent);
     let eid_a = as_atomic_u32(&mut parent_eid);
     let level_a = as_atomic_u32(&mut level);
+    // Claims `w` for `v` at `depth`; true for the one caller that wins.
+    let claim = |v: u32, w: u32, eid: u32, depth: u32| {
+        let slot = &parent_a[w as usize];
+        let won = slot.load(Ordering::Relaxed) == NIL
+            && slot
+                .compare_exchange(NIL, v, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok();
+        if won {
+            eid_a[w as usize].store(eid, Ordering::Relaxed);
+            level_a[w as usize].store(depth, Ordering::Relaxed);
+        }
+        won
+    };
 
+    // Two frontier buffers, swapped per level: a level costs no
+    // allocation however many trees the forest has.
     let mut frontier: Vec<u32> = ws.take(n);
-    frontier.push(root);
-    let mut frontier_arcs = csr.degree(root);
-    let mut remaining_arcs = 2 * csr.m() - frontier_arcs;
-    let mut reached = 1u32;
-    let mut depth = 0u32;
-    let mut frontier_sizes = vec![1u32];
-    let mut directions = vec![BfsDirection::TopDown];
+    let mut next: Vec<u32> = ws.take(n);
+    let mut remaining_arcs = 2 * csr.m();
 
     // Allocated on the first bottom-up level, reused afterwards.
     let mut frontier_bm: Option<Bitmap> = None;
@@ -261,136 +331,175 @@ pub fn bfs_tree_ws(
     let mut bottom_up = false;
     let mut bottom_up_done = false;
 
-    while !frontier.is_empty() {
-        if hybrid {
-            // Beamer's direction heuristic, evaluated pre-expansion.
-            // Bottom-up is a single contiguous phase: once the frontier
-            // thins back out the sweep never re-engages — late levels
-            // have few unvisited vertices, so a re-entered sweep would
-            // pay the full vertex scan for almost no claims (and the
-            // shrinking `remaining_arcs` makes the entry test trivially
-            // true near the end, which used to cause T/B thrash).
-            if !bottom_up && !bottom_up_done {
-                bottom_up = frontier.len() > 1 && frontier_arcs * alpha > remaining_arcs;
-            } else if bottom_up {
-                bottom_up = frontier.len() * beta >= n;
-                bottom_up_done = !bottom_up;
-            }
-        }
-        depth += 1;
+    let mut tree_root = (n > 0).then_some(first);
+    let mut scan = 0usize;
+    while let Some(r) = tree_root {
+        frontier.clear();
+        frontier.push(r);
+        let mut frontier_arcs = csr.degree(r);
+        remaining_arcs -= frontier_arcs;
+        let mut depth = level_a[r as usize].load(Ordering::Relaxed);
 
-        let (next, next_arcs) = if bottom_up {
-            let bm = frontier_bm.get_or_insert_with(|| Bitmap::new_in(n, ws));
-            bm.clear();
-            for &v in &frontier {
-                // Single-threaded fill phase: no other thread touches the
-                // bitmap until the next pool barrier.
-                bm.set_unsync(v as usize);
+        while !frontier.is_empty() {
+            if hybrid {
+                // Beamer's direction heuristic, evaluated pre-expansion.
+                // Bottom-up is a single contiguous phase per traversal,
+                // forest restarts included: once the frontier thins
+                // back out the sweep never re-engages — late levels have
+                // few unvisited vertices, so a re-entered sweep would
+                // pay the full vertex scan for almost no claims (and the
+                // shrinking `remaining_arcs` makes the entry test
+                // trivially true near the end, which used to cause T/B
+                // thrash).
+                if !bottom_up && !bottom_up_done {
+                    bottom_up = frontier.len() > 1
+                        && frontier_arcs >= GRAIN
+                        && frontier_arcs * alpha > remaining_arcs;
+                } else if bottom_up {
+                    bottom_up = frontier.len() * beta >= live;
+                    bottom_up_done = !bottom_up;
+                }
             }
-            // Sweep domain: every unvisited vertex on the first
-            // bottom-up level (the bitmap is built from `parent` in one
-            // word-partitioned pass), then only the survivors of the
-            // previous sweep.
-            let unvis = unvisited.get_or_insert_with(|| {
-                let unvis = Bitmap::new_in(n, ws);
-                pool.run(|ctx| {
-                    for w in ctx.block_range_of(Bitmap::word_range_of(0..n)) {
-                        let hi = (w * 64 + 64).min(n);
-                        let mut bits = 0u64;
-                        for (b, p) in parent_a[w * 64..hi].iter().enumerate() {
-                            bits |= u64::from(p.load(Ordering::Relaxed) == NIL) << b;
+            depth += 1;
+            next.clear();
+
+            let next_arcs = if bottom_up {
+                let bm = frontier_bm.get_or_insert_with(|| Bitmap::new_in(n, ws));
+                bm.clear();
+                for &v in &frontier {
+                    // Single-threaded fill phase: no other thread touches
+                    // the bitmap until the next pool barrier.
+                    bm.set_unsync(v as usize);
+                }
+                // Sweep domain: every unvisited vertex on the first
+                // bottom-up level (the bitmap is built from `parent` in
+                // one word-partitioned pass), then only the survivors of
+                // the previous sweep.
+                let unvis = unvisited.get_or_insert_with(|| {
+                    let unvis = Bitmap::new_in(n, ws);
+                    pool.run(|ctx| {
+                        for w in ctx.block_range_of(Bitmap::word_range_of(0..n)) {
+                            let hi = (w * 64 + 64).min(n);
+                            let mut bits = 0u64;
+                            for (b, p) in parent_a[w * 64..hi].iter().enumerate() {
+                                bits |= u64::from(p.load(Ordering::Relaxed) == NIL) << b;
+                            }
+                            unvis.store_word_unsync(w, bits);
                         }
-                        unvis.store_word_unsync(w, bits);
-                    }
+                    });
+                    unvis
                 });
-                unvis
-            });
-            let work = ChunkCounter::new(unvis.words().max(1), SWEEP_WORDS_PER_CHUNK);
-            let unvis_ro: &Bitmap = unvis;
-            let parts = pool.run_map(|_ctx| {
-                let mut local = Vec::new();
-                let mut local_arcs = 0usize;
-                while let Some(words) = work.next_chunk() {
-                    for w in words {
-                        // One load answers 64 vertices; claimed bits are
-                        // cleared with one plain whole-word store (this
-                        // thread owns the word for the whole sweep).
-                        let bits = unvis_ro.load_word(w);
-                        let mut remaining = bits;
-                        let mut probe = bits;
-                        while probe != 0 {
-                            let b = probe.trailing_zeros() as usize;
-                            probe &= probe - 1;
-                            let v = (w * 64 + b) as u32;
-                            // Scan only the neighbor slice until the
-                            // first frontier hit; the parallel edge-id
-                            // slice is touched once, on the hit.
-                            let nbrs = csr.neighbors(v);
-                            if let Some(k) = nbrs.iter().position(|&x| bm.test(x as usize)) {
-                                // Only this thread owns v: plain stores,
-                                // no CAS.
-                                let x = nbrs[k];
-                                let eid = csr.edge_ids(v)[k];
-                                parent_a[v as usize].store(x, Ordering::Relaxed);
-                                eid_a[v as usize].store(eid, Ordering::Relaxed);
-                                level_a[v as usize].store(depth, Ordering::Relaxed);
-                                local.push(v);
-                                local_arcs += nbrs.len();
-                                remaining &= !(1u64 << b);
+                let work = ChunkCounter::new(unvis.words().max(1), SWEEP_WORDS_PER_CHUNK);
+                let unvis_ro: &Bitmap = unvis;
+                let parts = pool.run_map(|_ctx| {
+                    let mut local = Vec::new();
+                    let mut local_arcs = 0usize;
+                    while let Some(words) = work.next_chunk() {
+                        for w in words {
+                            // One load answers 64 vertices; claimed bits
+                            // are cleared with one plain whole-word store
+                            // (this thread owns the word for the sweep).
+                            let bits = unvis_ro.load_word(w);
+                            let mut remaining = bits;
+                            let mut probe = bits;
+                            while probe != 0 {
+                                let b = probe.trailing_zeros() as usize;
+                                probe &= probe - 1;
+                                let v = (w * 64 + b) as u32;
+                                // Scan only the neighbor slice until the
+                                // first frontier hit; the parallel
+                                // edge-id slice is touched once, on the
+                                // hit.
+                                let nbrs = csr.neighbors(v);
+                                if let Some(k) = nbrs.iter().position(|&x| bm.test(x as usize)) {
+                                    // Only this thread owns v: plain
+                                    // stores, no CAS.
+                                    let x = nbrs[k];
+                                    let eid = csr.edge_ids(v)[k];
+                                    parent_a[v as usize].store(x, Ordering::Relaxed);
+                                    eid_a[v as usize].store(eid, Ordering::Relaxed);
+                                    level_a[v as usize].store(depth, Ordering::Relaxed);
+                                    local.push(v);
+                                    local_arcs += nbrs.len();
+                                    remaining &= !(1u64 << b);
+                                }
                             }
-                        }
-                        if remaining != bits {
-                            unvis_ro.store_word_unsync(w, remaining);
-                        }
-                    }
-                }
-                (local, local_arcs)
-            });
-            concat_parts(parts, ws)
-        } else {
-            let work =
-                ChunkCounter::weighted(frontier.len(), EDGE_BUDGET, |i| csr.degree(frontier[i]));
-            let frontier_ro: &[u32] = &frontier;
-            let parts = pool.run_sized(frontier_arcs, |_ctx| {
-                let mut local = Vec::new();
-                let mut local_arcs = 0usize;
-                while let Some(chunk) = work.next_chunk() {
-                    for &v in &frontier_ro[chunk] {
-                        for (w, eid) in csr.arcs(v) {
-                            if parent_a[w as usize].load(Ordering::Relaxed) == NIL
-                                && parent_a[w as usize]
-                                    .compare_exchange(NIL, v, Ordering::AcqRel, Ordering::Acquire)
-                                    .is_ok()
-                            {
-                                // Winner writes the auxiliary fields.
-                                eid_a[w as usize].store(eid, Ordering::Relaxed);
-                                level_a[w as usize].store(depth, Ordering::Relaxed);
-                                local.push(w);
-                                local_arcs += csr.degree(w);
+                            if remaining != bits {
+                                unvis_ro.store_word_unsync(w, remaining);
                             }
                         }
                     }
+                    (local, local_arcs)
+                });
+                concat_parts(parts, &mut next)
+            } else if frontier_arcs < GRAIN || pool.threads() == 1 {
+                // A narrow level on the calling thread, straight into
+                // `next`.
+                let mut arcs = 0usize;
+                for &v in &frontier {
+                    for (w, eid) in csr.arcs(v) {
+                        if claim(v, w, eid, depth) {
+                            next.push(w);
+                            arcs += csr.degree(w);
+                        }
+                    }
                 }
-                (local, local_arcs)
-            });
-            concat_parts(parts, ws)
-        };
-
-        reached += next.len() as u32;
-        remaining_arcs -= next_arcs;
-        frontier_arcs = next_arcs;
-        if !next.is_empty() {
-            frontier_sizes.push(next.len() as u32);
-            directions.push(if bottom_up {
-                BfsDirection::BottomUp
+                arcs
             } else {
-                BfsDirection::TopDown
-            });
+                let work = ChunkCounter::weighted(frontier.len(), EDGE_BUDGET, |i| {
+                    csr.degree(frontier[i])
+                });
+                let frontier_ro: &[u32] = &frontier;
+                let parts = pool.run_map(|_ctx| {
+                    let mut local = Vec::new();
+                    let mut local_arcs = 0usize;
+                    while let Some(chunk) = work.next_chunk() {
+                        for &v in &frontier_ro[chunk] {
+                            for (w, eid) in csr.arcs(v) {
+                                if claim(v, w, eid, depth) {
+                                    local.push(w);
+                                    local_arcs += csr.degree(w);
+                                }
+                            }
+                        }
+                    }
+                    (local, local_arcs)
+                });
+                concat_parts(parts, &mut next)
+            };
+
+            reached += next.len() as u32;
+            remaining_arcs -= next_arcs;
+            frontier_arcs = next_arcs;
+            if !next.is_empty() {
+                let count = next.len() as u32;
+                record(
+                    &mut frontier_sizes,
+                    &mut directions,
+                    depth,
+                    count,
+                    bottom_up,
+                );
+            }
+            std::mem::swap(&mut frontier, &mut next);
         }
-        ws.give(std::mem::replace(&mut frontier, next));
+        // The next tree, if any, hangs off the first root one level
+        // down, by a virtual edge that no array but `parent` records.
+        tree_root = if forest {
+            next_root(parent_a, &mut scan)
+        } else {
+            None
+        };
+        if let Some(r) = tree_root {
+            parent_a[r as usize].store(first, Ordering::Relaxed);
+            level_a[r as usize].store(1, Ordering::Relaxed);
+            reached += 1;
+            record(&mut frontier_sizes, &mut directions, 1, 1, false);
+        }
     }
 
     ws.give(frontier);
+    ws.give(next);
     if let Some(u) = unvisited {
         u.recycle(ws);
     }
@@ -403,21 +512,41 @@ pub fn bfs_tree_ws(
         parent_eid,
         level,
         reached,
-        levels: depth,
+        levels: frontier_sizes.len() as u32,
         frontier_sizes,
         directions,
     }
 }
 
-/// Concatenates per-thread `(vertices, arc_count)` buffers.
-fn concat_parts(parts: Vec<(Vec<u32>, usize)>, ws: &BccWorkspace) -> (Vec<u32>, usize) {
-    let mut next: Vec<u32> = ws.take(parts.iter().map(|(b, _)| b.len()).sum());
+/// Adds `count` vertices discovered at `depth` to the per-level
+/// profile; a depth any tree reached bottom-up is marked bottom-up.
+fn record(
+    sizes: &mut Vec<u32>,
+    dirs: &mut Vec<BfsDirection>,
+    depth: u32,
+    count: u32,
+    bottom_up: bool,
+) {
+    let d = depth as usize;
+    if d == sizes.len() {
+        sizes.push(0);
+        dirs.push(BfsDirection::TopDown);
+    }
+    sizes[d] += count;
+    if bottom_up {
+        dirs[d] = BfsDirection::BottomUp;
+    }
+}
+
+/// Appends per-thread `(vertices, arc_count)` buffers to `next`;
+/// returns the total arc count.
+fn concat_parts(parts: Vec<(Vec<u32>, usize)>, next: &mut Vec<u32>) -> usize {
     let mut arcs = 0usize;
-    for (mut b, a) in parts {
-        next.append(&mut b);
+    for (b, a) in parts {
+        next.extend_from_slice(&b);
         arcs += a;
     }
-    (next, arcs)
+    arcs
 }
 
 #[cfg(test)]
@@ -587,6 +716,65 @@ mod tests {
     }
 
     #[test]
+    fn forest_roots_every_component_at_its_smallest_vertex() {
+        // Components {0..3} (a path), {4} isolated, {5, 6, 7} (a
+        // triangle), {8} isolated, and a random part on 9..; every
+        // other component's root hangs off vertex 0.
+        let mut edges = vec![(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 5)];
+        let part = gen::random_gnm(300, 400, 3);
+        edges.extend(part.edges().iter().map(|e| (e.u + 9, e.v + 9)));
+        let g = GraphBuilder::new(309).edges(edges).build().unwrap();
+        let csr = Csr::build(&g);
+        let n = g.n();
+        let cc = crate::seq::components_union_find(n, g.edges());
+        for tuning in [TraversalTuning::classic(), TraversalTuning::fast()] {
+            for p in [1, 2, 4] {
+                let pool = Pool::new(p);
+                let f = bfs_forest_ws(&pool, &csr, &tuning, &BccWorkspace::new());
+                let what = format!("p={p} {tuning:?}");
+                assert_eq!(f.reached, n, "{what}");
+                assert_eq!(f.levels as usize, f.frontier_sizes.len());
+                let roots = f.parent_eid.iter().filter(|&&e| e == NIL).count();
+                assert_eq!(roots as u32, cc.count, "{what}: one root each");
+                for v in 0..n {
+                    let (p, l) = (f.parent[v as usize], f.level[v as usize]);
+                    if cc.label[v as usize] == v {
+                        // The component's smallest vertex is vertex 0 or
+                        // a leaf of it.
+                        let top = u32::from(v != 0);
+                        assert_eq!((p, l), (0, top), "{what}: root {v}");
+                        assert_eq!(f.parent_eid[v as usize], NIL);
+                        // Its tree is a BFS tree of the component.
+                        let t = bfs_tree_seq(&csr, v);
+                        for w in 0..n as usize {
+                            if t.parent[w] != NIL {
+                                assert_eq!(f.level[w], t.level[w] + top, "{what}: w={w}");
+                            }
+                        }
+                        continue;
+                    }
+                    assert_eq!(l, f.level[p as usize] + 1, "{what}: v={v}");
+                    let e = g.edges()[f.parent_eid[v as usize] as usize];
+                    assert!((e.u, e.v) == (v, p) || (e.v, e.u) == (v, p), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forest_of_a_connected_graph_is_its_tree_from_vertex_0() {
+        let g = gen::random_connected(2000, 30_000, 5);
+        let csr = Csr::build(&g);
+        let s = bfs_tree_seq(&csr, 0);
+        let pool = Pool::new(4);
+        let f = bfs_forest_ws(&pool, &csr, &TraversalTuning::fast(), &BccWorkspace::new());
+        assert_eq!(f.level, s.level);
+        assert_eq!(f.frontier_sizes, s.frontier_sizes);
+        assert_valid_rooted_tree(&g, &f.parent, 0);
+        assert!(f.bottom_up_levels() >= 1, "{:?}", f.directions);
+    }
+
+    #[test]
     fn empty_graph() {
         let g = GraphBuilder::new(0).build().unwrap();
         let csr = Csr::build(&g);
@@ -596,5 +784,7 @@ mod tests {
         let h = bfs_tree(&pool, &csr, 0, &TraversalTuning::fast());
         assert_eq!(h.reached, 0);
         assert_eq!(h.levels, 0);
+        let f = bfs_forest_ws(&pool, &csr, &TraversalTuning::fast(), &BccWorkspace::new());
+        assert_eq!((f.reached, f.levels), (0, 0));
     }
 }

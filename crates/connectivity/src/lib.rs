@@ -25,10 +25,25 @@ pub mod traversal;
 pub mod tuning;
 
 pub use as_sync::awerbuch_shiloach;
-pub use bfs::{bfs_tree, bfs_tree_par, bfs_tree_seq, bfs_tree_ws, BfsDirection, BfsTree};
+pub use bfs::{
+    bfs_forest_ws, bfs_tree, bfs_tree_par, bfs_tree_seq, bfs_tree_ws, BfsDirection, BfsTree,
+};
 pub use sv::{
     connected_components, connected_components_masked_with_ws, connected_components_with,
     connected_components_with_ws, SvResult,
 };
-pub use traversal::work_stealing_tree;
+pub use traversal::{work_stealing_forest, work_stealing_tree};
+
+/// The restart rule of the forest traversals ([`bfs_forest_ws`],
+/// [`work_stealing_forest`]): the smallest unreached vertex of `parent`
+/// at or above `*scan`. Every vertex below `*scan` is reached, so it is
+/// the smallest vertex of its component; one pointer serves a whole
+/// traversal, O(n) in total.
+pub(crate) fn next_root(parent: &[std::sync::atomic::AtomicU32], scan: &mut usize) -> Option<u32> {
+    use std::sync::atomic::Ordering;
+    while *scan < parent.len() && parent[*scan].load(Ordering::Relaxed) != bcc_smp::NIL {
+        *scan += 1;
+    }
+    (*scan < parent.len()).then_some(*scan as u32)
+}
 pub use tuning::{BfsStrategy, SvVariant, TraversalTuning};

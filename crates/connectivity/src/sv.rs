@@ -381,7 +381,7 @@ pub fn normalize_labels_ws(pool: &Pool, label: &mut [u32], ws: &BccWorkspace) ->
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::seq;
     use bcc_graph::{gen, Graph, GraphBuilder};
@@ -645,9 +645,10 @@ mod tests {
         }
     }
 
-    /// Contention shapes for the concurrent-hook spec: edge orders that
-    /// make threads hook, halve and lose CAS races on the same slots.
-    fn contention_shapes() -> Vec<(&'static str, u32, Vec<Edge>)> {
+    /// Contention shapes for the concurrent-hook specs (this module's
+    /// and [`crate::as_sync`]'s): edge orders that make threads hook,
+    /// halve and lose CAS races on the same slots.
+    pub(crate) fn contention_shapes() -> Vec<(&'static str, u32, Vec<Edge>)> {
         // A path listed from its top end down: every hook moves the
         // root a neighbouring block is chasing.
         let n = 3000u32;

@@ -8,22 +8,35 @@
 //! *rooted* spanning tree (parent array) produced in one pass — merging
 //! the paper's Spanning-tree and Root-tree steps.
 //!
+//! A tree starts as a DFS on the calling thread and moves to the pool
+//! once that DFS has scanned [`GRAIN`] arcs with vertices left to
+//! expand, seeding the pool with its stack: a tree smaller than the
+//! grain costs no pool round. [`work_stealing_forest`] continues the
+//! same traversal past the first tree, rooted at vertex 0: it restarts
+//! at the smallest unreached vertex and hangs that root off vertex 0,
+//! as if a virtual edge joined them — a rooted spanning tree of G plus
+//! the virtual edges.
+//!
 //! Expected running time O((n + m)/p) with high probability on graphs
 //! whose traversal frontier stays wide.
 
+use crate::next_root;
 use bcc_graph::Csr;
 use bcc_smp::atomic::as_atomic_u32;
 use bcc_smp::{Pool, GRAIN, NIL};
 use crossbeam_deque::{Steal, Stealer, Worker};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Rooted spanning tree produced by the work-stealing traversal.
 #[derive(Clone, Debug)]
 pub struct SpanningTree {
-    /// `parent[v]`; `parent[root] == root`; `NIL` if unreachable.
+    /// `parent[v]`; `parent[root] == root`; `NIL` if unreachable. In a
+    /// forest the root is vertex 0, and every other component's
+    /// smallest vertex has parent 0 as well.
     pub parent: Vec<u32>,
     /// Edge id of the parent edge (index into the edge list); `NIL` for
-    /// the root / unreachable vertices.
+    /// the root, unreachable vertices, and a forest's other component
+    /// roots.
     pub parent_eid: Vec<u32>,
     /// Vertices reached.
     pub reached: u32,
@@ -32,49 +45,89 @@ pub struct SpanningTree {
 /// Computes a rooted spanning tree of the component containing `root`
 /// by parallel work-stealing traversal.
 pub fn work_stealing_tree(pool: &Pool, csr: &Csr, root: u32) -> SpanningTree {
+    traverse(pool, csr, Some(root))
+}
+
+/// [`work_stealing_tree`]'s traversal from vertex 0, restarted at the
+/// smallest unreached vertex until every vertex is reached. Each
+/// restart's root hangs off vertex 0 by a virtual edge: parent 0, no
+/// parent edge, so the vertices without a parent edge are exactly one
+/// root per component. A degree-0 vertex is such a root with no tree
+/// below it.
+pub fn work_stealing_forest(pool: &Pool, csr: &Csr) -> SpanningTree {
+    traverse(pool, csr, None)
+}
+
+/// The one traversal body: the tree of `root`, or with `None` the
+/// forest whose restarts hang off vertex 0.
+fn traverse(pool: &Pool, csr: &Csr, root: Option<u32>) -> SpanningTree {
     let n = csr.n() as usize;
-    let p = pool.threads();
+    let forest = root.is_none();
+    let first = root.unwrap_or(0);
     let mut parent = vec![NIL; n];
     let mut parent_eid = vec![NIL; n];
-    if n == 0 {
-        return SpanningTree {
-            parent,
-            parent_eid,
-            reached: 0,
-        };
-    }
-    parent[root as usize] = root;
-
-    if p == 1 || n < GRAIN {
-        // Sequential DFS traversal; same output contract.
-        let mut stack = vec![root];
-        let mut reached = 1u32;
-        while let Some(v) = stack.pop() {
-            for (w, eid) in csr.arcs(v) {
-                if parent[w as usize] == NIL {
-                    parent[w as usize] = v;
-                    parent_eid[w as usize] = eid;
-                    reached += 1;
-                    stack.push(w);
+    let mut reached = 0u32;
+    {
+        let parent_a = as_atomic_u32(&mut parent);
+        let eid_a = as_atomic_u32(&mut parent_eid);
+        let mut stack: Vec<u32> = Vec::new();
+        let mut tree_root = (n > 0).then_some(first);
+        let mut scan = 0usize;
+        while let Some(r) = tree_root {
+            parent_a[r as usize].store(first, Ordering::Relaxed);
+            reached += 1;
+            stack.push(r);
+            // Sequential DFS until the tree proves wider than the grain.
+            let mut arcs = 0usize;
+            while arcs < GRAIN || pool.threads() == 1 {
+                let Some(v) = stack.pop() else { break };
+                arcs += csr.degree(v);
+                for (w, eid) in csr.arcs(v) {
+                    if parent_a[w as usize].load(Ordering::Relaxed) == NIL {
+                        parent_a[w as usize].store(v, Ordering::Relaxed);
+                        eid_a[w as usize].store(eid, Ordering::Relaxed);
+                        reached += 1;
+                        stack.push(w);
+                    }
                 }
             }
+            if !stack.is_empty() {
+                reached += steal_rest(pool, csr, parent_a, eid_a, &mut stack);
+            }
+            tree_root = if forest {
+                next_root(parent_a, &mut scan)
+            } else {
+                None
+            };
         }
-        return SpanningTree {
-            parent,
-            parent_eid,
-            reached,
-        };
     }
+    SpanningTree {
+        parent,
+        parent_eid,
+        reached,
+    }
+}
 
-    let parent_a = as_atomic_u32(&mut parent);
-    let eid_a = as_atomic_u32(&mut parent_eid);
-
+/// Finishes a tree on the pool: the claimed but unexpanded `seeds` go
+/// to thread 0's deque, and every thread pops, steals and claims until
+/// each claimed vertex is expanded. Returns the vertices claimed here.
+fn steal_rest(
+    pool: &Pool,
+    csr: &Csr,
+    parent_a: &[AtomicU32],
+    eid_a: &[AtomicU32],
+    seeds: &mut Vec<u32>,
+) -> u32 {
+    let p = pool.threads();
     // Per-thread LIFO deques; each claimed vertex is pushed exactly once
     // and popped exactly once, so `expanded == claimed` signals drain.
     let workers: Vec<Worker<u32>> = (0..p).map(|_| Worker::new_lifo()).collect();
     let stealers: Vec<Stealer<u32>> = workers.iter().map(Worker::stealer).collect();
-    workers[0].push(root);
-    let claimed = AtomicUsize::new(1);
+    let seeded = seeds.len();
+    for v in seeds.drain(..) {
+        workers[0].push(v);
+    }
+    let claimed = AtomicUsize::new(seeded);
     let expanded = AtomicUsize::new(0);
 
     // Hand each thread its own worker through a mutex-free slot vector.
@@ -128,12 +181,7 @@ pub fn work_stealing_tree(pool: &Pool, csr: &Csr, root: u32) -> SpanningTree {
         }
     });
 
-    let reached = claimed.load(Ordering::Relaxed) as u32;
-    SpanningTree {
-        parent,
-        parent_eid,
-        reached,
-    }
+    (claimed.load(Ordering::Relaxed) - seeded) as u32
 }
 
 #[cfg(test)]
@@ -191,6 +239,40 @@ mod tests {
         assert_eq!(t.reached, 3);
         assert_eq!(t.parent[3], NIL);
         assert_eq!(t.parent[5], NIL);
+    }
+
+    #[test]
+    fn forest_hangs_each_component_root_off_vertex_0() {
+        // A path component, isolated vertices, and a component above the
+        // grain placed last, so its restart runs on the pool.
+        let big = gen::random_connected(6000, 12_000, 4);
+        let mut edges = vec![(0, 1), (1, 2), (4, 5)];
+        edges.extend(big.edges().iter().map(|e| (e.u + 8, e.v + 8)));
+        let g = GraphBuilder::new(6008).edges(edges).build().unwrap();
+        let csr = Csr::build(&g);
+        let n = g.n();
+        let cc = crate::seq::components_union_find(n, g.edges());
+        for p in [1, 2, 4] {
+            let pool = Pool::new(p);
+            let t = work_stealing_forest(&pool, &csr);
+            assert_eq!(t.reached, n, "p={p}");
+            for v in 0..n {
+                let par = t.parent[v as usize];
+                let eid = t.parent_eid[v as usize];
+                if cc.label[v as usize] == v {
+                    assert_eq!((par, eid), (0, NIL), "p={p}: root {v}");
+                    continue;
+                }
+                let e = g.edges()[eid as usize];
+                assert!((e.u, e.v) == (v, par) || (e.v, e.u) == (v, par));
+                // Parent edges climb to the component's root.
+                let mut x = v;
+                while t.parent_eid[x as usize] != NIL {
+                    x = t.parent[x as usize];
+                }
+                assert_eq!(x, cc.label[v as usize], "p={p}: v={v}");
+            }
+        }
     }
 
     #[test]

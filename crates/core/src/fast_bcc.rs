@@ -8,9 +8,14 @@
 //! only in how the tree tags (preorder, subtree size, depth) of T are
 //! produced:
 //!
-//! 1. **Skeleton** — a BFS spanning tree T (the existing
-//!    direction-optimizing BFS). Lemma 1 of the paper (§4) requires a
-//!    BFS tree for certificate correctness.
+//! 1. **Skeleton** — a BFS spanning forest T (the existing
+//!    direction-optimizing BFS from vertex 0, restarted at the smallest
+//!    unreached vertex until every component is reached,
+//!    [`bfs_forest_ws`]). Each restart's root hangs off vertex 0 by a
+//!    virtual edge, so T plus those edges is a BFS tree of G plus them,
+//!    and Lemma 1 of the paper (§4), which requires a BFS tree for
+//!    certificate correctness, holds per component; the tags and the
+//!    tail run on that tree (see [`crate::pipeline`]).
 //! 2. **Tags** — TV-filter runs TV-opt's tags on T: a DFS-order Euler
 //!    tour, then prefix sums over it (the paper's "run TV-opt on
 //!    T ∪ F"). FAST-BCC computes them *directly on the BFS tree* by
@@ -41,8 +46,10 @@
 //! `bcc-bench xl` tier measures at n = 10M+.
 
 use crate::phase::{PhaseRecorder, PipelineStats, Step};
-use crate::pipeline::{finalize, trivial_result, tv_tail, Algorithm, BccError, BccResult};
-use bcc_connectivity::bfs::bfs_tree_ws;
+use crate::pipeline::{
+    finalize, forest_roots, trivial_result, tv_tail, Algorithm, BccError, BccResult,
+};
+use bcc_connectivity::bfs::bfs_forest_ws;
 use bcc_connectivity::sv::connected_components_masked_with_ws;
 use bcc_connectivity::tuning::TraversalTuning;
 use bcc_connectivity::BfsDirection;
@@ -50,14 +57,17 @@ use bcc_euler::{bfs_tree_info_ws, dfs_euler_tour_ws, tree_computations_ws};
 use bcc_graph::{Csr, Edge, Graph};
 use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
 
-/// The certificate pipeline on a connected graph, dispatched from
-/// [`crate::pipeline::run_connected`] for [`Algorithm::TvFilter`] and
-/// [`Algorithm::FastBcc`]; `alg` selects only the tags step.
+/// The certificate pipeline, dispatched from [`crate::pipeline`] for
+/// [`Algorithm::TvFilter`] and [`Algorithm::FastBcc`]; `alg` selects
+/// only the tags step. With `connected`, fails with
+/// [`BccError::Disconnected`] when the BFS forest has more than one
+/// tree.
 pub(crate) fn certificate_impl(
     pool: &Pool,
     g: &Graph,
     alg: Algorithm,
     tuning: TraversalTuning,
+    connected: bool,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
@@ -74,27 +84,26 @@ pub(crate) fn certificate_impl(
     // toward `total`).
     let csr = Csr::build(g);
 
-    // Step 1: BFS skeleton T.
+    // Step 1: BFS skeleton T, a BFS forest from vertex 0.
     let root = 0u32;
     let mut bfs = rec.step(Step::SpanningTree, || {
-        bfs_tree_ws(pool, &csr, root, &tuning, ws)
+        bfs_forest_ws(pool, &csr, &tuning, ws)
     });
-    if bfs.reached != n {
+    if connected && forest_roots(&bfs.parent_eid) != 1 {
         bfs.recycle(ws);
         return Err(BccError::Disconnected);
     }
     let parent: &[u32] = &bfs.parent;
     let parent_eid: &[u32] = &bfs.parent_eid;
 
-    // Step 2: tags of T.
+    // Step 2: tags of T plus the virtual edges. A vertex other than 0
+    // without a parent edge is a component root, a child of vertex 0.
     let info = if alg == Algorithm::TvFilter {
         let mut tree_edges: Vec<Edge> = ws.take(n as usize);
-        tree_edges.extend(
-            parent_eid
-                .iter()
-                .filter(|&&eid| eid != NIL)
-                .map(|&eid| edges[eid as usize]),
-        );
+        tree_edges.extend((1..n).map(|v| match parent_eid[v as usize] {
+            NIL => Edge::new(v, root),
+            eid => edges[eid as usize],
+        }));
         let tour = rec.step(Step::EulerTour, || {
             dfs_euler_tour_ws(pool, n, tree_edges, parent, root, ws)
         });

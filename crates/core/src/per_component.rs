@@ -1,123 +1,14 @@
-//! Driver for arbitrary (possibly disconnected) graphs.
+//! Component-scoped pipeline runs.
 //!
-//! The TV pipelines require a connected input (the paper assumes one).
-//! This driver splits a general graph into connected components with
-//! Shiloach–Vishkin, runs the chosen algorithm on each induced
-//! subgraph, and stitches the per-edge labels back together. It backs
-//! [`BccConfig::run_any`](crate::BccConfig::run_any); the per-subgraph
-//! step times accumulate into one [`PhaseRecorder`], so the final
-//! report reads like a single run over the whole edge list.
-//!
-//! A component with fewer than [`bcc_smp::GRAIN`] edges runs on the
-//! one-thread pool [`Pool::sized`] hands out: every phase of its
-//! pipeline runs inline on the calling thread, with no wake, join or
-//! barrier episode: waking the workers costs more than a component of a
-//! few edges, and an R-MAT graph has hundreds of them. The giant
-//! component, and a connected input, run on the caller's pool; labels
-//! do not depend on the pool, since they are canonicalised at the end.
+//! [`BccConfig::run_any`](crate::BccConfig::run_any) labels a
+//! disconnected graph in one pipeline pass, under a virtual root (see
+//! [`crate::pipeline`]); no per-component driver remains. What lives
+//! here is the other direction: [`component_pipeline`], the unit a
+//! caller runs on one component it has already split off.
 
-use crate::phase::PhaseRecorder;
-use crate::pipeline::{run_connected, Algorithm, BccError, BccResult};
-use crate::verify::canonicalize_edge_labels;
-use bcc_connectivity::sv::{connected_components_with_ws, normalize_labels_ws};
-use bcc_connectivity::tuning::TraversalTuning;
-use bcc_graph::{Edge, Graph, GraphBuilder};
-use bcc_smp::{BccWorkspace, Pool};
-
-/// Biconnected components of an arbitrary simple graph: per connected
-/// component, using `alg`; labels are canonical over the whole edge
-/// list. The connectivity precondition of the TV pipelines is satisfied
-/// by construction, so the only way this fails is a future error
-/// variant — callers that know better may `expect`.
-pub(crate) fn run_per_component(
-    pool: &Pool,
-    g: &Graph,
-    alg: Algorithm,
-    tuning: TraversalTuning,
-    ws: &BccWorkspace,
-    rec: &mut PhaseRecorder,
-) -> Result<BccResult, BccError> {
-    if alg == Algorithm::Sequential {
-        return run_connected(pool, g, alg, tuning, ws, rec);
-    }
-    let cc = connected_components_with_ws(pool, g.n(), g.edges(), tuning.sv, ws);
-    if cc.num_components <= 1 {
-        // Connected (or empty): run directly.
-        cc.recycle(ws);
-        return run_connected(pool, g, alg, tuning, ws, rec);
-    }
-    let mut comp_of = cc.label;
-    ws.give(cc.tree_edges);
-    let k = normalize_labels_ws(pool, &mut comp_of, ws) as usize;
-
-    // Local vertex ids: position of each vertex within its component.
-    let n = g.n() as usize;
-    let mut counts = ws.take_filled(k, 0u32);
-    let mut local = ws.take_filled(n, 0u32);
-    for v in 0..n {
-        let c = comp_of[v] as usize;
-        local[v] = counts[c];
-        counts[c] += 1;
-    }
-
-    // Partition edges by component. The nested per-subgraph vectors
-    // stay plain: their count and sizes vary by input and the subgraph
-    // edge lists are consumed by `Graph::new` below.
-    let mut sub_edges: Vec<Vec<Edge>> = vec![Vec::new(); k];
-    let mut sub_orig: Vec<Vec<u32>> = vec![Vec::new(); k];
-    for (i, e) in g.edges().iter().enumerate() {
-        let c = comp_of[e.u as usize] as usize;
-        debug_assert_eq!(c, comp_of[e.v as usize] as usize);
-        sub_edges[c].push(Edge::new(local[e.u as usize], local[e.v as usize]));
-        sub_orig[c].push(i as u32);
-    }
-
-    // Solve each component; merge labels with disjoint offsets. The
-    // shared recorder accumulates the per-step times across subgraphs.
-    let mut edge_comp = vec![0u32; g.m()];
-    let mut stats = crate::phase::PipelineStats {
-        input_edges: g.m(),
-        ..Default::default()
-    };
-    let mut base = 0u32;
-    for c in 0..k {
-        if sub_edges[c].is_empty() {
-            continue;
-        }
-        let sub = GraphBuilder::new(counts[c])
-            .edges(std::mem::take(&mut sub_edges[c]))
-            .build()
-            .unwrap();
-        let r = run_connected(&pool.sized(sub.m()), &sub, alg, tuning, ws, rec)?;
-        for (j, &orig) in sub_orig[c].iter().enumerate() {
-            edge_comp[orig as usize] = base + r.edge_comp[j];
-        }
-        base += r.num_components;
-        stats.effective_edges += r.stats.effective_edges;
-        stats.filtered_edges += r.stats.filtered_edges;
-        stats.aux_vertices += r.stats.aux_vertices;
-        stats.aux_edges += r.stats.aux_edges;
-        stats.sv_rounds_spanning = stats.sv_rounds_spanning.max(r.stats.sv_rounds_spanning);
-        stats.sv_rounds_cc = stats.sv_rounds_cc.max(r.stats.sv_rounds_cc);
-        // BFS shape stats: keep the deepest component's profile.
-        if r.stats.bfs_levels > stats.bfs_levels {
-            stats.bfs_levels = r.stats.bfs_levels;
-            stats.bfs_bottom_up_levels = r.stats.bfs_bottom_up_levels;
-            stats.bfs_frontier_sizes = r.stats.bfs_frontier_sizes.clone();
-            stats.bfs_directions = r.stats.bfs_directions.clone();
-        }
-    }
-    ws.give(comp_of);
-    ws.give(counts);
-    ws.give(local);
-    let num_components = canonicalize_edge_labels(&mut edge_comp);
-    debug_assert_eq!(num_components, base);
-    Ok(BccResult {
-        edge_comp,
-        num_components,
-        stats,
-    })
-}
+use crate::pipeline::BccError;
+use bcc_graph::Graph;
+use bcc_smp::Pool;
 
 /// The single-component pipeline unit: runs `config` on a graph the
 /// caller knows is **connected** — typically one part of
@@ -143,8 +34,8 @@ pub fn component_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::BccConfig;
-    use bcc_graph::gen;
+    use crate::pipeline::{Algorithm, BccConfig};
+    use bcc_graph::{gen, GraphBuilder};
 
     #[test]
     fn matches_sequential_on_disconnected_random_graphs() {

@@ -86,7 +86,8 @@ pub struct PipelineStats {
     /// Graft rounds of the step-6 SV run.
     pub sv_rounds_cc: u32,
     /// BFS levels (TV-filter and FAST-BCC only; the `O(d)` term of
-    /// Alg. 2).
+    /// Alg. 2). On a disconnected input, the other components' trees
+    /// count one level below vertex 0.
     pub bfs_levels: u32,
     /// Vertices discovered per BFS level (TV-filter and FAST-BCC only;
     /// empty otherwise). Feeds effective-diameter estimates in the benchmarks.

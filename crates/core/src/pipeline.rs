@@ -8,6 +8,27 @@
 //! shrink the edge set to a sparse certificate first and share one
 //! pipeline ([`crate::fast_bcc`]) that differs only in the tags step.
 //!
+//! **Disconnected inputs in one pass.** The paper's pipelines assume a
+//! connected graph. Each one here joins its spanning step's forest into
+//! one tree instead, rooted at vertex 0: every other component's root —
+//! its smallest vertex r — hangs off vertex 0 by a virtual edge
+//! `(r, 0)`, and the tags, low/high and Alg. 1 run on that tree
+//! unchanged. A virtual edge is the only edge between r's component and
+//! the rest, so it is a bridge, hence a block of its own, and no
+//! condition of Alg. 1 links across it: the subtree below r is the
+//! whole component, so no nontree edge escapes it (condition 3 never
+//! joins a child of r to r's own tree edge), r is an ancestor of its
+//! whole component (condition 2 never names r), and r has the smallest
+//! preorder there (condition 1 never picks r, but for a self-loop on
+//! r). The virtual edges live only in the tree arrays — the tree-edge
+//! list and the roots' parent slots — never in the edge list or the
+//! CSR, so the label write-back covers the m real edges, and every
+//! per-vertex array keeps n slots. The roots come from the spanning
+//! step itself: SV's component-minimum labels for TV-SMP, a forest
+//! traversal that restarts at the smallest unreached vertex for the
+//! others. [`BccConfig::run`] and [`BccConfig::run_any`] run the same
+//! pipeline; `run` fails when the forest has more than one component.
+//!
 //! The entry point is [`BccConfig`]: select an algorithm, optionally a
 //! traversal tuning and a telemetry sink, then [`run`](BccConfig::run)
 //! it on a pool. Each run yields a [`BccRun`] — the component labels plus a
@@ -33,7 +54,7 @@ use crate::phase::{PhaseRecorder, PhaseReport, PipelineStats, Step};
 use crate::tarjan::tarjan_bcc;
 use crate::verify::canonicalize_edge_labels;
 use bcc_connectivity::sv::connected_components_with_ws;
-use bcc_connectivity::traversal::work_stealing_tree;
+use bcc_connectivity::traversal::work_stealing_forest;
 use bcc_connectivity::tuning::TraversalTuning;
 use bcc_euler::{dfs_euler_tour_ws, euler_tour_classic_ws, tree_computations_ws, Ranker, TreeInfo};
 use bcc_graph::{Csr, Edge, Graph};
@@ -216,25 +237,26 @@ impl BccConfig {
     }
 
     /// Runs on a **connected** graph (the paper's setting). Fails with
-    /// [`BccError::Disconnected`] otherwise; use
-    /// [`run_any`](BccConfig::run_any) for general graphs.
+    /// [`BccError::Disconnected`] when the spanning step finds more than
+    /// one component; use [`run_any`](BccConfig::run_any) for general
+    /// graphs.
     pub fn run(&self, pool: &Pool, g: &Graph) -> Result<BccRun, BccError> {
-        let start = Instant::now();
-        let ws = self.resolve_workspace();
-        let mut rec = PhaseRecorder::new(self.sink(pool), &ws);
-        let result = run_connected(pool, g, self.alg, self.tuning, &ws, &mut rec)?;
-        Ok(self.package(pool, g, rec, result, start))
+        self.execute(pool, g, true)
     }
 
-    /// Runs on an arbitrary (possibly disconnected) graph: connected
-    /// components first, then the configured algorithm per component,
-    /// with labels stitched canonically over the whole edge list.
+    /// Runs on an arbitrary (possibly disconnected) graph in one pass:
+    /// the configured algorithm labels every component at once, its
+    /// spanning forest rooted at a virtual root (see the module docs),
+    /// with labels canonical over the whole edge list.
     pub fn run_any(&self, pool: &Pool, g: &Graph) -> Result<BccRun, BccError> {
+        self.execute(pool, g, false)
+    }
+
+    fn execute(&self, pool: &Pool, g: &Graph, connected: bool) -> Result<BccRun, BccError> {
         let start = Instant::now();
         let ws = self.resolve_workspace();
         let mut rec = PhaseRecorder::new(self.sink(pool), &ws);
-        let result =
-            crate::per_component::run_per_component(pool, g, self.alg, self.tuning, &ws, &mut rec)?;
+        let result = run_pipeline(pool, g, self.alg, self.tuning, connected, &ws, &mut rec)?;
         Ok(self.package(pool, g, rec, result, start))
     }
 
@@ -279,24 +301,32 @@ pub struct BccRun {
     pub report: PhaseReport,
 }
 
-/// Dispatches one connected-graph pipeline into `rec`. Shared by
-/// [`BccConfig::run`] and the per-component driver.
-pub(crate) fn run_connected(
+/// Dispatches one pipeline run into `rec`. With `connected`, a
+/// parallel pipeline fails with [`BccError::Disconnected`] once its
+/// spanning step finds more than one component.
+fn run_pipeline(
     pool: &Pool,
     g: &Graph,
     alg: Algorithm,
     tuning: TraversalTuning,
+    connected: bool,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
     match alg {
         Algorithm::Sequential => Ok(sequential_impl(g)),
-        Algorithm::TvSmp => tv_smp_impl(pool, g, tuning, ws, rec),
-        Algorithm::TvOpt => tv_opt_impl(pool, g, tuning, ws, rec),
+        Algorithm::TvSmp => tv_smp_impl(pool, g, tuning, connected, ws, rec),
+        Algorithm::TvOpt => tv_opt_impl(pool, g, tuning, connected, ws, rec),
         Algorithm::TvFilter | Algorithm::FastBcc => {
-            crate::fast_bcc::certificate_impl(pool, g, alg, tuning, ws, rec)
+            crate::fast_bcc::certificate_impl(pool, g, alg, tuning, connected, ws, rec)
         }
     }
+}
+
+/// Components of a forest traversal's spanning forest: its roots, the
+/// vertices without a parent edge.
+pub(crate) fn forest_roots(parent_eid: &[u32]) -> usize {
+    parent_eid.iter().filter(|&&eid| eid == NIL).count()
 }
 
 pub(crate) fn sequential_impl(g: &Graph) -> BccResult {
@@ -318,6 +348,7 @@ fn tv_smp_impl(
     pool: &Pool,
     g: &Graph,
     tuning: TraversalTuning,
+    connected: bool,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
@@ -326,11 +357,12 @@ fn tv_smp_impl(
         return Ok(r);
     }
 
-    // Step 1: Spanning-tree (Shiloach–Vishkin on the edge list).
+    // Step 1: Spanning-tree (Shiloach–Vishkin on the edge list): a
+    // spanning forest, labelled by component minima.
     let sv = rec.step(Step::SpanningTree, || {
         connected_components_with_ws(pool, n, g.edges(), tuning.sv, ws)
     });
-    if sv.num_components != 1 {
+    if connected && sv.num_components != 1 {
         sv.recycle(ws);
         return Err(BccError::Disconnected);
     }
@@ -338,14 +370,21 @@ fn tv_smp_impl(
     for &i in &sv.tree_edges {
         is_tree[i as usize] = true;
     }
+    // The forest plus a virtual edge (r, 0) per other root r
+    // (`label[r] == r`) is a spanning tree of n − 1 edges.
+    let root = 0u32;
     let mut tree_edges: Vec<Edge> = ws.take(n as usize);
     tree_edges.extend(sv.tree_edges.iter().map(|&i| g.edges()[i as usize]));
+    tree_edges.extend(
+        (1..n)
+            .filter(|&v| sv.label[v as usize] == v)
+            .map(|r| Edge::new(r, root)),
+    );
     let sv_rounds = sv.rounds;
     sv.recycle(ws);
 
     // Step 2: Euler-tour (circular adjacency by sorting + cross
     // pointers + Helman–JáJá list ranking).
-    let root = 0u32;
     let tour = rec.step(Step::EulerTour, || {
         euler_tour_classic_ws(pool, n, tree_edges, root, Ranker::HelmanJaja, ws)
     });
@@ -377,6 +416,7 @@ fn tv_opt_impl(
     pool: &Pool,
     g: &Graph,
     tuning: TraversalTuning,
+    connected: bool,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
@@ -385,22 +425,25 @@ fn tv_opt_impl(
         return Ok(r);
     }
 
-    // Step 1 (merged with rooting): adjacency conversion + traversal.
-    // CSR and the work-stealing traversal manage their own storage
-    // (per-thread deques, atomics) and are not arena-threaded.
+    // Step 1 (merged with rooting): adjacency conversion + traversal,
+    // rooted at vertex 0. CSR and the work-stealing traversal manage
+    // their own storage (per-thread deques, atomics) and are not
+    // arena-threaded.
     let root = 0u32;
     let st = rec.step(Step::SpanningTree, || {
         let csr = Csr::build(g);
-        work_stealing_tree(pool, &csr, root)
+        work_stealing_forest(pool, &csr)
     });
-    if st.reached != n {
+    if connected && forest_roots(&st.parent_eid) != 1 {
         return Err(BccError::Disconnected);
     }
     let mut is_tree = ws.take_filled(g.m(), false);
     let mut tree_edges: Vec<Edge> = ws.take(n as usize);
-    for v in 0..n {
+    for v in 1..n {
         let eid = st.parent_eid[v as usize];
-        if eid != NIL {
+        if eid == NIL {
+            tree_edges.push(Edge::new(v, root));
+        } else {
             is_tree[eid as usize] = true;
             tree_edges.push(g.edges()[eid as usize]);
         }

@@ -4,9 +4,12 @@
 //!   level) on both sides of a lattice strip whose columns are BFS
 //!   levels of more than `GRAIN` vertices. Narrow levels run on the
 //!   calling thread, wide ones on the pool.
-//! * `run_any`'s per-component runs: one component above `GRAIN` edges
-//!   beside hundreds of small ones and isolated vertices. Small
-//!   components run on a one-thread pool, the giant on the caller's.
+//! * `run_any`'s one pass over a disconnected input: one component
+//!   above `GRAIN` edges beside hundreds of small ones and isolated
+//!   vertices, and optionally a second component above the grain after
+//!   the small ones. The spanning step restarts once per component; a
+//!   small component's restart runs on the calling thread, the second
+//!   giant's on the pool.
 //!
 //! The results must not depend on which side of the grain ran them.
 
@@ -143,9 +146,10 @@ fn narrow_levels_dispatch_no_pool_phase() {
 
 /// A 48 × 48 torus (4,608 edges, above the grain) on the lowest ids,
 /// then `small` components cycling through single edges, triangles and
-/// 5-cycles, then 30 isolated vertices. The torus's ids do not depend on
-/// `small`, so neither does its pipeline run.
-fn giant_and_small(small: u32) -> Graph {
+/// 5-cycles, then — with `second_giant` — a random component whose
+/// BFS levels reach the grain, then 30 isolated vertices. The torus's
+/// ids do not depend on `small`, so neither does its traversal.
+fn giant_and_small(small: u32, second_giant: bool) -> Graph {
     let torus = gen::torus(48, 48);
     assert!(torus.m() >= GRAIN);
     let mut edges: Vec<Edge> = torus.edges().to_vec();
@@ -156,6 +160,17 @@ fn giant_and_small(small: u32) -> Graph {
         // A 2-ring is one edge listed twice; keep the simple graph.
         edges.extend(ring.take(if size == 2 { 1 } else { size as usize }));
         next += size;
+    }
+    if second_giant {
+        let giant = gen::random_connected(1_500, 9_000, 7);
+        assert!(giant.m() >= GRAIN);
+        edges.extend(
+            giant
+                .edges()
+                .iter()
+                .map(|e| Edge::new(e.u + next, e.v + next)),
+        );
+        next += giant.n();
     }
     GraphBuilder::new(next + 30).edges(edges).build().unwrap()
 }
@@ -169,17 +184,20 @@ const PARALLEL: [Algorithm; 4] = [
 
 #[test]
 fn run_any_labels_match_sequential_on_both_sides_of_the_grain() {
-    let g = giant_and_small(200);
-    let want = BccConfig::new(Algorithm::Sequential)
-        .run_any(&Pool::new(1), &g)
-        .unwrap()
-        .result;
-    for p in [1, 2, 4] {
-        let pool = Pool::new(p);
-        for alg in PARALLEL {
-            let r = BccConfig::new(alg).run_any(&pool, &g).unwrap().result;
-            assert_eq!(r.edge_comp, want.edge_comp, "{} p={p}", alg.name());
-            assert_eq!(r.num_components, want.num_components);
+    for second_giant in [false, true] {
+        let g = giant_and_small(200, second_giant);
+        let want = BccConfig::new(Algorithm::Sequential)
+            .run_any(&Pool::new(1), &g)
+            .unwrap()
+            .result;
+        for p in [1, 2, 4] {
+            let pool = Pool::new(p);
+            for alg in PARALLEL {
+                let r = BccConfig::new(alg).run_any(&pool, &g).unwrap().result;
+                let what = format!("{} p={p} second_giant={second_giant}", alg.name());
+                assert_eq!(r.edge_comp, want.edge_comp, "{what}");
+                assert_eq!(r.num_components, want.num_components, "{what}");
+            }
         }
     }
 }
@@ -191,7 +209,7 @@ fn small_components_dispatch_no_pool_phase() {
         .threads(2)
         .telemetry(Arc::clone(&sink))
         .build();
-    let (few, many) = (giant_and_small(50), giant_and_small(200));
+    let (few, many) = (giant_and_small(50, false), giant_and_small(200, false));
     for alg in PARALLEL {
         let episodes = |g: &Graph| {
             let run = BccConfig::new(alg).run_any(&pool, g).unwrap();

@@ -18,11 +18,30 @@
 //! cold allocator calls were 44/82 (TV-SMP), 56/95 (TV-opt), 113/149
 //! (TV-filter); warm bytes dropped 1.7x (TV-filter, plain CSR + two
 //! m-sized outputs over O(n) arena scratch) to 18x+ (TV-SMP).
+//!
+//! The same holds for a disconnected input through
+//! [`BccConfig::run_any`], which labels every component in one pipeline
+//! pass: the warm rerun misses nothing, and its allocator calls do not
+//! grow with the number of components (a per-component driver made
+//! 40–70 calls per component).
 
 use bcc_core::{Algorithm, BccConfig, BccWorkspace};
-use bcc_graph::gen;
+use bcc_graph::{gen, Edge, Graph, GraphBuilder};
 use bcc_smp::{CountingAlloc, Pool};
 use std::sync::Arc;
+
+/// The connected input plus `cycles` disjoint five-cycles and 300
+/// isolated vertices.
+fn with_small_components(cycles: u32) -> Graph {
+    let base = gen::random_connected(2_000, 10_000, 42);
+    let mut edges = base.edges().to_vec();
+    let mut next = base.n();
+    for _ in 0..cycles {
+        edges.extend((0..5).map(|j| Edge::new(next + j, next + (j + 1) % 5)));
+        next += 5;
+    }
+    GraphBuilder::new(next + 300).edges(edges).build().unwrap()
+}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -83,6 +102,40 @@ fn warmed_rerun_sheds_all_scratch_allocation() {
             warm_bytes * required_drop_pct <= cold_bytes * 100,
             "{}: warm run allocated {warm_bytes} bytes vs {cold_bytes} cold — \
              expected at least a {required_drop_pct}% drop",
+            alg.name()
+        );
+
+        // Disconnected inputs in one pass: a warm rerun per input.
+        let warm_calls = [40, 160].map(|cycles| {
+            let g = with_small_components(cycles);
+            let ws = Arc::new(BccWorkspace::new());
+            let cfg = BccConfig::new(alg).workspace(Arc::clone(&ws));
+            let cold = cfg.run_any(&pool, &g).unwrap();
+            // The fewest calls of three warm reruns: a pool level's
+            // per-thread buffers grow by a racy number of reallocations.
+            (0..3)
+                .map(|_| {
+                    let ws_before = ws.stats();
+                    let allocs_before = CountingAlloc::allocations();
+                    let warm = cfg.run_any(&pool, &g).unwrap();
+                    let calls = CountingAlloc::allocations() - allocs_before;
+                    let delta = ws.stats().delta_since(&ws_before);
+                    assert_eq!(
+                        delta.misses,
+                        0,
+                        "{} with {cycles} cycles: arena miss on warmed rerun",
+                        alg.name()
+                    );
+                    assert_eq!(warm.result.edge_comp, cold.result.edge_comp);
+                    calls
+                })
+                .min()
+                .unwrap()
+        });
+        assert!(
+            warm_calls[1].abs_diff(warm_calls[0]) <= 6,
+            "{}: warm allocator calls grew with the component count: {warm_calls:?} \
+             for 40 and 160 five-cycles",
             alg.name()
         );
     }

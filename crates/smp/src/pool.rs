@@ -15,7 +15,6 @@
 
 use crate::barrier::Barrier;
 use crate::telemetry::Telemetry;
-use std::borrow::Cow;
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,10 +22,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Work below which a dispatch runs on the calling thread
-/// ([`Pool::run_sized`], [`Pool::sized`]): waking the workers and
-/// joining them costs more than a few thousand elements of loop body on
-/// the 2-vCPU reference host, so a narrower parallel loop loses to its
-/// serial twin.
+/// ([`Pool::run_sized`]): waking the workers and joining them costs
+/// more than a few thousand elements of loop body on the 2-vCPU
+/// reference host, so a narrower parallel loop loses to its serial
+/// twin.
 pub const GRAIN: usize = 4096;
 
 /// An SPMD executor with a fixed thread count.
@@ -272,20 +271,6 @@ impl Pool {
         }
         let barrier = Barrier::new(1);
         vec![f(&Ctx::new(0, 1, &barrier, None))]
-    }
-
-    /// The pool for a job of `work` elements that dispatches many
-    /// phases (a whole pipeline): `self` at or above [`GRAIN`], else a
-    /// one-thread pool. That pool runs every closure inline on the
-    /// calling thread, spawns no thread and records nothing in `self`'s
-    /// telemetry sink — the rule [`run_sized`](Pool::run_sized) applies
-    /// to one dispatch, applied to all of a small job's dispatches.
-    pub fn sized(&self, work: usize) -> Cow<'_, Pool> {
-        if work >= GRAIN {
-            Cow::Borrowed(self)
-        } else {
-            Cow::Owned(Pool::new(1))
-        }
     }
 
     /// Applies `f` to every item of a slice under static block
@@ -917,25 +902,6 @@ mod tests {
             assert_eq!(snap.phase_runs, 1, "p={p}");
             assert_eq!(snap.barrier_episodes, 1, "p={p}");
         }
-    }
-
-    #[test]
-    fn sized_pool_is_self_at_the_grain_and_inline_below() {
-        let sink = Arc::new(Telemetry::new(2));
-        let pool = Pool::builder()
-            .threads(2)
-            .telemetry(Arc::clone(&sink))
-            .build();
-        assert!(std::ptr::eq(&*pool.sized(GRAIN), &pool));
-        let small = pool.sized(GRAIN - 1);
-        assert_eq!(small.threads(), 1);
-        assert!(small.telemetry().is_none());
-        let caller = std::thread::current().id();
-        small.run(|ctx| {
-            assert_eq!(ctx.threads(), 1);
-            assert_eq!(std::thread::current().id(), caller);
-        });
-        assert_eq!(sink.snapshot().phase_runs, 0);
     }
 
     #[test]

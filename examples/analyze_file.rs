@@ -42,7 +42,7 @@ fn main() {
     let pool = Pool::machine();
     let run = BccConfig::new(Algorithm::TvFilter)
         .run_any(&pool, &g)
-        .expect("per-component driver accepts any graph");
+        .expect("run_any accepts any graph");
     let r = &run.result;
 
     let arts = r.articulation_points(&g);

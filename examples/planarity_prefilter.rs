@@ -33,7 +33,7 @@ fn main() {
     let pool = Pool::machine();
     let run = BccConfig::new(Algorithm::TvFilter)
         .run_any(&pool, &g)
-        .expect("per-component driver accepts any graph");
+        .expect("run_any accepts any graph");
     let r = &run.result;
 
     // Per-block vertex and edge counts.

@@ -1,7 +1,8 @@
 //! Integration tests for the extensions beyond the paper's core: the
 //! synchronous Awerbuch–Shiloach algorithm, the
 //! double-BFS counting corollary, parallel derived outputs, and R-MAT
-//! workloads through the per-component driver.
+//! workloads — disconnected, with isolated vertices — through
+//! `run_any`'s one pass.
 
 use smp_bcc::algorithms::verify::{
     articulation_points, articulation_points_par, bridges, bridges_par,

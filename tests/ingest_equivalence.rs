@@ -2,7 +2,8 @@
 //! biconnected-components labeling computed from an mmap-backed
 //! `.bccsr` graph must be bit-for-bit identical to the one computed
 //! from the in-memory build — across every algorithm, since the
-//! storage backend sits below the whole pipeline.
+//! storage backend sits below the whole pipeline. One family is
+//! disconnected, with isolated vertices.
 
 use smp_bcc::graph::gen;
 use smp_bcc::{Algorithm, BccConfig, Graph, MappedCsr, Pool};
@@ -15,6 +16,9 @@ fn family_instances() -> Vec<(&'static str, Graph)> {
         ("cycle-chain", gen::cycle_chain(36, 8, 42)),
         ("random-tree", gen::random_tree(200, 42)),
         ("two-cliques", gen::two_cliques_sharing_vertex(9)),
+        // Disconnected, with isolated vertices: `run_any` labels it in
+        // one pass over the mapped CSR.
+        ("sparse-gnm", gen::random_gnm(400, 300, 42)),
     ]
 }
 
