@@ -32,8 +32,8 @@
 //! * `serve` — the `bcc-serve` daemon under closed- and open-loop
 //!   workload profiles, in-process and over loopback TCP, reporting
 //!   queries/s and latency/snapshot-lag quantiles.
-//! * `prims` — the primitive kernels (vectorized scan / compaction /
-//!   bitmap / radix) against their frozen scalar references.
+//! * `prims` — the parallel primitives (scan / compaction / radix
+//!   sort), each beside its serial twin, and the bitmap drain.
 //! * no subcommand — all three into one `BENCH_bcc.json`; `--smoke`
 //!   shrinks any of them to CI size.
 //! * `paper` — one of the paper's figures, table or ablations as a

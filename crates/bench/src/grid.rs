@@ -135,8 +135,8 @@ pub enum CellSet {
     /// profiles, in-process (`serve/*`) and over loopback TCP
     /// (`serve-net/*`), swept over the shard pools' thread counts.
     Serve,
-    /// `bcc-bench prims`: the vectorized primitives against their
-    /// frozen scalar references (see [`crate::prims`]).
+    /// `bcc-bench prims`: each parallel primitive beside its serial
+    /// twin (see [`crate::prims`]).
     Prims,
 }
 

@@ -1,7 +1,7 @@
 //! The one trial-major runner every BENCH document comes from, plus the
 //! two cell kinds more than one cell set shares: pipeline cells (one
 //! [`BccConfig`] on one named graph and pool) and kernel cells (one
-//! timed closure).
+//! timed closure, such as a `prims` kernel or its serial twin).
 //!
 //! Trials run **trial-major** (round-robin over every cell, repeated
 //! `trials` times) rather than back-to-back per cell: a host-scheduler
@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 /// (`seconds` is their p99 latency; `mode` and `admission` add the
 /// `/closed`, `/open` and `/shed` suffixes);
 /// `peak_rss_bytes` (per-trial peak resident set, max over trials,
-/// Linux only); the `prims` kernel cells (`reps`, `simd`); and the
+/// Linux only); the `prims` kernel cells (`reps`); and the
 /// pipeline work counters `effective_edges`, `aux_vertices` and
 /// `aux_edges`.
 pub const SCHEMA_VERSION: u64 = 2;

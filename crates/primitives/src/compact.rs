@@ -14,8 +14,9 @@
 //! instead of three (flag+count fuses what used to be flag then scan),
 //! the predicate runs exactly once per element, and the output is
 //! written once per slot through spare capacity — no fill-then-overwrite
-//! pass. The earlier u32-flag path survives in
-//! [`reference`](mod@reference) as the bench baseline and test oracle.
+//! pass. Its serial twin is an `iter().filter().collect()`: the tests
+//! use it as the oracle, and the `prims` bench tier times it beside
+//! `compact-u32`.
 
 use bcc_smp::{BccWorkspace, Bitmap, Ctx, Pool, SharedSlice};
 use std::mem::MaybeUninit;
@@ -148,58 +149,6 @@ where
     out
 }
 
-/// The pre-PR scan-flag compaction, frozen verbatim as the `prims`
-/// bench baseline and a differential-test oracle. Known costs the live
-/// path removes: a `u32` flag per element, a full parallel scan over
-/// those flags, the predicate evaluated twice per kept element, and a
-/// fill-then-overwrite of the output. Do not "fix" or use it outside
-/// benches/tests.
-pub mod reference {
-    use crate::scan::exclusive_scan_par;
-    use bcc_smp::{Pool, SharedSlice};
-
-    /// Pre-PR [`compact_with`](super::compact_with): u32 flags → scan →
-    /// re-evaluating scatter.
-    pub fn compact_with_scan<T, F>(pool: &Pool, a: &[T], keep: F) -> Vec<T>
-    where
-        T: Copy + Send + Sync,
-        F: Fn(usize, &T) -> bool + Sync,
-    {
-        let n = a.len();
-        if n == 0 {
-            return vec![];
-        }
-        // Flags as u32 for the scan.
-        let mut pos = vec![0u32; n];
-        {
-            let pos_s = SharedSlice::new(&mut pos);
-            pool.run(|ctx| {
-                for i in ctx.block_range(n) {
-                    unsafe { pos_s.write(i, u32::from(keep(i, &a[i]))) };
-                }
-            });
-        }
-        let total = exclusive_scan_par(pool, &mut pos) as usize;
-        let mut out: Vec<T> = Vec::with_capacity(total);
-        if total == 0 {
-            return out;
-        }
-        out.resize(total, a[0]);
-        {
-            let out_s = SharedSlice::new(&mut out);
-            let pos_ro: &[u32] = &pos;
-            pool.run(|ctx| {
-                for i in ctx.block_range(n) {
-                    if keep(i, &a[i]) {
-                        unsafe { out_s.write(pos_ro[i] as usize, a[i]) };
-                    }
-                }
-            });
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,11 +246,11 @@ mod tests {
         }
 
         #[test]
-        fn matches_frozen_scan_reference(v in proptest::collection::vec(any::<u32>(), 0..800),
-                                         m in 1u32..7, p in 1usize..5) {
+        fn matches_iterator_filter_across_moduli(v in proptest::collection::vec(any::<u32>(), 0..800),
+                                                 m in 1u32..7, p in 1usize..5) {
             let pool = Pool::new(p);
             let got = compact_with(&pool, &v, |_, &x| x % m == 0);
-            let want = reference::compact_with_scan(&pool, &v, |_, &x| x % m == 0);
+            let want: Vec<u32> = v.iter().copied().filter(|&x| x % m == 0).collect();
             prop_assert_eq!(got, want);
         }
     }

@@ -10,8 +10,8 @@
 //! | prefix sum | [`scan`] | Helman–JáJá block scan: local sums → p-scan → rescan |
 //! | pointer jumping / list ranking | [`list_rank`] | Wyllie's jumping **and** Helman–JáJá sampled sublists |
 //! | sorting | [`sort`] | LSD radix sort on packed `u64` keys |
-//! | compaction | [`compact`] | scan-based stream compaction |
-//! | reductions | [`reduce`] | block-parallel sum/min/max |
+//! | compaction | [`compact`] | bitmap flags, popcount offsets, scatter |
+//! | range min/max | [`rmq`] | sparse table, one parallel sweep per level |
 //!
 //! Every primitive takes a [`bcc_smp::Pool`] and works for any thread
 //! count `p >= 1`; the `p = 1` path degenerates to the straightforward
@@ -21,9 +21,7 @@
 //! name is a wrapper passing a fresh arena.
 
 pub mod compact;
-pub mod kernels;
 pub mod list_rank;
-pub mod reduce;
 pub mod rmq;
 pub mod scan;
 pub mod sort;
@@ -33,7 +31,6 @@ pub use list_rank::{
     list_rank_hj, list_rank_hj_ws, list_rank_seq, list_rank_seq_ws, list_rank_wyllie,
     list_rank_wyllie_ws,
 };
-pub use reduce::{par_max, par_min, par_sum_u64};
 pub use rmq::{Extremum, RangeTable};
 pub use scan::{
     exclusive_scan_par, exclusive_scan_par_ws, exclusive_scan_seq, inclusive_scan_par,

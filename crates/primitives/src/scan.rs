@@ -4,61 +4,23 @@
 //! scans its block locally, thread 0 scans the p block totals, and a
 //! second parallel sweep adds each block's offset. Two barriers, O(n/p +
 //! p) time per thread — the building block the paper uses to replace list
-//! ranking wherever the data is already in traversal order.
+//! ranking wherever the data is already in traversal order. Below
+//! [`GRAIN`] elements, or at p = 1, the scan runs on the calling thread.
+//!
+//! Every scan, sequential or parallel, runs one block body: a carried
+//! loop over [`ScanElem::combine`]. A faster body does not pay here: a
+//! pipeline's scans take under 1 ms of a 0.3–0.9 s run, and tiled and
+//! vector bodies moved no pipeline end to end (docs/ALGORITHMS.md §14).
 
-use bcc_smp::{BccWorkspace, Ctx, Pool, SharedSlice};
+use bcc_smp::{BccWorkspace, Ctx, Pool, SharedSlice, GRAIN};
 
 /// Trait for scannable element types (associative op with identity).
-///
-/// The three block-kernel methods have straightforward generic defaults
-/// (the naive carried loop) and exist so concrete types can substitute
-/// vectorized kernels on stable Rust — no specialization feature
-/// needed. `u32`/`u64` override them with the tiled/SIMD kernels in
-/// [`crate::kernels`]; `i32`/`i64`/`usize`/`isize` delegate to those
-/// (two's-complement wrapping add is bit-identical across same-width
-/// signedness, and `usize` is `u64` on every 64-bit target). Every
-/// scan entry point in this module — sequential, parallel, `_ws` —
-/// routes its per-block work through these hooks.
+/// The integer impls combine by wrapping addition.
 pub trait ScanElem: Copy + Send + Sync {
     /// Identity element of the scan operator.
     const ZERO: Self;
     /// The associative combine operator.
     fn combine(self, other: Self) -> Self;
-
-    /// In-place inclusive scan of `a` seeded with `carry`
-    /// (`a[i] := carry ⊕ a[0] ⊕ … ⊕ a[i]`); returns the final
-    /// running value.
-    #[inline]
-    fn scan_block(a: &mut [Self], carry: Self) -> Self {
-        let mut acc = carry;
-        for x in a.iter_mut() {
-            acc = acc.combine(*x);
-            *x = acc;
-        }
-        acc
-    }
-
-    /// In-place exclusive scan of `a` seeded with `carry`
-    /// (`a[i] := carry ⊕ a[0] ⊕ … ⊕ a[i-1]`); returns the inclusive
-    /// total.
-    #[inline]
-    fn scan_block_exclusive(a: &mut [Self], carry: Self) -> Self {
-        let mut acc = carry;
-        for x in a.iter_mut() {
-            let v = *x;
-            *x = acc;
-            acc = acc.combine(v);
-        }
-        acc
-    }
-
-    /// Reduce `a` under the combine operator (no stores). Used by the
-    /// parallel exclusive scan's first phase, which only needs block
-    /// totals — skipping the phase-1 stores halves its write traffic.
-    #[inline]
-    fn sum_block(a: &[Self]) -> Self {
-        a.iter().fold(Self::ZERO, |acc, &x| acc.combine(x))
-    }
 }
 
 macro_rules! impl_scan_elem_for_int {
@@ -72,69 +34,50 @@ macro_rules! impl_scan_elem_for_int {
         }
     )*};
 }
-impl_scan_elem_for_int!(u8, u16);
+impl_scan_elem_for_int!(u8, u16, u32, u64, usize, i32, i64, isize);
 
-/// Implement `ScanElem` for a type that is layout- and
-/// wrap-add-compatible with `$k` (`u32` or `u64`), routing the block
-/// kernels through [`crate::kernels`] via an in-place slice cast.
-macro_rules! impl_scan_elem_via_kernel {
-    ($t:ty => $k:ty, $incl:path, $excl:path) => {
-        impl ScanElem for $t {
-            const ZERO: Self = 0;
-            #[inline]
-            fn combine(self, other: Self) -> Self {
-                self.wrapping_add(other)
-            }
-            #[inline]
-            fn scan_block(a: &mut [Self], carry: Self) -> Self {
-                // Same size/alignment and wrapping-add bit pattern.
-                let ka =
-                    unsafe { std::slice::from_raw_parts_mut(a.as_mut_ptr().cast::<$k>(), a.len()) };
-                $incl(ka, carry as $k) as Self
-            }
-            #[inline]
-            fn scan_block_exclusive(a: &mut [Self], carry: Self) -> Self {
-                let ka =
-                    unsafe { std::slice::from_raw_parts_mut(a.as_mut_ptr().cast::<$k>(), a.len()) };
-                $excl(ka, carry as $k) as Self
-            }
-            #[inline]
-            fn sum_block(a: &[Self]) -> Self {
-                // Wrapping sum has no carried store; the tiled reduce is
-                // just an unrolled fold, which the compiler already
-                // produces from this shape.
-                let mut acc: $k = 0;
-                for &x in a {
-                    acc = acc.wrapping_add(x as $k);
-                }
-                acc as Self
-            }
-        }
-    };
+/// In-place inclusive scan of `a` (`a[i] := a[0] ⊕ … ⊕ a[i]`); returns
+/// the total.
+#[inline]
+fn scan_block<T: ScanElem>(a: &mut [T]) -> T {
+    let mut acc = T::ZERO;
+    for x in a.iter_mut() {
+        acc = acc.combine(*x);
+        *x = acc;
+    }
+    acc
 }
 
-impl_scan_elem_via_kernel!(u32 => u32, crate::kernels::scan_add_u32, crate::kernels::scan_add_u32_excl);
-impl_scan_elem_via_kernel!(i32 => u32, crate::kernels::scan_add_u32, crate::kernels::scan_add_u32_excl);
-impl_scan_elem_via_kernel!(u64 => u64, crate::kernels::scan_add_u64, crate::kernels::scan_add_u64_excl);
-impl_scan_elem_via_kernel!(i64 => u64, crate::kernels::scan_add_u64, crate::kernels::scan_add_u64_excl);
+/// In-place exclusive scan of `a` seeded with `carry`
+/// (`a[i] := carry ⊕ a[0] ⊕ … ⊕ a[i-1]`); returns the inclusive total.
+#[inline]
+fn scan_block_exclusive<T: ScanElem>(a: &mut [T], carry: T) -> T {
+    let mut acc = carry;
+    for x in a.iter_mut() {
+        let v = *x;
+        *x = acc;
+        acc = acc.combine(v);
+    }
+    acc
+}
 
-#[cfg(target_pointer_width = "64")]
-impl_scan_elem_via_kernel!(usize => u64, crate::kernels::scan_add_u64, crate::kernels::scan_add_u64_excl);
-#[cfg(target_pointer_width = "64")]
-impl_scan_elem_via_kernel!(isize => u64, crate::kernels::scan_add_u64, crate::kernels::scan_add_u64_excl);
-
-#[cfg(not(target_pointer_width = "64"))]
-impl_scan_elem_for_int!(usize, isize);
+/// Reduces `a` under the combine operator (no stores). The parallel
+/// exclusive scan's first phase only needs block totals, so skipping
+/// the phase-1 stores halves its write traffic.
+#[inline]
+fn sum_block<T: ScanElem>(a: &[T]) -> T {
+    a.iter().fold(T::ZERO, |acc, &x| acc.combine(x))
+}
 
 /// In-place sequential inclusive scan: `a[i] = a[0] + ... + a[i]`.
 pub fn inclusive_scan_seq<T: ScanElem>(a: &mut [T]) {
-    T::scan_block(a, T::ZERO);
+    scan_block(a);
 }
 
 /// In-place sequential exclusive scan: `a[i] = a[0] + ... + a[i-1]`.
 /// Returns the total (the inclusive sum of all elements).
 pub fn exclusive_scan_seq<T: ScanElem>(a: &mut [T]) -> T {
-    T::scan_block_exclusive(a, T::ZERO)
+    scan_block_exclusive(a, T::ZERO)
 }
 
 /// In-place parallel inclusive scan over `a` using `pool`, with its
@@ -183,11 +126,11 @@ fn scan_par<T: ScanElem + 'static>(
 ) -> T {
     let n = a.len();
     let p = pool.threads();
-    if p == 1 || n < 2 * p {
+    if p == 1 || n < GRAIN {
         return if inclusive {
-            T::scan_block(a, T::ZERO)
+            scan_block(a)
         } else {
-            T::scan_block_exclusive(a, T::ZERO)
+            scan_block_exclusive(a, T::ZERO)
         };
     }
     let mut block_totals = ws.take_filled(p + 1, T::ZERO);
@@ -202,16 +145,16 @@ fn scan_par<T: ScanElem + 'static>(
         // values, which halves phase-1 write traffic.
         let block = unsafe { a_s.slice_mut(r.start, r.end) };
         let total = if inclusive {
-            T::scan_block(block, T::ZERO)
+            scan_block(block)
         } else {
-            T::sum_block(block)
+            sum_block(block)
         };
         unsafe { totals_s.write(ctx.tid() + 1, total) };
         ctx.barrier();
         // Phase 2: thread 0 scans the p block totals.
         if ctx.is_leader() {
             let totals = unsafe { totals_s.slice_mut(0, p + 1) };
-            T::scan_block(totals, T::ZERO);
+            scan_block(totals);
         }
         ctx.barrier();
         // Phase 3: apply own block's offset.
@@ -222,7 +165,7 @@ fn scan_par<T: ScanElem + 'static>(
                 *x = offset.combine(*x);
             }
         } else {
-            T::scan_block_exclusive(block, offset);
+            scan_block_exclusive(block, offset);
         }
     });
 
@@ -234,7 +177,9 @@ fn scan_par<T: ScanElem + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcc_smp::Telemetry;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn oracle_inclusive(a: &[u64]) -> Vec<u64> {
         let mut acc = 0u64;
@@ -244,6 +189,49 @@ mod tests {
                 acc
             })
             .collect()
+    }
+
+    /// A length below 300 or within 150 of [`GRAIN`], so a case reaches
+    /// both the calling-thread path and the pool path.
+    fn len_across_grain() -> impl Strategy<Value = usize> {
+        (0usize..300, any::<bool>()).prop_map(|(l, big)| if big { GRAIN - 150 + l } else { l })
+    }
+
+    fn vec_across_grain<S: Strategy + Clone>(elem: S) -> impl Strategy<Value = Vec<S::Value>> {
+        len_across_grain().prop_flat_map(move |n| proptest::collection::vec(elem.clone(), n..n + 1))
+    }
+
+    /// Scans `v` inclusive and exclusive, sequentially and on every pool
+    /// in `pools`, and checks each against a `wrapping_add` fold.
+    fn check_against_fold<T>(v: &[T], add: fn(T, T) -> T, pools: &[Pool])
+    where
+        T: ScanElem + PartialEq + std::fmt::Debug + 'static,
+    {
+        let mut total = T::ZERO;
+        let mut excl = Vec::with_capacity(v.len());
+        let incl: Vec<T> = v
+            .iter()
+            .map(|&x| {
+                excl.push(total);
+                total = add(total, x);
+                total
+            })
+            .collect();
+        let mut a = v.to_vec();
+        inclusive_scan_seq(&mut a);
+        assert_eq!(a, incl, "inclusive seq");
+        let mut a = v.to_vec();
+        assert_eq!(exclusive_scan_seq(&mut a), total, "exclusive seq total");
+        assert_eq!(a, excl, "exclusive seq");
+        for pool in pools {
+            let p = pool.threads();
+            let mut a = v.to_vec();
+            inclusive_scan_par(pool, &mut a);
+            assert_eq!(a, incl, "inclusive p={p}");
+            let mut a = v.to_vec();
+            assert_eq!(exclusive_scan_par(pool, &mut a), total, "total p={p}");
+            assert_eq!(a, excl, "exclusive p={p}");
+        }
     }
 
     #[test]
@@ -265,21 +253,43 @@ mod tests {
     fn ws_variants_match_plain_and_reuse_scratch() {
         let pool = Pool::new(4);
         let ws = BccWorkspace::new();
-        for round in 0..3 {
-            let mut a: Vec<u64> = (0..1000).map(|i| i * 3 + round).collect();
-            let mut b = a.clone();
-            inclusive_scan_par(&pool, &mut a);
-            inclusive_scan_par_ws(&pool, &mut b, &ws);
-            assert_eq!(a, b);
-            let mut c: Vec<u64> = (0..1000).map(|i| i + round).collect();
-            let mut d = c.clone();
-            let t0 = exclusive_scan_par(&pool, &mut c);
-            let t1 = exclusive_scan_par_ws(&pool, &mut d, &ws);
-            assert_eq!((c, t0), (d, t1));
+        for n in [1000, GRAIN as u64 + 1000] {
+            for round in 0..3 {
+                let mut a: Vec<u64> = (0..n).map(|i| i * 3 + round).collect();
+                let mut b = a.clone();
+                inclusive_scan_par(&pool, &mut a);
+                inclusive_scan_par_ws(&pool, &mut b, &ws);
+                assert_eq!(a, b);
+                let mut c: Vec<u64> = (0..n).map(|i| i + round).collect();
+                let mut d = c.clone();
+                let t0 = exclusive_scan_par(&pool, &mut c);
+                let t1 = exclusive_scan_par_ws(&pool, &mut d, &ws);
+                assert_eq!((c, t0), (d, t1));
+            }
         }
+        // Below the grain the scan takes no scratch; above it, one
+        // buffer, reused thereafter.
         let s = ws.stats();
-        assert_eq!(s.misses, 1, "one scratch buffer, reused thereafter");
+        assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 5);
+    }
+
+    #[test]
+    fn below_grain_scan_is_not_a_pool_phase() {
+        for p in [2, 3] {
+            let sink = Arc::new(Telemetry::new(p));
+            let pool = Pool::builder()
+                .threads(p)
+                .telemetry(Arc::clone(&sink))
+                .build();
+            let mut a = vec![1u32; GRAIN - 1];
+            assert_eq!(exclusive_scan_par(&pool, &mut a), (GRAIN - 1) as u32);
+            inclusive_scan_par(&pool, &mut a);
+            assert_eq!(sink.snapshot().phase_runs, 0, "p={p}");
+            let mut a = vec![1u32; GRAIN];
+            assert_eq!(exclusive_scan_par(&pool, &mut a), GRAIN as u32);
+            assert_eq!(sink.snapshot().phase_runs, 1, "p={p}");
+        }
     }
 
     #[test]
@@ -293,9 +303,11 @@ mod tests {
 
     #[test]
     fn par_matches_seq_on_fixed_cases() {
+        let below = [0, 1, 2, 5, 16, 100, 1001, GRAIN - 1];
+        let above = [GRAIN, GRAIN + 1, 3 * GRAIN + 5];
         for p in [1, 2, 3, 4, 7] {
             let pool = Pool::new(p);
-            for n in [0usize, 1, 2, 5, 16, 100, 1001] {
+            for n in below.into_iter().chain(above) {
                 let base: Vec<u64> = (0..n as u64).map(|i| i * 7 + 1).collect();
 
                 let mut inc = base.clone();
@@ -317,8 +329,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn par_inclusive_equals_oracle(v in proptest::collection::vec(0u64..1_000_000, 0..500),
-                                       p in 1usize..6) {
+        fn par_inclusive_equals_oracle(v in vec_across_grain(0u64..1_000_000), p in 1usize..6) {
             let pool = Pool::new(p);
             let mut a = v.clone();
             inclusive_scan_par(&pool, &mut a);
@@ -326,8 +337,8 @@ mod tests {
         }
 
         #[test]
-        fn par_exclusive_shifts_inclusive(v in proptest::collection::vec(0u64..1_000_000, 1..500),
-                                          p in 1usize..6) {
+        fn par_exclusive_shifts_inclusive(v in vec_across_grain(0u64..1_000_000), p in 1usize..6) {
+            prop_assume!(!v.is_empty());
             let pool = Pool::new(p);
             let mut a = v.clone();
             let total = exclusive_scan_par(&pool, &mut a);
@@ -337,6 +348,24 @@ mod tests {
             for i in 1..v.len() {
                 prop_assert_eq!(a[i], inc[i - 1]);
             }
+        }
+
+        // Values within 2^20 of each type's maximum, so nearly every
+        // combine wraps.
+        #[test]
+        fn wrapping_scans_match_fold_near_type_max(d in vec_across_grain(0u32..1 << 20)) {
+            let pools = [Pool::new(1), Pool::new(2), Pool::new(3)];
+            let near = |max: u64| d.iter().map(move |&x| max - u64::from(x));
+            let v: Vec<u32> = near(u32::MAX.into()).map(|x| x as u32).collect();
+            check_against_fold(&v, u32::wrapping_add, &pools);
+            let v: Vec<i32> = near(i32::MAX as u64).map(|x| x as i32).collect();
+            check_against_fold(&v, i32::wrapping_add, &pools);
+            let v: Vec<u64> = near(u64::MAX).collect();
+            check_against_fold(&v, u64::wrapping_add, &pools);
+            let v: Vec<i64> = near(i64::MAX as u64).map(|x| x as i64).collect();
+            check_against_fold(&v, i64::wrapping_add, &pools);
+            let v: Vec<usize> = near(usize::MAX as u64).map(|x| x as usize).collect();
+            check_against_fold(&v, usize::wrapping_add, &pools);
         }
     }
 }

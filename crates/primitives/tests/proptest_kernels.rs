@@ -1,48 +1,32 @@
-//! Property tests for the vectorized primitives substrate (satellite
-//! of the SIMD/word-level kernels PR).
+//! Property tests for the parallel primitives, each checked against a
+//! serial oracle written inline here: a carried `wrapping_add` loop for
+//! the scans, a `filter` collect for compaction, a per-bit `test(i)`
+//! probe for the bitmap drains.
 //!
-//! Every kernel is checked against a plain scalar oracle written
-//! inline here (a carried `wrapping_add` loop, a `filter` collect, a
-//! per-bit probe loop), on inputs that sweep lengths across vector-
-//! width and tile boundaries, random carries, and random sub-slice
-//! offsets — the offsets matter because the AVX-512 bodies peel a
-//! scalar head to a 64-byte boundary, so an unaligned window takes a
-//! different path than an aligned one.
-//!
-//! Both dispatch paths run in the same test process: the safe entry
-//! points (`scan_add_*`) follow whatever `is_x86_feature_detected!`
-//! picks on the host, and under the `simd` feature the per-ISA kernels
-//! and the scalar tiled fallback are additionally called directly, so
-//! a host with AVX-512 still exercises AVX2, SSE2, and the tiled path
-//! in one run.
+//! Scan lengths fall on both sides of [`GRAIN`], so every case reaches
+//! the calling-thread path or the pool path, and sub-slice offsets keep
+//! the block boundaries off any alignment.
 
-use bcc_primitives::compact::{compact_indices_ws, compact_with_ws, reference};
-use bcc_primitives::kernels;
-use bcc_primitives::scan::{exclusive_scan_par_ws, inclusive_scan_par_ws, ScanElem};
-use bcc_smp::{BccWorkspace, Bitmap, Pool};
+use bcc_primitives::compact::{compact_indices_ws, compact_with_ws};
+use bcc_primitives::scan::{exclusive_scan_par_ws, inclusive_scan_par_ws};
+use bcc_smp::{BccWorkspace, Bitmap, Pool, GRAIN};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Scalar oracle: inclusive wrapping add-scan with a seed carry.
-fn oracle_incl<T: Copy + std::ops::Add<Output = T>>(
-    a: &[T],
-    carry: T,
-    add: impl Fn(T, T) -> T,
-) -> (Vec<T>, T) {
-    let mut c = carry;
-    let out = a
-        .iter()
+/// Scalar oracle: inclusive wrapping add-scan.
+fn oracle_incl<T: Copy>(a: &[T], zero: T, add: impl Fn(T, T) -> T) -> Vec<T> {
+    let mut c = zero;
+    a.iter()
         .map(|&x| {
             c = add(c, x);
             c
         })
-        .collect();
-    (out, c)
+        .collect()
 }
 
-/// Scalar oracle: exclusive wrapping add-scan with a seed carry.
-fn oracle_excl<T: Copy>(a: &[T], carry: T, add: impl Fn(T, T) -> T) -> (Vec<T>, T) {
-    let mut c = carry;
+/// Scalar oracle: exclusive wrapping add-scan and its total.
+fn oracle_excl<T: Copy>(a: &[T], zero: T, add: impl Fn(T, T) -> T) -> (Vec<T>, T) {
+    let mut c = zero;
     let out = a
         .iter()
         .map(|&x| {
@@ -54,99 +38,30 @@ fn oracle_excl<T: Copy>(a: &[T], carry: T, add: impl Fn(T, T) -> T) -> (Vec<T>, 
     (out, c)
 }
 
-/// Strategy: a u64 buffer whose length straddles the interesting
-/// boundaries (empty, sub-vector, one vector, tile edges, several
-/// unrolled iterations), plus a window offset and a seed carry.
-fn scan_input() -> impl Strategy<Value = (Vec<u64>, usize, u64)> {
-    (0usize..300, 0usize..7, any::<u64>()).prop_flat_map(|(len, off, carry)| {
+/// Strategy: a u64 buffer below 300 elements or within 150 of
+/// [`GRAIN`], plus a window offset.
+fn scan_input() -> impl Strategy<Value = (Vec<u64>, usize)> {
+    (0usize..300, any::<bool>(), 0usize..7).prop_flat_map(|(len, big, off)| {
+        let len = if big { GRAIN - 150 + len } else { len };
         (
             proptest::collection::vec(any::<u64>(), len..len + 1),
             Just(off),
-            Just(carry),
         )
     })
 }
 
-/// Applies one scan implementation to a window of `base` and checks it
-/// against the oracle, including the returned carry.
-fn check_u32(
-    base: &[u64],
-    off: usize,
-    carry: u64,
-    name: &str,
-    f: impl Fn(&mut [u32], u32) -> u32,
-    excl: bool,
-) {
-    let src: Vec<u32> = base.iter().map(|&x| x as u32).collect();
-    let src = &src[off.min(src.len())..];
-    let carry = carry as u32;
-    let (want, want_c) = if excl {
-        oracle_excl(src, carry, u32::wrapping_add)
-    } else {
-        oracle_incl(src, carry, u32::wrapping_add)
-    };
-    let mut got = src.to_vec();
-    let got_c = f(&mut got, carry);
-    assert_eq!(got, want, "{name} mismatch (len {}, off {off})", src.len());
-    assert_eq!(got_c, want_c, "{name} carry mismatch (len {})", src.len());
-}
-
-/// [`check_u32`]'s u64 twin.
-fn check_u64(
-    base: &[u64],
-    off: usize,
-    carry: u64,
-    name: &str,
-    f: impl Fn(&mut [u64], u64) -> u64,
-    excl: bool,
-) {
-    let src = &base[off.min(base.len())..];
-    let (want, want_c) = if excl {
-        oracle_excl(src, carry, u64::wrapping_add)
-    } else {
-        oracle_incl(src, carry, u64::wrapping_add)
-    };
-    let mut got = src.to_vec();
-    let got_c = f(&mut got, carry);
-    assert_eq!(got, want, "{name} mismatch (len {}, off {off})", src.len());
-    assert_eq!(got_c, want_c, "{name} carry mismatch (len {})", src.len());
-}
-
 proptest! {
-    // The dispatched and tiled u32 kernels match the scalar oracle on
-    // arbitrary windows, carries, and lengths.
+    // The pool-parallel scans agree with the oracle across thread
+    // counts, for `u64` and `u32` elements.
     #[test]
-    fn scan_u32_kernels_match_oracle((base, off, carry) in scan_input()) {
-        check_u32(&base, off, carry, "dispatch", kernels::scan_add_u32, false);
-        check_u32(&base, off, carry, "dispatch-excl", kernels::scan_add_u32_excl, true);
-        check_u32(&base, off, carry, "tiled", kernels::scan_add_u32_tiled, false);
-        check_u32(&base, off, carry, "tiled-excl", kernels::scan_add_u32_excl_tiled, true);
-    }
-
-    // Same for the u64 kernels.
-    #[test]
-    fn scan_u64_kernels_match_oracle((base, off, carry) in scan_input()) {
-        check_u64(&base, off, carry, "dispatch", kernels::scan_add_u64, false);
-        check_u64(&base, off, carry, "dispatch-excl", kernels::scan_add_u64_excl, true);
-        check_u64(&base, off, carry, "tiled", kernels::scan_add_u64_tiled, false);
-        check_u64(&base, off, carry, "tiled-excl", kernels::scan_add_u64_excl_tiled, true);
-    }
-
-    // The pool-parallel scans (which route `u32`/`u64` slices through
-    // the specialized kernels via the `ScanElem` block hooks) agree
-    // with the oracle across thread counts.
-    #[test]
-    fn parallel_scans_match_oracle(
-        (base, off, _carry) in scan_input(),
-        threads in 1usize..4,
-    ) {
+    fn parallel_scans_match_oracle((base, off) in scan_input(), threads in 1usize..4) {
         let pool = Pool::new(threads);
         let ws = BccWorkspace::new();
         let src = &base[off.min(base.len())..];
 
         let mut got = src.to_vec();
         inclusive_scan_par_ws(&pool, &mut got, &ws);
-        prop_assert_eq!(&got, &oracle_incl(src, 0, u64::wrapping_add).0);
+        prop_assert_eq!(&got, &oracle_incl(src, 0, u64::wrapping_add));
 
         let mut got = src.to_vec();
         let total = exclusive_scan_par_ws(&pool, &mut got, &ws);
@@ -157,23 +72,11 @@ proptest! {
         let src32: Vec<u32> = src.iter().map(|&x| x as u32).collect();
         let mut got = src32.clone();
         inclusive_scan_par_ws(&pool, &mut got, &ws);
-        prop_assert_eq!(&got, &oracle_incl(&src32, 0, u32::wrapping_add).0);
+        prop_assert_eq!(&got, &oracle_incl(&src32, 0, u32::wrapping_add));
     }
 
-    // `usize` goes through the same slice-cast kernel plumbing as
-    // `u64` on 64-bit hosts; the `ScanElem` hooks must agree with the
-    // naive generic path.
-    #[test]
-    fn scan_elem_hooks_match_generic_path(xs in proptest::collection::vec(any::<u64>(), 0..200)) {
-        let mut via_hooks: Vec<usize> = xs.iter().map(|&x| x as usize).collect();
-        let (want, _) = oracle_incl(&via_hooks.clone(), 0, usize::wrapping_add);
-        ScanElem::scan_block(&mut via_hooks[..], 0usize);
-        prop_assert_eq!(via_hooks, want);
-    }
-
-    // Popcount compaction returns exactly the kept elements in order,
-    // matches the frozen scan-based reference, and evaluates the
-    // predicate exactly once per element.
+    // Popcount compaction returns exactly the kept elements in order
+    // and evaluates the predicate exactly once per element.
     #[test]
     fn compaction_matches_filter_oracle(
         xs in proptest::collection::vec(any::<u32>(), 0..400),
@@ -192,9 +95,6 @@ proptest! {
         }, &ws);
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(calls.load(Ordering::Relaxed), xs.len());
-
-        let reference = reference::compact_with_scan(&pool, &xs, |_, &x| keep(x));
-        prop_assert_eq!(&reference, &want);
 
         let idx = compact_indices_ws(&pool, xs.len(), |i| keep(xs[i]), &ws);
         let via_idx: Vec<u32> = idx.iter().map(|&i| xs[i as usize]).collect();
@@ -222,7 +122,6 @@ proptest! {
         let mut seen = vec![];
         bm.for_each_one(|i| seen.push(i));
         prop_assert_eq!(&seen, &ones);
-        prop_assert_eq!(bm.iter_ones().collect::<Vec<_>>(), ones.clone());
         prop_assert_eq!(bm.count_ones(), ones.len() as u64);
 
         let (lo, hi) = (lo.min(len), hi.min(len));
@@ -232,48 +131,5 @@ proptest! {
         bm.for_each_one_in(lo..hi, |i| seen.push(i));
         prop_assert_eq!(&seen, &want);
         prop_assert_eq!(bm.count_ones_in(lo..hi), want.len() as u64);
-    }
-}
-
-/// Every per-ISA kernel the host supports, checked against the oracle
-/// directly — not just the tier the dispatcher would pick, so an
-/// AVX-512 host still covers the AVX2 and SSE2 bodies in the same run.
-/// (Separate module: the proptest macro takes only bare `#[test] fn`
-/// items, so the cfg gate has to sit outside the block.)
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod isa_kernels {
-    use super::*;
-    use kernels::x86;
-
-    proptest! {
-        #[test]
-        fn scan_isa_kernels_match_oracle((base, off, carry) in scan_input()) {
-            if std::arch::is_x86_feature_detected!("sse2") {
-                check_u32(&base, off, carry, "sse2",
-                    |a, c| unsafe { x86::scan_add_u32_sse2(a, c) }, false);
-                check_u32(&base, off, carry, "sse2-excl",
-                    |a, c| unsafe { x86::scan_add_u32_excl_sse2(a, c) }, true);
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                check_u32(&base, off, carry, "avx2",
-                    |a, c| unsafe { x86::scan_add_u32_avx2(a, c) }, false);
-                check_u32(&base, off, carry, "avx2-excl",
-                    |a, c| unsafe { x86::scan_add_u32_excl_avx2(a, c) }, true);
-                check_u64(&base, off, carry, "avx2",
-                    |a, c| unsafe { x86::scan_add_u64_avx2(a, c) }, false);
-                check_u64(&base, off, carry, "avx2-excl",
-                    |a, c| unsafe { x86::scan_add_u64_excl_avx2(a, c) }, true);
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                check_u32(&base, off, carry, "avx512",
-                    |a, c| unsafe { x86::scan_add_u32_avx512(a, c) }, false);
-                check_u32(&base, off, carry, "avx512-excl",
-                    |a, c| unsafe { x86::scan_add_u32_excl_avx512(a, c) }, true);
-                check_u64(&base, off, carry, "avx512",
-                    |a, c| unsafe { x86::scan_add_u64_avx512(a, c) }, false);
-                check_u64(&base, off, carry, "avx512-excl",
-                    |a, c| unsafe { x86::scan_add_u64_excl_avx512(a, c) }, true);
-            }
-        }
     }
 }

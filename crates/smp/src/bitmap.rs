@@ -10,6 +10,11 @@
 //! Writes use `Relaxed` ordering: every use in this workspace publishes
 //! the bits through a pool barrier before any other thread reads them,
 //! which carries the necessary happens-before edge.
+//!
+//! Set bits are read in bulk by one word-at-a-time drain,
+//! [`Bitmap::for_each_one`] / [`Bitmap::for_each_one_in`], and counted
+//! by [`Bitmap::count_ones_in`]; the tests check both against a per-bit
+//! [`Bitmap::test`] probe.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,7 +37,9 @@ struct Line([AtomicU64; WORDS_PER_LINE]);
 /// assert!(!bm.test_and_set(64)); // second setter loses
 /// bm.set(130);
 /// assert!(bm.test(64) && bm.test(130) && !bm.test(0));
-/// assert_eq!(bm.iter_ones().collect::<Vec<_>>(), vec![64, 130]);
+/// let mut ones = vec![];
+/// bm.for_each_one(|i| ones.push(i));
+/// assert_eq!(ones, vec![64, 130]);
 /// assert_eq!(bm.count_ones(), 2);
 /// ```
 pub struct Bitmap {
@@ -202,10 +209,8 @@ impl Bitmap {
     /// Calls `f(i)` for every set bit `i`, ascending. Word-skipping:
     /// zero words cost one load + one branch for 64 bits, and set bits
     /// are peeled with `trailing_zeros` + clear-lowest — no per-bit
-    /// iterator state. Measurably faster than draining
-    /// [`iter_ones`](Self::iter_ones) on both sparse and dense bitmaps;
-    /// the bulk-kernel form the compaction scatter and the bottom-up
-    /// BFS sweep are built on.
+    /// iterator state. The compaction scatter and the bottom-up BFS
+    /// sweep are built on it.
     #[inline]
     pub fn for_each_one(&self, f: impl FnMut(usize)) {
         self.for_each_one_in(0..self.len, f);
@@ -265,38 +270,6 @@ impl Bitmap {
             self.lines[w / WORDS_PER_LINE].0[w % WORDS_PER_LINE].store(new, Ordering::Relaxed);
         }
     }
-
-    /// Indices of the set bits, ascending, over the whole bitmap.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.iter_ones_in(0..self.len)
-    }
-
-    /// Indices of the set bits within `range` (ascending) — lets each
-    /// pool thread walk its own block of the bitmap word-at-a-time.
-    pub fn iter_ones_in(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = usize> + '_ {
-        let start = range.start.min(self.len);
-        let end = range.end.min(self.len);
-        let first_word = start / 64;
-        let last_word = if end == 0 { 0 } else { end.div_ceil(64) };
-        (first_word..last_word).flat_map(move |w| {
-            let mut bits = self.word(w * 64).load(Ordering::Relaxed);
-            // Mask off bits outside [start, end) in the edge words.
-            if w == first_word {
-                bits &= !0u64 << (start % 64);
-            }
-            if (w + 1) * 64 > end {
-                bits &= (!0u64) >> ((64 - end % 64) % 64);
-            }
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(w * 64 + b)
-            })
-        })
-    }
 }
 
 impl std::fmt::Debug for Bitmap {
@@ -355,27 +328,35 @@ mod tests {
         assert_eq!(bm.count_ones(), 4096);
     }
 
+    /// The set bits in `range`, ascending, by [`Bitmap::for_each_one_in`].
+    fn ones_in(bm: &Bitmap, range: std::ops::Range<usize>) -> Vec<usize> {
+        let mut got = vec![];
+        bm.for_each_one_in(range, |i| got.push(i));
+        got
+    }
+
     #[test]
-    fn iter_ones_matches_set_bits() {
+    fn for_each_one_matches_set_bits() {
         let bm = Bitmap::new(777);
         let want: Vec<usize> = (0..777).filter(|i| i % 7 == 3).collect();
         for &i in &want {
             bm.set(i);
         }
-        assert_eq!(bm.iter_ones().collect::<Vec<_>>(), want);
+        let mut got = vec![];
+        bm.for_each_one(|i| got.push(i));
+        assert_eq!(got, want);
         assert_eq!(bm.count_ones() as usize, want.len());
     }
 
     #[test]
-    fn iter_ones_in_respects_subrange_boundaries() {
+    fn for_each_one_in_respects_subrange_boundaries() {
         let bm = Bitmap::new(300);
         for i in 0..300 {
             bm.set(i);
         }
         for (a, b) in [(0, 300), (0, 0), (5, 64), (63, 65), (64, 128), (100, 259)] {
-            let got: Vec<usize> = bm.iter_ones_in(a..b).collect();
             let want: Vec<usize> = (a..b).collect();
-            assert_eq!(got, want, "range {a}..{b}");
+            assert_eq!(ones_in(&bm, a..b), want, "range {a}..{b}");
         }
     }
 
@@ -388,13 +369,13 @@ mod tests {
         }
         let mut got = vec![];
         for t in 0..5 {
-            got.extend(bm.iter_ones_in(crate::pool::block_range(t, 5, 1031)));
+            got.extend(ones_in(&bm, crate::pool::block_range(t, 5, 1031)));
         }
         assert_eq!(got, want);
     }
 
     #[test]
-    fn for_each_one_matches_iter_ones_on_ranges() {
+    fn for_each_one_matches_bit_probe_on_ranges() {
         let bm = Bitmap::new(1031);
         for i in (0..1031).filter(|i| i % 5 == 2 || i % 97 == 0) {
             bm.set(i);
@@ -408,15 +389,13 @@ mod tests {
             (100, 259),
             (1000, 2000),
         ] {
-            let mut got = vec![];
-            bm.for_each_one_in(a..b, |i| got.push(i));
-            let want: Vec<usize> = bm.iter_ones_in(a..b).collect();
-            assert_eq!(got, want, "range {a}..{b}");
+            let want: Vec<usize> = (a..b.min(1031)).filter(|&i| bm.test(i)).collect();
+            assert_eq!(ones_in(&bm, a..b), want, "range {a}..{b}");
             assert_eq!(bm.count_ones_in(a..b), want.len() as u64, "range {a}..{b}");
         }
         let mut all = vec![];
         bm.for_each_one(|i| all.push(i));
-        assert_eq!(all, bm.iter_ones().collect::<Vec<_>>());
+        assert_eq!(all, (0..1031).filter(|&i| bm.test(i)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -480,7 +459,7 @@ mod tests {
         bm.set(99);
         bm.clear();
         assert_eq!(bm.count_ones(), 0);
-        assert!(bm.iter_ones().next().is_none());
+        assert!(ones_in(&bm, 0..100).is_empty());
     }
 
     #[test]
@@ -488,6 +467,6 @@ mod tests {
         let bm = Bitmap::new(0);
         assert!(bm.is_empty());
         assert_eq!(bm.count_ones(), 0);
-        assert!(bm.iter_ones().next().is_none());
+        assert!(ones_in(&bm, 0..64).is_empty());
     }
 }
