@@ -133,7 +133,8 @@ pub enum CellSet {
     Grid,
     /// `bcc-bench serve`: the `bcc-serve` daemon under its workload
     /// profiles, in-process (`serve/*`) and over loopback TCP
-    /// (`serve-net/*`), swept over the shard pools' thread counts.
+    /// (`serve-net/*`), swept over the thread count of the pool the
+    /// shards share.
     Serve,
     /// `bcc-bench prims`: each parallel primitive beside its serial
     /// twin (see [`crate::prims`]).

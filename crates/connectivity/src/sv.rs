@@ -343,7 +343,8 @@ fn find_root_halving(label: &[AtomicU32], v: u32) -> u32 {
 }
 
 /// Relabels `label` so components are numbered `0..k` in order of their
-/// smallest vertex, in parallel. Returns `k`.
+/// smallest vertex, in parallel from [`GRAIN`](bcc_smp::GRAIN) vertices
+/// up ([`Pool::run_sized`]). Returns `k`.
 pub fn normalize_labels(pool: &Pool, label: &mut [u32]) -> u32 {
     normalize_labels_ws(pool, label, &BccWorkspace::new())
 }
@@ -359,7 +360,7 @@ pub fn normalize_labels_ws(pool: &Pool, label: &mut [u32], ws: &BccWorkspace) ->
     {
         let idx_s = SharedSlice::new(&mut index);
         let label_ro: &[u32] = label;
-        pool.run(|ctx| {
+        pool.run_sized(n, |ctx| {
             for v in ctx.block_range(n) {
                 unsafe { idx_s.write(v, u32::from(label_ro[v] == v as u32)) };
             }
@@ -369,7 +370,7 @@ pub fn normalize_labels_ws(pool: &Pool, label: &mut [u32], ws: &BccWorkspace) ->
     {
         let label_s = SharedSlice::new(label);
         let index_ro: &[u32] = &index;
-        pool.run(|ctx| {
+        pool.run_sized(n, |ctx| {
             for v in ctx.block_range(n) {
                 let rep = label_s.get(v) as usize;
                 unsafe { label_s.write(v, index_ro[rep]) };

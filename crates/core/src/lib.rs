@@ -43,7 +43,6 @@ pub mod block_cut;
 pub mod counting;
 pub mod fast_bcc;
 pub mod low_high;
-pub mod per_component;
 pub mod phase;
 pub mod pipeline;
 pub mod schmidt;
@@ -54,7 +53,6 @@ pub use aux_graph::{build_aux_graph, build_aux_graph_fused, build_aux_graph_fuse
 pub use block_cut::{two_edge_connected_components, BlockCutTree};
 pub use counting::double_bfs_upper_bound;
 pub use low_high::{compute_low_high, compute_low_high_two_pass, compute_low_high_ws, LowHigh};
-pub use per_component::component_pipeline;
 pub use phase::{PhaseRecorder, PhaseReport, PipelineStats, Step, StepReport};
 pub use pipeline::{Algorithm, BccConfig, BccError, BccResult, BccRun};
 pub use schmidt::{chain_decomposition, ChainDecomposition};

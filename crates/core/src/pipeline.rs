@@ -840,4 +840,70 @@ mod tests {
             assert_eq!(run.unwrap().result.edge_comp, base.edge_comp);
         }
     }
+
+    #[test]
+    fn matches_sequential_on_disconnected_random_graphs() {
+        for seed in 0..6u64 {
+            let g = gen::random_gnm(120, 100, seed); // typically disconnected
+            let pool1 = Pool::new(1);
+            let base = BccConfig::new(Algorithm::Sequential)
+                .run_any(&pool1, &g)
+                .unwrap()
+                .result;
+            for p in [1, 3] {
+                let pool = Pool::new(p);
+                for alg in [
+                    Algorithm::TvSmp,
+                    Algorithm::TvOpt,
+                    Algorithm::TvFilter,
+                    Algorithm::FastBcc,
+                ] {
+                    let r = BccConfig::new(alg).run_any(&pool, &g).unwrap().result;
+                    assert_eq!(r.edge_comp, base.edge_comp, "{} seed={seed}", alg.name());
+                    assert_eq!(r.num_components, base.num_components);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn connected_input_short_circuits() {
+        let g = gen::cycle(12);
+        let pool = Pool::new(2);
+        let r = BccConfig::new(Algorithm::TvOpt)
+            .run_any(&pool, &g)
+            .unwrap()
+            .result;
+        assert_eq!(r.num_components, 1);
+    }
+
+    #[test]
+    fn isolated_vertices_and_empty_components() {
+        let g = GraphBuilder::new(7)
+            .edges([(1, 2), (2, 3), (3, 1), (5, 6)])
+            .build()
+            .unwrap();
+        let pool = Pool::new(2);
+        let run = BccConfig::new(Algorithm::TvFilter)
+            .run_any(&pool, &g)
+            .unwrap();
+        let r = &run.result;
+        assert_eq!(r.num_components, 2);
+        assert_eq!(r.edge_comp[0], r.edge_comp[1]);
+        assert_eq!(r.edge_comp[1], r.edge_comp[2]);
+        assert_ne!(r.edge_comp[3], r.edge_comp[0]);
+        // The stitched report still respects the step-sum bound.
+        assert!(run.report.step_sum() <= run.report.total);
+    }
+
+    #[test]
+    fn no_edges_at_all() {
+        let g = GraphBuilder::new(4).build().unwrap();
+        let pool = Pool::new(2);
+        let r = BccConfig::new(Algorithm::TvOpt)
+            .run_any(&pool, &g)
+            .unwrap()
+            .result;
+        assert_eq!(r.num_components, 0);
+    }
 }

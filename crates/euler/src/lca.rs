@@ -3,7 +3,8 @@
 //! A standard companion to the Euler-tour tree computations: once
 //! parents and depths are known, an O(n log n) jump table answers
 //! `lca(u, v)` in O(log n). The table build is level-parallel (level k
-//! is a data-parallel gather from level k−1). Used by downstream
+//! is a data-parallel gather from level k−1, on the pool from
+//! [`GRAIN`](bcc_smp::GRAIN) vertices up). Used by downstream
 //! consumers of the rooted spanning tree (e.g. cycle analysis of
 //! nontree edges, as in the paper's Lemma 2 proof).
 
@@ -58,7 +59,7 @@ impl LcaIndex {
             let mut cur = vec![0u32; n];
             {
                 let cur_s = SharedSlice::new(&mut cur);
-                pool.run(|ctx| {
+                pool.run_sized(n, |ctx| {
                     for v in ctx.block_range(n) {
                         unsafe { cur_s.write(v, prev[prev[v] as usize]) };
                     }

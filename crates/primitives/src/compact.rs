@@ -14,8 +14,11 @@
 //! instead of three (flag+count fuses what used to be flag then scan),
 //! the predicate runs exactly once per element, and the output is
 //! written once per slot through spare capacity — no fill-then-overwrite
-//! pass. Its serial twin is an `iter().filter().collect()`: the tests
-//! use it as the oracle, and the `prims` bench tier times it beside
+//! pass. Both passes go through [`Pool::run_sized`], so below
+//! [`GRAIN`](bcc_smp::GRAIN) elements they run on the calling thread as
+//! one block and are no pool phase, the rule the scans follow. Its
+//! serial twin is an `iter().filter().collect()`: the tests use it as
+//! the oracle, and the `prims` bench tier times it beside
 //! `compact-u32`.
 
 use bcc_smp::{BccWorkspace, Bitmap, Ctx, Pool, SharedSlice};
@@ -25,7 +28,8 @@ use std::mem::MaybeUninit;
 /// ([`Bitmap::word_range_of`] partitioning), evaluates `keep` exactly
 /// once per element while packing its words, and popcounts as it goes.
 /// On return `counts[t]` is the number of kept elements before thread
-/// `t`'s block and `counts[p]` the grand total.
+/// `t`'s block and `counts[p]` the grand total (below the grain one
+/// block covers everything and the later ones are empty).
 fn flag_and_count<F>(pool: &Pool, n: usize, flags: &Bitmap, counts: &mut [u64], keep: F)
 where
     F: Fn(usize) -> bool + Sync,
@@ -33,7 +37,7 @@ where
     debug_assert_eq!(counts.len(), pool.threads() + 1);
     counts[0] = 0;
     let counts_s = SharedSlice::new(counts);
-    pool.run(|ctx: &Ctx| {
+    pool.run_sized(n, |ctx: &Ctx| {
         let words = ctx.block_range_of(Bitmap::word_range_of(0..n));
         let mut local = 0u64;
         for w in words {
@@ -62,7 +66,7 @@ where
     debug_assert!(out.is_empty());
     let spare = &mut out.spare_capacity_mut()[..total];
     let out_s = SharedSlice::new(spare);
-    pool.run(|ctx: &Ctx| {
+    pool.run_sized(n, |ctx: &Ctx| {
         let words = ctx.block_range_of(Bitmap::word_range_of(0..n));
         let mut cursor = counts[ctx.tid()] as usize;
         flags.for_each_one_in(words.start * 64..words.end * 64, |i| {
@@ -152,8 +156,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcc_smp::{Telemetry, GRAIN};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn keeps_evens_in_order() {
@@ -212,6 +218,27 @@ mod tests {
         });
         assert_eq!(idx.len(), out.len());
         assert_eq!(calls.load(Ordering::Relaxed), a.len());
+    }
+
+    #[test]
+    fn below_grain_compaction_is_not_a_pool_phase() {
+        for p in [2, 3] {
+            let sink = Arc::new(Telemetry::new(p));
+            let pool = Pool::builder()
+                .threads(p)
+                .telemetry(Arc::clone(&sink))
+                .build();
+            let a: Vec<u32> = (0..GRAIN as u32 - 1).collect();
+            let odd = compact_with(&pool, &a, |_, &x| x % 2 == 1);
+            assert_eq!(
+                odd,
+                a.iter().copied().filter(|x| x % 2 == 1).collect::<Vec<_>>()
+            );
+            assert_eq!(sink.snapshot().phase_runs, 0, "p={p}");
+            let idx = compact_indices(&pool, GRAIN, |i| i % 3 == 0);
+            assert_eq!(idx.len(), GRAIN.div_ceil(3));
+            assert_eq!(sink.snapshot().phase_runs, 2, "p={p}");
+        }
     }
 
     #[test]

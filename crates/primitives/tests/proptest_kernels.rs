@@ -3,9 +3,10 @@
 //! the scans, a `filter` collect for compaction, a per-bit `test(i)`
 //! probe for the bitmap drains.
 //!
-//! Scan lengths fall on both sides of [`GRAIN`], so every case reaches
-//! the calling-thread path or the pool path, and sub-slice offsets keep
-//! the block boundaries off any alignment.
+//! Scan and compaction lengths fall on both sides of [`GRAIN`], so
+//! every case reaches the calling-thread path or the pool path, and
+//! sub-slice offsets keep the scans' block boundaries off any
+//! alignment.
 
 use bcc_primitives::compact::{compact_indices_ws, compact_with_ws};
 use bcc_primitives::scan::{exclusive_scan_par_ws, inclusive_scan_par_ws};
@@ -38,11 +39,15 @@ fn oracle_excl<T: Copy>(a: &[T], zero: T, add: impl Fn(T, T) -> T) -> (Vec<T>, T
     (out, c)
 }
 
-/// Strategy: a u64 buffer below 300 elements or within 150 of
-/// [`GRAIN`], plus a window offset.
+/// Strategy: a length below 300 or within 150 of [`GRAIN`].
+fn len_around_grain() -> impl Strategy<Value = usize> {
+    (0usize..300, any::<bool>()).prop_map(|(len, big)| if big { GRAIN - 150 + len } else { len })
+}
+
+/// Strategy: a u64 buffer of [`len_around_grain`] elements, plus a
+/// window offset.
 fn scan_input() -> impl Strategy<Value = (Vec<u64>, usize)> {
-    (0usize..300, any::<bool>(), 0usize..7).prop_flat_map(|(len, big, off)| {
-        let len = if big { GRAIN - 150 + len } else { len };
+    (len_around_grain(), 0usize..7).prop_flat_map(|(len, off)| {
         (
             proptest::collection::vec(any::<u64>(), len..len + 1),
             Just(off),
@@ -79,7 +84,8 @@ proptest! {
     // and evaluates the predicate exactly once per element.
     #[test]
     fn compaction_matches_filter_oracle(
-        xs in proptest::collection::vec(any::<u32>(), 0..400),
+        xs in len_around_grain()
+            .prop_flat_map(|len| proptest::collection::vec(any::<u32>(), len..len + 1)),
         threads in 1usize..4,
         modulus in 2u32..5,
     ) {

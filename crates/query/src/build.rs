@@ -1,19 +1,26 @@
 //! Index construction: one block-cut tree per connected component.
 //!
 //! A from-scratch build labels connected components, splits the graph
-//! with [`Graph::split_by_labels`], and runs each part through the
-//! single-component pipeline unit ([`bcc_core::component_pipeline`]) —
-//! the same granule the incremental `IndexStore` commits use, so a
-//! full build and a commit that happens to touch every component do
-//! identical work. Per part, the expensive `O(n + m)` passes (home
-//! blocks, the lifting levels) run on the pool; the rooting DFS is
+//! with [`Graph::split_by_labels`], and labels each part through
+//! [`BiconnectivityIndex::build_component`] — the same granule the
+//! incremental `IndexStore` commits use, so a full build and a commit
+//! that happens to touch every component do identical work. Every
+//! part is labeled by Hopcroft–Tarjan's DFS ([`Algorithm::Sequential`])
+//! on the calling thread: the paper's Fig. 3 finds the TV pipelines
+//! ahead of the sequential DFS only on large inputs with several
+//! processors, and on the 2-vCPU reference host the DFS is ahead on
+//! every component the benchmarks and CI serve (docs/ALGORITHMS.md
+//! §11). The index passes over a part go through [`Pool::run_sized`]:
+//! the home-block sweep (one visit per edge) and each lifting level
+//! (one per tree node) wake the workers only from
+//! [`GRAIN`](bcc_smp::GRAIN) elements up. The rooting DFS is
 //! sequential over the block-cut tree, which has at most `2n` nodes
 //! and `n` edges regardless of how dense the component is.
 
 use crate::index::{BiconnectivityIndex, ComponentIndex};
 use bcc_connectivity::sv::{connected_components_with_ws, normalize_labels_ws};
 use bcc_connectivity::SvVariant;
-use bcc_core::{component_pipeline, Algorithm, BccConfig, BccError, BccResult, BlockCutTree};
+use bcc_core::{Algorithm, BccConfig, BccError, BccResult, BlockCutTree};
 use bcc_euler::LcaIndex;
 use bcc_graph::{Edge, Graph, SplitPart};
 use bcc_smp::atomic::as_atomic_u32;
@@ -38,10 +45,11 @@ impl ComponentIndex {
         let nodes = t.num_nodes() as usize;
 
         // Vertex → tree node. Cut vertices own their cut node; every
-        // other vertex maps to its home block, found by one parallel
-        // sweep over the edges. All edges of a non-cut vertex carry the
-        // same block label, so racing stores write the same value —
-        // they go through atomics to keep the benign race defined.
+        // other vertex maps to its home block, found by one sweep over
+        // the edges (parallel from `GRAIN` edges up). All edges of a
+        // non-cut vertex carry the same block label, so racing stores
+        // write the same value — they go through atomics to keep the
+        // benign race defined.
         let mut node = vec![NIL; n];
         for (i, &v) in t.articulation.iter().enumerate() {
             node[v as usize] = num_blocks + i as u32;
@@ -50,7 +58,7 @@ impl ComponentIndex {
             let node_a = as_atomic_u32(&mut node);
             let edges = sub.edges();
             let cut_index = &t.cut_index;
-            pool.run(|ctx| {
+            pool.run_sized(m, |ctx| {
                 for i in ctx.block_range(m) {
                     let b = r.edge_comp[i];
                     let e = edges[i];
@@ -100,7 +108,8 @@ impl ComponentIndex {
             }
         }
 
-        // Binary-lifting ancestor table, level-parallel on the pool.
+        // Binary-lifting ancestor table, level-parallel from `GRAIN`
+        // tree nodes up.
         let lca = LcaIndex::from_forest(pool, &parent, &depth);
 
         // Bridge table: blocks of exactly one edge, keyed in *graph*
@@ -142,20 +151,22 @@ impl BiconnectivityIndex {
     /// (an isolated vertex, which owns no block-cut structure).
     /// `verts` is the part's local→graph map — `part.verts` for a
     /// from-scratch build, or the composition through the commit
-    /// region for an incremental one.
+    /// region for an incremental one. The part is labeled by
+    /// [`Algorithm::Sequential`] on the calling thread.
     pub(crate) fn build_component(
         pool: &Pool,
         part: &SplitPart,
         verts: &[u32],
-        config: &BccConfig,
     ) -> Result<Option<Arc<ComponentIndex>>, BccError> {
-        if part.graph.m() == 0 {
+        let g = &part.graph;
+        if g.m() == 0 {
             return Ok(None);
         }
-        let (run, tree) = component_pipeline(pool, &part.graph, config)?;
+        let run = BccConfig::new(Algorithm::Sequential).run(pool, g)?;
+        let tree = BlockCutTree::build(g, &run.result);
         Ok(Some(Arc::new(ComponentIndex::build(
             pool,
-            &part.graph,
+            g,
             verts,
             &run.result,
             &tree,
@@ -199,38 +210,27 @@ impl BiconnectivityIndex {
         }
     }
 
-    /// One-call build: labels connected components, splits the graph,
-    /// and pushes each component through the cheapest pipeline
-    /// (TV-filter) into its own [`ComponentIndex`]. Works for any
+    /// One-call build: labels connected components on `pool`, splits
+    /// the graph, and labels each component into its own
+    /// [`ComponentIndex`] by Hopcroft–Tarjan's DFS. Works for any
     /// input — disconnected graphs and isolated vertices included.
     pub fn from_graph(pool: &Pool, g: &Graph) -> Result<Self, BccError> {
-        Self::from_graph_with(pool, g, Algorithm::TvFilter, &Arc::new(BccWorkspace::new()))
+        Self::from_graph_with(pool, g, &BccWorkspace::new())
     }
 
-    /// [`from_graph`](Self::from_graph) with an explicit labeling
-    /// [`Algorithm`] for the per-component pipelines, drawing their
-    /// scratch from `ws` (all algorithms produce identical canonical
-    /// labels; they differ in speed and auxiliary space —
-    /// [`Algorithm::FastBcc`] keeps the build's footprint O(n) beyond
-    /// the input and the index itself). Long-lived callers that rebuild
-    /// repeatedly (the epoch store) pass one workspace across rebuilds
-    /// so steady-state reconstruction performs near-zero heap
-    /// allocation.
-    pub fn from_graph_with(
-        pool: &Pool,
-        g: &Graph,
-        alg: Algorithm,
-        ws: &Arc<BccWorkspace>,
-    ) -> Result<Self, BccError> {
+    /// [`from_graph`](Self::from_graph) drawing the connectivity pass's
+    /// scratch from `ws`. Long-lived callers that rebuild repeatedly
+    /// (the epoch store) pass one workspace across rebuilds so that
+    /// pass reuses its buffers instead of allocating them afresh.
+    pub fn from_graph_with(pool: &Pool, g: &Graph, ws: &BccWorkspace) -> Result<Self, BccError> {
         let cc = connected_components_with_ws(pool, g.n(), g.edges(), SvVariant::FastSv, ws);
         let mut labels = cc.label;
         ws.give(cc.tree_edges);
         let k = normalize_labels_ws(pool, &mut labels, ws);
         let split = g.split_by_labels(&labels, k);
-        let config = BccConfig::new(alg).workspace(Arc::clone(ws));
         let mut comps = Vec::with_capacity(k as usize);
         for part in &split.parts {
-            comps.push(Self::build_component(pool, part, &part.verts, &config)?);
+            comps.push(Self::build_component(pool, part, &part.verts)?);
         }
         // `labels` doubles as the slot array: normalized component
         // labels are exactly the part indices.

@@ -33,19 +33,27 @@
 //! its net per-edge effect, the touched components (including merges
 //! from cross-component inserts and splits from removals) are
 //! collected into a *region*, the region is extracted as a relabeled
-//! subgraph ([`Graph::split_by_labels`]) and pushed through the same
-//! per-component pipeline unit a full build uses
-//! ([`bcc_core::component_pipeline`], sharing the store's
-//! [`BccWorkspace`] arena) — and every untouched component's
-//! [`ComponentIndex`](crate::ComponentIndex) is carried into the new
-//! snapshot's composite index by `Arc`, verbatim. The cost of a commit
-//! is proportional to the affected region, not the graph; each
-//! snapshot's [`CommitStats`] records exactly how much was rebuilt
-//! versus reused. [`Txn::commit_full`] forces the old
+//! subgraph ([`Graph::split_by_labels`]) whose connected parts are
+//! rebuilt by the same per-component step a full build uses, and every
+//! untouched component's [`ComponentIndex`](crate::ComponentIndex) is
+//! carried into the new snapshot's composite index by `Arc`, verbatim.
+//! The cost of a commit is proportional to the affected region, not
+//! the graph; each snapshot's [`CommitStats`] records exactly how much
+//! was rebuilt versus reused. [`Txn::commit_full`] forces the old
 //! whole-graph rebuild (the benchmark baseline, and an escape hatch).
+//!
+//! # One rebuild rule
+//!
+//! Every rebuild — epoch 0, [`Txn::commit`], [`Txn::commit_full`] —
+//! labels each component by Hopcroft–Tarjan's DFS on the committing
+//! thread. The store's pool runs the region's FastSV sweep, with
+//! scratch from the store's [`BccWorkspace`] arena, and the label
+//! normalisation and index passes that reach
+//! [`GRAIN`](bcc_smp::GRAIN) elements; a commit into a small sparse
+//! component wakes the workers once, for the FastSV sweep.
 
 use crate::index::BiconnectivityIndex;
-use bcc_core::{Algorithm, BccConfig, BccError};
+use bcc_core::BccError;
 use bcc_graph::{Edge, Graph, GraphBuilder};
 use bcc_smp::{BccWorkspace, Pool, NIL};
 use std::collections::BTreeMap;
@@ -259,33 +267,23 @@ pub struct IndexStore {
     /// Serializes commits so concurrent writers cannot lose each
     /// other's updates; readers never take this.
     commit_lock: Mutex<()>,
-    /// One pipeline scratch arena shared across every rebuild: after
-    /// the first commit, reconstruction runs in its zero-allocation
-    /// steady state (commits are serialized by `commit_lock`, so the
-    /// arena never sees two rebuilds at once).
-    workspace: Arc<BccWorkspace>,
-    /// Labeling algorithm used by every rebuild (full and incremental).
-    algorithm: Algorithm,
+    /// Scratch arena for the region's connectivity pass, kept across
+    /// rebuilds so that pass reuses its buffers (commits are
+    /// serialized by `commit_lock`, so the arena never sees two
+    /// rebuilds at once). Component labeling takes nothing from it.
+    workspace: BccWorkspace,
 }
 
 impl IndexStore {
-    /// Builds epoch 0 from `g` and takes ownership of the pool used
-    /// for every rebuild. Fails if the initial index build does.
-    /// Rebuilds run TV-filter; use
-    /// [`with_algorithm`](IndexStore::with_algorithm) to choose.
+    /// Builds epoch 0 from `g` and keeps `pool` for every rebuild; a
+    /// clone of a pool shared with other stores works too (their
+    /// phases take turns on its workers). Components are labeled by
+    /// the one rebuild rule in the module docs. Fails if the initial
+    /// index build does.
     pub fn new(pool: Pool, g: Graph) -> Result<Self, BccError> {
-        Self::with_algorithm(pool, g, Algorithm::TvFilter)
-    }
-
-    /// [`new`](IndexStore::new) with an explicit labeling [`Algorithm`]
-    /// for every rebuild. All algorithms produce identical canonical
-    /// labels; [`Algorithm::FastBcc`] bounds each rebuild's auxiliary
-    /// space by O(n) — the choice for stores whose graphs dwarf the
-    /// n=50k grid.
-    pub fn with_algorithm(pool: Pool, g: Graph, algorithm: Algorithm) -> Result<Self, BccError> {
         let t0 = Instant::now();
-        let workspace = Arc::new(BccWorkspace::new());
-        let index = BiconnectivityIndex::from_graph_with(&pool, &g, algorithm, &workspace)?;
+        let workspace = BccWorkspace::new();
+        let index = BiconnectivityIndex::from_graph_with(&pool, &g, &workspace)?;
         let stats = CommitStats {
             batch: 0,
             inserts: 0,
@@ -310,7 +308,6 @@ impl IndexStore {
             })),
             commit_lock: Mutex::new(()),
             workspace,
-            algorithm,
         })
     }
 
@@ -342,19 +339,6 @@ impl IndexStore {
     /// read can only make the lag smaller, never negative).
     pub fn lag_of(&self, snap: &Snapshot) -> u64 {
         self.latest_epoch().saturating_sub(snap.epoch)
-    }
-
-    /// Cumulative hit/miss counters of the rebuild arena (for tests
-    /// and telemetry).
-    pub fn workspace_stats(&self) -> bcc_smp::WorkspaceStats {
-        self.workspace.stats()
-    }
-
-    /// Caps the rebuild arena's shelved capacity at `max_bytes`,
-    /// dropping the largest idle buffers first. Useful after a burst
-    /// of large commits when the store is expected to go quiet.
-    pub fn trim_workspace(&self, max_bytes: usize) {
-        self.workspace.trim(max_bytes);
     }
 
     fn commit_updates(
@@ -441,12 +425,7 @@ impl IndexStore {
         let graph = GraphBuilder::new(new_n).edges(edges).build().unwrap();
 
         if full {
-            let index = BiconnectivityIndex::from_graph_with(
-                &self.pool,
-                &graph,
-                self.algorithm,
-                &self.workspace,
-            )?;
+            let index = BiconnectivityIndex::from_graph_with(&self.pool, &graph, &self.workspace)?;
             let stats = CommitStats {
                 batch: updates.len(),
                 inserts,
@@ -528,9 +507,9 @@ impl IndexStore {
         ws.give(labels);
 
         // Stitch: untouched components ride over by `Arc`; each region
-        // part takes a freed slot (or a fresh one) and is rebuilt
-        // through the per-component pipeline. Freed slots beyond the
-        // part count (merges) stay as unreferenced `None`s.
+        // part takes a freed slot (or a fresh one) and is rebuilt by
+        // the per-component step. Freed slots beyond the part count
+        // (merges) stay as unreferenced `None`s.
         let mut comps = prev.index.comps.clone();
         let mut slot = prev.index.slot.clone();
         let mut local = prev.index.local.clone();
@@ -542,7 +521,6 @@ impl IndexStore {
             comps[s] = None;
         }
         let mut free_slots = freed.into_iter();
-        let config = BccConfig::new(self.algorithm).workspace(Arc::clone(ws));
         let mut rebuilt = 0u32;
         for part in &split.parts {
             let s = free_slots.next().unwrap_or_else(|| {
@@ -558,8 +536,7 @@ impl IndexStore {
                 slot[gv as usize] = s as u32;
                 local[gv as usize] = l as u32;
             }
-            comps[s] =
-                BiconnectivityIndex::build_component(&self.pool, part, &verts_global, &config)?;
+            comps[s] = BiconnectivityIndex::build_component(&self.pool, part, &verts_global)?;
             rebuilt += 1;
         }
         let index = BiconnectivityIndex::assemble(new_n, slot, local, comps);
@@ -621,36 +598,6 @@ mod tests {
         let snap = txn.commit().unwrap();
         assert_eq!((snap.epoch, snap.graph.n()), (1, 7));
         assert_eq!(snap.index.num_bridges(), 1);
-    }
-
-    #[test]
-    fn fast_bcc_store_matches_default_across_commits() {
-        // Same initial graph, same update stream, different rebuild
-        // algorithms — every published snapshot must agree.
-        let g = gen::random_connected(120, 300, 17);
-        let a = IndexStore::new(Pool::new(2), g.clone()).unwrap();
-        let b = IndexStore::with_algorithm(Pool::new(2), g, Algorithm::FastBcc).unwrap();
-        for (u, v) in [(0u32, 60u32), (5, 90), (121, 122), (10, 121)] {
-            let mut ta = a.begin();
-            ta.insert(u, v);
-            ta.commit().unwrap();
-            let mut tb = b.begin();
-            tb.insert(u, v);
-            tb.commit().unwrap();
-            let sa = a.load();
-            let sb = b.load();
-            assert_eq!(sa.index.num_blocks(), sb.index.num_blocks());
-            assert_eq!(sa.index.num_bridges(), sb.index.num_bridges());
-            assert_eq!(
-                sa.index.articulation_points(),
-                sb.index.articulation_points()
-            );
-            for x in (0..sa.graph.n()).step_by(7) {
-                for y in (0..sa.graph.n()).step_by(11) {
-                    assert_eq!(sa.index.same_block(x, y), sb.index.same_block(x, y));
-                }
-            }
-        }
     }
 
     #[test]

@@ -53,26 +53,7 @@ fn probes() -> Vec<Query> {
 /// Naive BFS answers for one graph state, computed edge-list-up —
 /// entirely independent of the index under test.
 fn oracle(g: &bcc_graph::Graph) -> Vec<bcc_query::Answer> {
-    use bcc_query::Answer;
-    probes()
-        .iter()
-        .map(|q| match *q {
-            Query::Connected(u, v) => Answer::Bool(naive::connected_bfs(g, u, v)),
-            Query::SameBlock(u, v) => Answer::Bool(naive::same_block_bfs(g, u, v)),
-            Query::IsArticulation(v) => {
-                // The probe vertices keep both ring neighbours in both
-                // graph states: v cuts iff it separates them.
-                Answer::Bool(naive::vertex_cut_between_bfs(g, v - 1, v + 1).contains(&v))
-            }
-            Query::IsBridge(u, v) => Answer::Bool(naive::is_bridge_bfs(g, u, v)),
-            Query::SurvivesFailure(u, v, f) => {
-                Answer::Bool(naive::survives_failure_bfs(g, u, v, f))
-            }
-            Query::VertexCutBetween(u, v) => {
-                Answer::Vertices(naive::vertex_cut_between_bfs(g, u, v))
-            }
-        })
-        .collect()
+    probes().iter().map(|q| naive::answer(g, q)).collect()
 }
 
 fn check_snapshot(snap: &Snapshot, even: &[bcc_query::Answer], odd: &[bcc_query::Answer]) {

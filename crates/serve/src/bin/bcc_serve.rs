@@ -163,7 +163,8 @@ fn main() {
         None => component_grid(n, parts, seed),
     };
     let n = g.n();
-    // Each shard commits on a dedicated pool of this many threads.
+    // Every shard commits on this pool; components are relabeled on
+    // the writer's own thread.
     let pool = Pool::new(2);
     let store = Arc::new(ShardedStore::new(&pool, &g, shards).expect("seed build"));
     let config = ServeConfig::builder()

@@ -29,9 +29,12 @@
 //! * **Shard writers**: one thread per shard drains that shard's
 //!   queue with group-commit batching ([`ServeConfig::batch_max`] /
 //!   [`ServeConfig::flush_interval`]) and commits under the shard's
-//!   writer lock via [`ShardedStore::commit_shard`] — shards have
-//!   dedicated SPMD pools, so commits on different shards genuinely
-//!   overlap. Inserts that span shards go to a **coordinator** thread
+//!   writer lock via [`ShardedStore::commit_shard`]. Components are
+//!   relabeled on the writer's own thread, so commits on different
+//!   shards overlap; their pool phases (each region's FastSV sweep,
+//!   and the passes over [`GRAIN`](bcc_smp::GRAIN) elements and up)
+//!   take turns on the one pool the shards share. Inserts that span
+//!   shards go to a **coordinator** thread
 //!   which runs the lock-ordered migration path
 //!   ([`ShardedStore::migrate`]); updates a migration re-routed while
 //!   they queued come back from the commit as strays and resolve the

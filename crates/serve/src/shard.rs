@@ -38,11 +38,14 @@
 //! # Parallel writers
 //!
 //! Each shard carries a *writer lock* (separate from the store's
-//! internal commit lock) and its own dedicated SPMD pool, so commits
-//! on different shards proceed genuinely in parallel. Two calls are
-//! the store's only write paths, and together they are the protocol
-//! the daemon's per-shard writer threads and migration coordinator
-//! run:
+//! internal commit lock), so commits on different shards proceed in
+//! parallel. All shards share one SPMD pool: components are relabeled
+//! on the committing writer's own thread, and only the pool phases —
+//! each region's FastSV sweep, and the passes over
+//! [`GRAIN`](bcc_smp::GRAIN) elements and up — take turns on the
+//! pool's workers. Two calls are the store's only
+//! write paths, and together they are the protocol the daemon's
+//! per-shard writer threads and migration coordinator run:
 //!
 //! * [`commit_shard`](ShardedStore::commit_shard) holds shard `s`'s
 //!   writer lock, re-checks every staged update's routing *under the
@@ -57,7 +60,7 @@
 //!   the flush-time re-check sound: while a shard writer holds its
 //!   lock, no component can migrate into or out of that shard.
 
-use bcc_core::{Algorithm, BccError};
+use bcc_core::BccError;
 use bcc_graph::{Edge, Graph, GraphBuilder};
 use bcc_query::{Answer, CommitStats, EdgeUpdate, IndexStore, Query, Snapshot};
 use bcc_smp::Pool;
@@ -160,26 +163,10 @@ pub struct ShardedStore {
 impl ShardedStore {
     /// Partitions `g`'s connected components across `num_shards`
     /// stores (greedy balance by vertex count, largest first) and
-    /// builds each shard's epoch-0 index. Each shard gets its own
-    /// **dedicated** `Pool` (same thread count as `pool`) — `Pool`
-    /// clones share workers and serialize their phases, so dedicated
-    /// pools are what lets per-shard writers commit concurrently.
-    /// Shards rebuild with TV-filter; use
-    /// [`with_algorithm`](ShardedStore::with_algorithm) to choose.
+    /// builds each shard's epoch-0 index. Every shard's store rebuilds
+    /// on a clone of `pool`: clones share its workers and serialize
+    /// their phases (see the module docs for what runs there).
     pub fn new(pool: &Pool, g: &Graph, num_shards: usize) -> Result<Self, ServeError> {
-        Self::with_algorithm(pool, g, num_shards, Algorithm::TvFilter)
-    }
-
-    /// [`new`](ShardedStore::new) with an explicit labeling
-    /// [`Algorithm`] for every shard's rebuilds (e.g.
-    /// [`Algorithm::FastBcc`] to bound commit-time auxiliary space by
-    /// O(n) on very large shards).
-    pub fn with_algorithm(
-        pool: &Pool,
-        g: &Graph,
-        num_shards: usize,
-        alg: Algorithm,
-    ) -> Result<Self, ServeError> {
         assert!(num_shards >= 1, "need at least one shard");
         let n = g.n();
 
@@ -218,10 +205,9 @@ impl ShardedStore {
         let shards = shard_edges
             .into_iter()
             .map(|edges| {
-                IndexStore::with_algorithm(
-                    Pool::new(pool.threads()),
+                IndexStore::new(
+                    pool.clone(),
                     GraphBuilder::new(n).edges(edges).build().unwrap(),
-                    alg,
                 )
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -479,26 +465,6 @@ mod tests {
             .edges((0..k).flat_map(|c| (0..5).map(move |i| (5 * c + i, 5 * c + (i + 1) % 5))))
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn fast_bcc_shards_answer_identically() {
-        let pool = Pool::new(2);
-        let g = cycles(4);
-        let a = ShardedStore::new(&pool, &g, 2).unwrap();
-        let b = ShardedStore::with_algorithm(&pool, &g, 2, Algorithm::FastBcc).unwrap();
-        for u in 0..g.n() {
-            for v in 0..g.n() {
-                for q in [
-                    Query::Connected(u, v),
-                    Query::SameBlock(u, v),
-                    Query::IsBridge(u, v),
-                    Query::IsArticulation(u),
-                ] {
-                    assert_eq!(a.answer(&q).unwrap(), b.answer(&q).unwrap());
-                }
-            }
-        }
     }
 
     #[test]

@@ -39,8 +39,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One shelved buffer: its capacity (in elements), its capacity in
-/// bytes (so [`BccWorkspace::trim`] can budget across types), and the
-/// type-erased `Vec<T>` itself (always empty — `give` clears before
+/// bytes (so [`BccWorkspace::shelved_bytes`] can sum across types), and
+/// the type-erased `Vec<T>` itself (always empty — `give` clears before
 /// shelving).
 struct ShelfEntry {
     cap: usize,
@@ -192,35 +192,6 @@ impl BccWorkspace {
             .flatten()
             .map(|e| e.bytes)
             .sum()
-    }
-
-    /// Drops the largest shelved buffers (across all types) until at
-    /// most `max_bytes` of capacity remain shelved.
-    ///
-    /// A long-lived arena shelves buffers sized by the *largest* job it
-    /// ever served — after one whole-graph build, an index store whose
-    /// incremental commits only need region-sized scratch would pin the
-    /// full-graph buffers forever. `trim(0)` is equivalent to
-    /// [`clear`](Self::clear); smaller budgets keep the small, hot
-    /// buffers and release the oversized cold ones.
-    pub fn trim(&self, max_bytes: usize) {
-        let mut shelves = self.shelves.lock().unwrap();
-        let mut total: usize = shelves.values().flatten().map(|e| e.bytes).sum();
-        while total > max_bytes {
-            let (key, idx, bytes) = shelves
-                .iter()
-                .flat_map(|(k, entries)| {
-                    entries
-                        .iter()
-                        .enumerate()
-                        .map(move |(i, e)| (*k, i, e.bytes))
-                })
-                .max_by_key(|&(_, _, b)| b)
-                .expect("total > 0 implies a shelved entry exists");
-            shelves.get_mut(&key).unwrap().swap_remove(idx);
-            total -= bytes;
-        }
-        shelves.retain(|_, entries| !entries.is_empty());
     }
 
     /// Drops every shelved buffer, releasing the memory to the system.
@@ -452,39 +423,6 @@ mod tests {
         assert_eq!(ws.shelved_bytes(), expect);
         ws.clear();
         assert_eq!(ws.shelved_bytes(), 0);
-    }
-
-    #[test]
-    fn trim_drops_largest_buffers_first() {
-        let ws = BccWorkspace::new();
-        let small: Vec<u32> = ws.take(64);
-        let mid: Vec<u32> = ws.take(1024);
-        let big: Vec<u32> = ws.take(1 << 16);
-        let (small_bytes, mid_bytes) = (small.capacity() * 4, mid.capacity() * 4);
-        ws.give(small);
-        ws.give(mid);
-        ws.give(big);
-        // Budget for small + mid: exactly the big buffer goes.
-        ws.trim(small_bytes + mid_bytes);
-        assert_eq!(ws.shelved_buffers(), 2);
-        assert_eq!(ws.shelved_bytes(), small_bytes + mid_bytes);
-        // A zero budget empties the arena like clear().
-        ws.trim(0);
-        assert_eq!(ws.shelved_buffers(), 0);
-        // Trimming an empty arena is a no-op.
-        ws.trim(0);
-        assert_eq!(ws.shelved_bytes(), 0);
-    }
-
-    #[test]
-    fn trim_within_budget_keeps_everything() {
-        let ws = BccWorkspace::new();
-        let v: Vec<u32> = ws.take(100);
-        ws.give(v);
-        let before = ws.shelved_bytes();
-        ws.trim(usize::MAX);
-        assert_eq!(ws.shelved_bytes(), before);
-        assert_eq!(ws.shelved_buffers(), 1);
     }
 
     #[test]

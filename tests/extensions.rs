@@ -24,7 +24,7 @@ fn awerbuch_shiloach_agrees_with_union_find_at_scale() {
 }
 
 #[test]
-fn rmat_graphs_through_per_component_driver() {
+fn disconnected_rmat_graphs_in_one_run_any_pass() {
     for seed in 0..3u64 {
         let g = gen::rmat(10, 3000, 0.57, 0.19, 0.19, seed);
         let base = bcc(&g, Algorithm::Sequential);
