@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use bcc_connectivity::bfs::bfs_tree_par;
+use bcc_connectivity::bfs::{bfs_tree, TraversalTuning};
 use bcc_connectivity::sv::connected_components;
 use bcc_connectivity::traversal::work_stealing_tree;
 use bcc_euler::{dfs_euler_tour, euler_tour_classic, tree_computations, Ranker};
@@ -24,7 +24,7 @@ fn bench_connectivity(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(connected_components(&pool, N, g.edges()).rounds))
         });
         group.bench_with_input(BenchmarkId::new("bfs", p), &p, |b, _| {
-            b.iter(|| std::hint::black_box(bfs_tree_par(&pool, &csr, 0).reached))
+            b.iter(|| std::hint::black_box(bfs_tree(&pool, &csr, 0, &TraversalTuning).reached))
         });
         group.bench_with_input(BenchmarkId::new("work_stealing", p), &p, |b, _| {
             b.iter(|| std::hint::black_box(work_stealing_tree(&pool, &csr, 0).reached))

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! bcc-bench [grid|serve|prims] [--smoke] [--n <vertices>] [--p <max threads>]
-//!           [--trials <k>] [--seed <u64>] [--tuning <spec,spec,...>]
-//!           [--workspace on|off|both] [--input <graph file>] [--out <path>]
+//!           [--trials <k>] [--seed <u64>] [--workspace on|off|both]
+//!           [--input <graph file>] [--out <path>]
 //! bcc-bench paper <preset> [--n <vertices>] [--p <max threads>] [--trials <k>]
 //!           [--seed <u64>] [--out <path>]
 //! bcc-bench xl --graph <family>=<path> [--graph ...] [--p <max threads>]
@@ -17,18 +17,14 @@
 //! (`bcc_bench::runner`); the subcommand picks its cells:
 //!
 //! * `grid` — every graph family × every algorithm × p ∈ {1, 2, 4, …,
-//!   max} × ablation point, plus the `store-multi` commit-latency cells
+//!   max} × workspace point, plus the `store-multi` commit-latency cells
 //!   (incremental vs from-scratch `IndexStore` commits across batch
-//!   sizes). `--tuning` takes a comma-separated list of traversal
-//!   ablation points (each a `+`-joined spec, e.g.
-//!   `--tuning topdown+classic-sv,hybrid`); the parallel algorithms run
-//!   once per point. `--workspace` selects the allocation-ablation
-//!   axis: `on` (default) shares one scratch arena per cell across
-//!   trials so warm trials run in the zero-allocation steady state,
-//!   `off` allocates fresh per run, `both` emits the two as separate
-//!   series. `--input` benches a real on-disk dataset (text edge list
-//!   or mapped `.bccsr`) as the single `file` family instead of the
-//!   generators.
+//!   sizes). `--workspace` selects the allocation-ablation axis: `on`
+//!   (default) shares one scratch arena per cell across trials so warm
+//!   trials run in the zero-allocation steady state, `off` allocates
+//!   fresh per run, `both` emits the two as separate series. `--input`
+//!   benches a real on-disk dataset (text edge list or mapped `.bccsr`)
+//!   as the single `file` family instead of the generators.
 //! * `serve` — the `bcc-serve` daemon under closed- and open-loop
 //!   workload profiles, in-process and over loopback TCP, reporting
 //!   queries/s and latency/snapshot-lag quantiles.
@@ -56,7 +52,7 @@ use bcc_bench::json::{self, Json};
 use bcc_bench::paper::{self, PaperConfig, Preset};
 use bcc_bench::runner::thread_sweep;
 use bcc_bench::xl::{self, XlConfig, XlInput};
-use bcc_core::{Algorithm, BccConfig, TraversalTuning};
+use bcc_core::{Algorithm, BccConfig};
 use bcc_graph::{bccsr, io, GraphBuilder};
 use bcc_smp::{rss, Pool};
 use std::path::PathBuf;
@@ -83,7 +79,7 @@ fn main() -> ExitCode {
 
 fn bad_usage(msg: &str) -> ExitCode {
     eprintln!("{msg}");
-    eprintln!("usage: bcc-bench [grid|serve|prims] [--smoke] [--n <vertices>] [--p <max threads>] [--trials <k>] [--seed <u64>] [--tuning <spec,spec,...>] [--workspace on|off|both] [--input <graph file>] [--out <path>]");
+    eprintln!("usage: bcc-bench [grid|serve|prims] [--smoke] [--n <vertices>] [--p <max threads>] [--trials <k>] [--seed <u64>] [--workspace on|off|both] [--input <graph file>] [--out <path>]");
     eprintln!("       bcc-bench paper <{}> [--n <vertices>] [--p <max threads>] [--trials <k>] [--seed <u64>] [--out <path>]", Preset::ALL.map(Preset::name).join("|"));
     eprintln!("       bcc-bench xl --graph <family>=<path> [--graph ...] [--p <max threads>] [--trials <k>] [--tv-cap <n>] [--smoke] [--out <path>]");
     eprintln!("       bcc-bench compare <baseline.json> <candidate.json> [--threshold <pct>] [--rss-threshold <pct>]");
@@ -142,11 +138,6 @@ fn run_grid_cli(args: &[String], sets: &[CellSet]) -> ExitCode {
             "--p" => val.parse().map(|p| cfg.threads = thread_sweep(p)).is_ok(),
             "--trials" => val.parse().map(|t| cfg.trials = t).is_ok(),
             "--seed" => val.parse().map(|s| cfg.seed = s).is_ok(),
-            "--tuning" => {
-                cfg.tunings =
-                    parse_tunings(val).map_err(|e| format!("bad value for --tuning: {e}"))?;
-                true
-            }
             "--workspace" => {
                 cfg.workspace = val
                     .parse()
@@ -167,10 +158,9 @@ fn run_grid_cli(args: &[String], sets: &[CellSet]) -> ExitCode {
     if let Err(e) = parsed {
         return bad_usage(&e);
     }
-    let specs: Vec<String> = cfg.tunings.iter().map(TraversalTuning::spec).collect();
     let names: Vec<&str> = sets.iter().map(|s| s.name()).collect();
     eprintln!(
-        "bcc-bench {}: n={} threads={:?} trials={} seed={} tunings={specs:?} workspace={}{}{}",
+        "bcc-bench {}: n={} threads={:?} trials={} seed={} workspace={}{}{}",
         names.join("+"),
         cfg.n,
         cfg.threads,
@@ -264,25 +254,6 @@ fn run_xl_cli(args: &[String]) -> ExitCode {
         return bad_usage("xl needs at least one --graph <family>=<path>");
     }
     write_doc(&xl::run_xl(&cfg, |line| eprintln!("{line}")), &out)
-}
-
-/// Parses `--tuning`'s comma-separated ablation list; each element is a
-/// `+`-joined [`TraversalTuning`] spec (`topdown`, `hybrid`,
-/// `classic-sv`, `fastsv`). Duplicate specs are rejected — they would
-/// collide on the entry key.
-fn parse_tunings(val: &str) -> Result<Vec<TraversalTuning>, String> {
-    let mut tunings: Vec<TraversalTuning> = vec![];
-    for spec in val.split(',') {
-        let t: TraversalTuning = spec.trim().parse()?;
-        if tunings.contains(&t) {
-            return Err(format!("duplicate tuning {:?}", t.spec()));
-        }
-        tunings.push(t);
-    }
-    if tunings.is_empty() {
-        return Err("empty tuning list".to_string());
-    }
-    Ok(tunings)
 }
 
 /// The out-of-core ingest equivalence check. Loads the input (text

@@ -12,7 +12,7 @@ use crate::runner::{
     document, fill_speedups, median_entry, run_cells, telemetry_pools, thread_sweep, Cell, Cells,
     Instance, PipelineCell, Sample, COMPAT_SCHEMA_VERSIONS,
 };
-use bcc_core::{Algorithm, TraversalTuning};
+use bcc_core::Algorithm;
 use bcc_graph::{gen, Edge, Graph, GraphBuilder};
 use bcc_query::IndexStore;
 use bcc_serve::{
@@ -168,9 +168,6 @@ pub struct GridConfig {
     pub seed: u64,
     /// Marks the document as a smoke run (small sizes, CI-friendly).
     pub smoke: bool,
-    /// Traversal ablation points: the parallel algorithms run once per
-    /// tuning (the Sequential baseline ignores tunings and runs once).
-    pub tunings: Vec<TraversalTuning>,
     /// Allocation-ablation axis: whether parallel cells share one arena
     /// across trials, allocate fresh per run, or run both series.
     pub workspace: WorkspaceMode,
@@ -185,7 +182,7 @@ impl GridConfig {
     /// The default full-size grid for `max_threads` threads.
     ///
     /// 50k vertices puts the per-vertex arrays past L2 so the
-    /// traversal ablation measures the memory system, not the cache.
+    /// pipelines measure the memory system, not the cache.
     pub fn full(max_threads: usize) -> GridConfig {
         GridConfig {
             n: 50_000,
@@ -193,7 +190,6 @@ impl GridConfig {
             trials: 3,
             seed: 42,
             smoke: false,
-            tunings: vec![TraversalTuning::fast()],
             workspace: WorkspaceMode::On,
             input: None,
         }
@@ -215,7 +211,6 @@ impl GridConfig {
 /// (pass `|_| {}` to silence it).
 pub fn run_grid(cfg: &GridConfig, sets: &[CellSet], mut progress: impl FnMut(&str)) -> Json {
     assert!(cfg.threads.contains(&1), "thread sweep must include 1");
-    assert!(!cfg.tunings.is_empty(), "at least one tuning is required");
     let mut families: Vec<Json> = vec![];
     let mut entries: Vec<Json> = vec![];
     for set in sets {
@@ -235,10 +230,6 @@ pub fn run_grid(cfg: &GridConfig, sets: &[CellSet], mut progress: impl FnMut(&st
             ("smoke", Json::Bool(cfg.smoke)),
             ("n", Json::num(cfg.n)),
             ("seed", Json::num(cfg.seed as f64)),
-            (
-                "tunings",
-                Json::Arr(cfg.tunings.iter().map(|t| Json::str(t.spec())).collect()),
-            ),
             ("workspace", Json::str(cfg.workspace.name())),
             (
                 "cells",
@@ -267,21 +258,18 @@ fn grid_cells(cfg: &GridConfig, progress: &mut dyn FnMut(&str)) -> (Vec<Json>, V
             .collect(),
     };
     let pools = telemetry_pools(&cfg.threads);
-    // Tarjan's DFS has no traversal or arena knobs: one cell per
-    // thread count; the parallel pipelines get one per ablation point.
+    // Tarjan's DFS has no arena: one cell per thread count; the
+    // parallel pipelines get one per workspace point.
     let mut cells: Cells = vec![];
     for inst in &instances {
         for pool in &pools {
             for alg in Algorithm::ALL {
                 if alg == Algorithm::Sequential {
-                    cells.push(Box::new(PipelineCell::new(inst, pool, alg, None, None)));
+                    cells.push(Box::new(PipelineCell::new(inst, pool, alg, None)));
                     continue;
                 }
-                for &t in &cfg.tunings {
-                    for ws in cfg.workspace.points() {
-                        let cell = PipelineCell::new(inst, pool, alg, Some(t), Some(ws));
-                        cells.push(Box::new(cell));
-                    }
+                for ws in cfg.workspace.points() {
+                    cells.push(Box::new(PipelineCell::new(inst, pool, alg, Some(ws))));
                 }
             }
         }
@@ -771,12 +759,6 @@ pub fn entry_key(e: &Json) -> Option<String> {
         e.get("n")?.as_u64()?,
         e.get("threads")?.as_u64()?,
     );
-    // v2 ablation cells are distinct series per tuning; v1 entries (and
-    // Sequential cells) have no tuning field and keep the short key.
-    if let Some(t) = e.get("tuning").and_then(Json::as_str) {
-        key.push('/');
-        key.push_str(t);
-    }
     // The allocation ablation suffixes only its *off* cells, so default
     // (`on`) cells keep the keys older documents used and stay
     // comparable against them.
@@ -816,7 +798,7 @@ const MIN_ABS_REGRESSION_SECS: f64 = 50e-6;
 const MIN_ABS_RSS_REGRESSION_BYTES: f64 = 16.0 * 1024.0 * 1024.0;
 
 /// Compares two BENCH documents; entries are matched by
-/// `(family, algorithm, n, threads[, tuning])` and flagged when the
+/// [`entry_key`] and flagged when the
 /// candidate's `seconds_min` (falling back to the median `seconds` for
 /// v1 documents) exceeds the baseline's by more than `threshold_pct`
 /// percent **after machine-speed calibration**, under **two**
@@ -978,24 +960,15 @@ mod tests {
     use super::*;
 
     fn tiny_grid() -> Json {
-        tiny_grid_with(vec![TraversalTuning::fast()])
+        tiny_grid_full(WorkspaceMode::On, 1)
     }
 
-    fn tiny_grid_with(tunings: Vec<TraversalTuning>) -> Json {
-        tiny_grid_full(tunings, WorkspaceMode::On, 1)
-    }
-
-    fn tiny_grid_full(
-        tunings: Vec<TraversalTuning>,
-        workspace: WorkspaceMode,
-        trials: usize,
-    ) -> Json {
+    fn tiny_grid_full(workspace: WorkspaceMode, trials: usize) -> Json {
         let cfg = GridConfig {
             n: 80,
             threads: vec![1, 2],
             trials,
             seed: 7,
-            tunings,
             workspace,
             ..GridConfig::smoke(2)
         };
@@ -1209,7 +1182,7 @@ mod tests {
             assert!(d >= 1 && d <= levels, "diameter {d} vs levels {levels}");
         }
         let entries = pipeline_entries(&parsed);
-        // families × threads × (Sequential + 4 parallel × |tunings|).
+        // families × threads × (Sequential + 4 parallel).
         assert_eq!(entries.len(), 4 * 2 * (1 + 4));
         let mut algs_seen = std::collections::BTreeSet::new();
         for e in &entries {
@@ -1234,20 +1207,14 @@ mod tests {
             }
             assert!(e.get("phases").and_then(Json::as_arr).is_some());
             assert!(e.get("imbalance").and_then(Json::as_f64).unwrap() >= 1.0);
-            // Tuning + work counters + workspace axis on parallel
-            // cells only.
+            // BFS counters + workspace axis on parallel cells only; no
+            // entry names a traversal configuration.
             let seq = e.get("algorithm").and_then(Json::as_str) == Some("Sequential");
-            assert_eq!(e.get("tuning").is_none(), seq);
-            assert_eq!(e.get("sv_rounds_cc").is_none(), seq);
+            assert!(e.get("tuning").is_none());
+            assert_eq!(e.get("bfs_levels").is_none(), seq);
             assert_eq!(e.get("workspace").is_none(), seq);
             if !seq {
                 assert_eq!(e.get("workspace").and_then(Json::as_str), Some("on"));
-            }
-            if !seq {
-                assert_eq!(
-                    e.get("tuning").and_then(Json::as_str),
-                    Some("hybrid+fastsv")
-                );
                 assert!(e.get("bfs_directions").and_then(Json::as_str).is_some());
             }
         }
@@ -1267,41 +1234,8 @@ mod tests {
     }
 
     #[test]
-    fn ablation_grid_emits_one_series_per_tuning() {
-        let doc = tiny_grid_with(vec![
-            "topdown+classic-sv".parse().unwrap(),
-            TraversalTuning::fast(),
-        ]);
-        let entries = pipeline_entries(&doc);
-        // Sequential once, 4 parallel algorithms × 2 tunings.
-        assert_eq!(entries.len(), 4 * 2 * (1 + 4 * 2));
-        // Keys stay unique (the tuning disambiguates the ablation cells).
-        let keys: std::collections::BTreeSet<String> =
-            entries.iter().map(|e| entry_key(e).unwrap()).collect();
-        assert_eq!(keys.len(), entries.len());
-        // FastSV finishes its step-6 run in strictly fewer graft rounds
-        // than classic SV on at least one family.
-        let rounds = |e: &Json| e.get("sv_rounds_cc").and_then(Json::as_u64).unwrap();
-        let of = |tuning: &str| -> Vec<u64> {
-            entries
-                .iter()
-                .filter(|e| e.get("tuning").and_then(Json::as_str) == Some(tuning))
-                .map(|e| rounds(e))
-                .collect()
-        };
-        let classic = of("topdown+classic-sv");
-        let fast = of("hybrid+fastsv");
-        assert_eq!(classic.len(), fast.len());
-        assert!(!classic.is_empty());
-        assert!(
-            fast.iter().zip(&classic).any(|(f, c)| f < c),
-            "fast {fast:?} vs classic {classic:?}"
-        );
-    }
-
-    #[test]
     fn workspace_ablation_emits_on_and_off_series() {
-        let doc = tiny_grid_full(vec![TraversalTuning::fast()], WorkspaceMode::Both, 2);
+        let doc = tiny_grid_full(WorkspaceMode::Both, 2);
         assert_eq!(doc.get("workspace").and_then(Json::as_str), Some("both"));
         let entries = pipeline_entries(&doc);
         // Sequential once, 4 parallel algorithms × 2 workspace points.

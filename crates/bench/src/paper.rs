@@ -14,10 +14,9 @@
 //! | `ablation-spanning` | §3.2 | random, m ∈ {2n, 8n} (200k) | SV, AS, BFS and work-stealing spanning trees at the largest p |
 //!
 //! Pipeline cells run the default [`BccConfig`](bcc_core::BccConfig)
-//! the way a one-shot caller does — the fast traversal tuning (recorded
-//! in the entry) and a fresh scratch arena per run — and carry the
-//! work counters (`effective_edges`, `aux_vertices`, `aux_edges`,
-//! `sv_rounds_*`, `bfs_*`). The ablations are kernel cells timing one
+//! the way a one-shot caller does — a fresh scratch arena per run — and
+//! carry the work counters (`effective_edges`, `aux_vertices`,
+//! `aux_edges`, `bfs_*`). The ablations are kernel cells timing one
 //! construction per trial (after one untimed warm-up run), with the
 //! variant in `algorithm`.
 
@@ -27,10 +26,10 @@ use crate::runner::{
     KernelCell, PipelineCell,
 };
 use bcc_connectivity::as_sync::awerbuch_shiloach;
-use bcc_connectivity::bfs::{bfs_tree_par, bfs_tree_seq};
+use bcc_connectivity::bfs::{bfs_tree, bfs_tree_seq, TraversalTuning};
 use bcc_connectivity::sv::connected_components;
 use bcc_connectivity::traversal::work_stealing_tree;
-use bcc_core::{Algorithm, TraversalTuning};
+use bcc_core::Algorithm;
 use bcc_euler::{dfs_euler_tour, euler_tour_classic, rooted_euler_tour, tree_computations, Ranker};
 use bcc_graph::{gen, Csr};
 use bcc_smp::Pool;
@@ -245,7 +244,7 @@ pub fn run_paper(preset: Preset, cfg: &PaperConfig, mut progress: impl FnMut(&st
                     black_box(awerbuch_shiloach(top, n, edges).num_components);
                 }));
                 cells.push(kernel(fields("bfs"), move || {
-                    black_box(bfs_tree_par(top, &Csr::build(g), 0).reached);
+                    black_box(bfs_tree(top, &Csr::build(g), 0, &TraversalTuning).reached);
                 }));
                 cells.push(kernel(fields("work-stealing"), move || {
                     black_box(work_stealing_tree(top, &Csr::build(g), 0).reached);
@@ -260,8 +259,7 @@ pub fn run_paper(preset: Preset, cfg: &PaperConfig, mut progress: impl FnMut(&st
                         if (seq && p != 1) || (!seq && !sweep && p != top.threads()) {
                             continue;
                         }
-                        let tuning = (!seq).then(TraversalTuning::fast);
-                        cells.push(Box::new(PipelineCell::new(inst, pool, alg, tuning, None)));
+                        cells.push(Box::new(PipelineCell::new(inst, pool, alg, None)));
                     }
                 }
             }

@@ -13,7 +13,7 @@
 use crate::grid::entry_key;
 use crate::json::Json;
 use bcc_connectivity::bfs::bfs_tree_seq;
-use bcc_core::{Algorithm, BccConfig, BccWorkspace, PhaseReport, TraversalTuning};
+use bcc_core::{Algorithm, BccConfig, BccWorkspace, PhaseReport};
 use bcc_graph::{Csr, Graph};
 use bcc_smp::{rss, Pool, Telemetry};
 use std::cell::OnceCell;
@@ -24,10 +24,12 @@ use std::time::{Duration, Instant};
 /// changes. `compare` reads any version listed in
 /// [`COMPAT_SCHEMA_VERSIONS`].
 ///
-/// v2 adds the `geo` family, the per-entry `tuning` spec and traversal
-/// work counters (`sv_rounds_*`, `bfs_*`), and the per-family shape
-/// summary (`families[].effective_diameter_90`). Everything since is
-/// additive within v2 — documents without a field stay comparable on
+/// v2 adds the `geo` family, the traversal work counters (`bfs_*`), and
+/// the per-family shape summary (`families[].effective_diameter_90`);
+/// v2 documents written before the traversal ablation was retired also
+/// carry a per-entry `tuning` spec and SV round counters, which
+/// `compare` ignores. Everything since is additive within v2 —
+/// documents without a field stay comparable on
 /// the shared cells: the workspace ablation (`workspace`,
 /// `alloc_bytes`, `arena_hit_rate`, the `/ws-off` key suffix); the
 /// `store-multi` commit cells (`batch`, the [`bcc_query::CommitStats`]
@@ -41,7 +43,7 @@ use std::time::{Duration, Instant};
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// Schema versions `compare` can still read (v1 documents predate the
-/// tuning/diameter fields; their entries simply carry fewer keys).
+/// traversal/diameter fields; their entries simply carry fewer keys).
 pub const COMPAT_SCHEMA_VERSIONS: [u64; 2] = [1, 2];
 
 /// One BENCH entry's measurement: set up when constructed, one sample
@@ -218,30 +220,24 @@ pub(crate) struct PipelineCell<'a> {
     inst: &'a Instance,
     pool: &'a Pool,
     config: BccConfig,
-    tuning: Option<TraversalTuning>,
     workspace: Option<bool>,
     reports: Vec<PhaseReport>,
     peaks: Vec<u64>,
 }
 
 impl<'a> PipelineCell<'a> {
-    /// `tuning` and `workspace` are the cell's ablation axes; `None`
-    /// leaves the axis out of the entry (and its key) and runs the
-    /// default. `workspace: Some(true)` shares one arena across the
-    /// cell's trials, so trials past the first run in the
+    /// `workspace` is the cell's ablation axis; `None` leaves the axis
+    /// out of the entry (and its key). `Some(true)` shares one arena
+    /// across the cell's trials, so trials past the first run in the
     /// zero-allocation steady state; `Some(false)` and `None` allocate
     /// fresh per run, like a one-shot caller.
     pub(crate) fn new(
         inst: &'a Instance,
         pool: &'a Pool,
         alg: Algorithm,
-        tuning: Option<TraversalTuning>,
         workspace: Option<bool>,
     ) -> Self {
         let mut config = BccConfig::new(alg);
-        if let Some(t) = tuning {
-            config = config.tuning(t);
-        }
         if workspace == Some(true) {
             config = config.workspace(Arc::new(BccWorkspace::new()));
         }
@@ -249,7 +245,6 @@ impl<'a> PipelineCell<'a> {
             inst,
             pool,
             config,
-            tuning,
             workspace,
             reports: vec![],
             peaks: vec![],
@@ -303,9 +298,8 @@ impl Cell for PipelineCell<'_> {
             });
             Json::Arr(vec![Json::str(name), Json::num(secs)])
         });
-        // Work counters are deterministic per (graph, tuning) except SV
-        // rounds under races; take the last trial (all trials agree in
-        // practice, and the last is past any warm-up).
+        // Work counters are deterministic per graph; take the last
+        // trial's.
         let stats = &reports[reports.len() - 1].stats;
         let mut fields = vec![
             ("family", Json::str(self.inst.name.as_str())),
@@ -352,10 +346,9 @@ impl Cell for PipelineCell<'_> {
         if let Some(&peak) = self.peaks.iter().max() {
             fields.push(("peak_rss_bytes", Json::num(peak as f64)));
         }
-        if let Some(t) = &self.tuning {
-            fields.push(("tuning", Json::str(t.spec())));
-            fields.push(("sv_rounds_spanning", Json::num(stats.sv_rounds_spanning)));
-            fields.push(("sv_rounds_cc", Json::num(stats.sv_rounds_cc)));
+        // The BFS counters of the parallel pipelines (0 and empty for
+        // TV-SMP and TV-opt, which run no BFS).
+        if self.config.algorithm() != Algorithm::Sequential {
             fields.push(("bfs_levels", Json::num(stats.bfs_levels)));
             fields.push((
                 "bfs_bottom_up_levels",

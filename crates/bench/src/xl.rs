@@ -33,7 +33,7 @@ use crate::runner::{
     document, fill_speedups, run_cells, telemetry_pools, thread_sweep, Cells, Instance,
     PipelineCell,
 };
-use bcc_core::{Algorithm, TraversalTuning};
+use bcc_core::Algorithm;
 use bcc_smp::Pool;
 use std::path::PathBuf;
 
@@ -124,8 +124,7 @@ pub fn run_xl(cfg: &XlConfig, mut progress: impl FnMut(&str)) -> Json {
                 if (capped && alg != Algorithm::FastBcc) || (seq && pool.threads() != 1) {
                     continue;
                 }
-                let (tuning, ws) = ((!seq).then(TraversalTuning::fast), (!seq).then_some(true));
-                let cell = PipelineCell::new(&inst, pool, alg, tuning, ws);
+                let cell = PipelineCell::new(&inst, pool, alg, (!seq).then_some(true));
                 cells.push(Box::new(cell));
             }
         }

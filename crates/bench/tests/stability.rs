@@ -25,9 +25,6 @@ fn baseline_configuration_yields_the_same_cells_and_fields() {
         trials: 1,
         seed: header("seed").as_u64().unwrap(),
         smoke: header("smoke") == &Json::Bool(true),
-        tunings: list("tunings")
-            .map(|t| t.as_str().unwrap().parse().unwrap())
-            .collect(),
         workspace: header("workspace").as_str().unwrap().parse().unwrap(),
         input: None,
     };

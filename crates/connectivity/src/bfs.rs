@@ -1,5 +1,5 @@
-//! Breadth-first search trees and forests: sequential, level-synchronous
-//! top-down, and direction-optimizing hybrid.
+//! Breadth-first search trees and forests: sequential, and
+//! level-synchronous direction-optimizing.
 //!
 //! TV-filter's correctness (paper Lemma 1) requires the primary spanning
 //! tree to be a **BFS** tree: a nontree edge of a BFS tree never joins an
@@ -14,29 +14,29 @@
 //!   one *hit* per unvisited vertex, and no CAS: each vertex claims
 //!   itself).
 //!
-//! The hybrid ([`BfsStrategy::Hybrid`]) switches by the standard
-//! frontier-edge heuristic (Beamer et al., SC'12): go bottom-up when the
-//! frontier's out-arcs exceed `remaining_arcs / α`, return top-down when
-//! the frontier shrinks below `n / β`. Bottom-up runs as a **single
-//! contiguous phase**: the first sweep covers every vertex, later sweeps
-//! revisit only the survivors of the previous one (the unvisited set
-//! only shrinks), and once the exit condition fires the sweep never
-//! re-engages — near the end of the traversal the entry test becomes
-//! trivially true and re-entering would pay a full sweep for a handful
-//! of claims. On low-diameter graphs the one or two "fat" levels carry
-//! almost all edges, and the bottom-up sweep short-circuits most of
-//! their examinations — a work reduction, so it pays at any thread
-//! count. Frontier membership during bottom-up sweeps is a shared
-//! [`Bitmap`], and the unvisited set is a second bitmap swept
-//! word-at-a-time (64 vertices per load, claims cleared with one plain
-//! store per word); top-down levels pull degree-weighted chunks from a
-//! [`ChunkCounter`] so hub vertices cannot serialize a chunk behind one
-//! thread. A level whose frontier has fewer out-arcs than the pool grain
-//! runs top-down on the calling thread, and never switches bottom-up:
-//! on a high-diameter graph (a road lattice has ~2,000 levels of a few
-//! thousand arcs each) one pool round per level would cost more than
-//! the level's work, and a sweep over every unvisited vertex would cost
-//! more than the frontier's arcs.
+//! The parallel traversal switches by the standard frontier-edge
+//! heuristic (Beamer et al., SC'12): go bottom-up when the frontier's
+//! out-arcs exceed `remaining_arcs / α`, return top-down when the
+//! frontier shrinks below `n / β`, with α = 6 and β = 20. Bottom-up
+//! runs as a **single contiguous phase**: the first sweep covers every
+//! vertex, later sweeps revisit only the survivors of the previous one
+//! (the unvisited set only shrinks), and once the exit condition fires
+//! the sweep never re-engages — near the end of the traversal the entry
+//! test becomes trivially true and re-entering would pay a full sweep
+//! for a handful of claims. On low-diameter graphs the one or two "fat"
+//! levels carry almost all edges, and the bottom-up sweep
+//! short-circuits most of their examinations — a work reduction, so it
+//! pays at any thread count. Frontier membership during bottom-up
+//! sweeps is a shared [`Bitmap`], and the unvisited set is a second
+//! bitmap swept word-at-a-time (64 vertices per load, claims cleared
+//! with one plain store per word); top-down levels pull degree-weighted
+//! chunks from a [`ChunkCounter`] so hub vertices cannot serialize a
+//! chunk behind one thread. A level whose frontier has fewer out-arcs
+//! than the pool grain runs top-down on the calling thread, and never
+//! switches bottom-up: on a high-diameter graph (a road lattice has
+//! ~2,000 levels of a few thousand arcs each) one pool round per level
+//! would cost more than the level's work, and a sweep over every
+//! unvisited vertex would cost more than the frontier's arcs.
 //!
 //! **Forests.** [`bfs_forest_ws`] runs the same traversal over a graph
 //! that may be disconnected. It starts at vertex 0; when a tree is
@@ -50,14 +50,13 @@
 //! Lemma 1 needs.
 
 use crate::next_root;
-use crate::tuning::{BfsStrategy, TraversalTuning};
 use bcc_graph::Csr;
 use bcc_smp::atomic::as_atomic_u32;
 use bcc_smp::{BccWorkspace, Bitmap, ChunkCounter, Pool, GRAIN, NIL};
 use std::sync::atomic::Ordering;
 
 /// How one BFS level was discovered (recorded per level for telemetry
-/// and the `bcc-bench` ablation columns).
+/// and the `bcc-bench` work counters).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BfsDirection {
     /// Frontier-expands-outward (classic).
@@ -193,11 +192,22 @@ pub fn bfs_tree_seq(csr: &Csr, root: u32) -> BfsTree {
     }
 }
 
-/// Level-synchronous parallel BFS tree from `root` with the default
-/// tuning (direction-optimizing hybrid).
-pub fn bfs_tree_par(pool: &Pool, csr: &Csr, root: u32) -> BfsTree {
-    bfs_tree(pool, csr, root, &TraversalTuning::default())
-}
+/// The argument of [`bfs_tree`]: the traversal has no settings. The
+/// type is kept so that `bfs_tree`'s signature, which the repository
+/// benchmark (`perfbench/`) calls, stays as it was; no code reads it.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraversalTuning;
+
+/// Beamer's α: a level goes bottom-up when its frontier's out-arcs
+/// exceed `remaining_arcs / ALPHA`. Large enough that the fat
+/// mid-levels of a random graph still go bottom-up, small enough that a
+/// spatial graph's slowly widening wavefront does not enter the sweep a
+/// level too early (the first sweep covers every vertex).
+const ALPHA: usize = 6;
+
+/// Beamer's β: the traversal returns top-down once the frontier holds
+/// fewer than `n / BETA` vertices.
+const BETA: usize = 20;
 
 /// Per-chunk edge budget for degree-weighted frontier scheduling.
 const EDGE_BUDGET: usize = 2048;
@@ -207,30 +217,24 @@ const EDGE_BUDGET: usize = 2048;
 /// skewed word, large enough that the chunk counter's atomic is cold.
 const SWEEP_WORDS_PER_CHUNK: usize = 16;
 
-/// BFS tree from `root` under explicit [`TraversalTuning`].
+/// Level-synchronous parallel BFS tree from `root`.
 ///
 /// Top-down levels CAS-claim neighbors from dynamically scheduled,
 /// degree-weighted frontier chunks; a level whose frontier has fewer
 /// than [`GRAIN`] out-arcs runs on the calling thread, so a long thin
 /// stretch of levels costs no pool round per level. Bottom-up levels
-/// sweep the unvisited vertices against a frontier bitmap. The hybrid
-/// applies the direction optimization at every thread count.
-pub fn bfs_tree(pool: &Pool, csr: &Csr, root: u32, tuning: &TraversalTuning) -> BfsTree {
-    bfs_tree_ws(pool, csr, root, tuning, &BccWorkspace::new())
+/// sweep the unvisited vertices against a frontier bitmap. The
+/// direction optimization applies at every thread count.
+pub fn bfs_tree(pool: &Pool, csr: &Csr, root: u32, _tuning: &TraversalTuning) -> BfsTree {
+    bfs_tree_ws(pool, csr, root, &BccWorkspace::new())
 }
 
 /// [`bfs_tree`] with the tree's per-vertex arrays, the frontiers, the
 /// bottom-up bitmaps, and the unvisited-domain scratch taken from `ws`;
 /// return the tree's buffers with [`BfsTree::recycle`]. (Per-thread
 /// frontier chunks of a pool level remain ordinary allocations.)
-pub fn bfs_tree_ws(
-    pool: &Pool,
-    csr: &Csr,
-    root: u32,
-    tuning: &TraversalTuning,
-    ws: &BccWorkspace,
-) -> BfsTree {
-    traverse(pool, csr, Some(root), tuning, ws)
+pub fn bfs_tree_ws(pool: &Pool, csr: &Csr, root: u32, ws: &BccWorkspace) -> BfsTree {
+    traverse(pool, csr, Some(root), ws)
 }
 
 /// The BFS forest of the whole graph: [`bfs_tree_ws`]'s traversal from
@@ -239,24 +243,13 @@ pub fn bfs_tree_ws(
 /// off vertex 0 by a virtual edge: parent 0, level 1, no parent edge,
 /// so the vertices without a parent edge are exactly one root per
 /// component.
-pub fn bfs_forest_ws(
-    pool: &Pool,
-    csr: &Csr,
-    tuning: &TraversalTuning,
-    ws: &BccWorkspace,
-) -> BfsTree {
-    traverse(pool, csr, None, tuning, ws)
+pub fn bfs_forest_ws(pool: &Pool, csr: &Csr, ws: &BccWorkspace) -> BfsTree {
+    traverse(pool, csr, None, ws)
 }
 
 /// The one BFS body: the tree of `root`, or with `None` the forest
 /// whose restarts hang off vertex 0.
-fn traverse(
-    pool: &Pool,
-    csr: &Csr,
-    root: Option<u32>,
-    tuning: &TraversalTuning,
-    ws: &BccWorkspace,
-) -> BfsTree {
+fn traverse(pool: &Pool, csr: &Csr, root: Option<u32>, ws: &BccWorkspace) -> BfsTree {
     let n = csr.n() as usize;
     let forest = root.is_none();
     let first = root.unwrap_or(0);
@@ -291,10 +284,6 @@ fn traverse(
         reached += isolated;
         live -= isolated as usize;
     }
-    let hybrid = tuning.bfs == BfsStrategy::Hybrid;
-    let alpha = tuning.alpha.max(1) as usize;
-    let beta = tuning.beta.max(1) as usize;
-
     let parent_a = as_atomic_u32(&mut parent);
     let eid_a = as_atomic_u32(&mut parent_eid);
     let level_a = as_atomic_u32(&mut level);
@@ -341,24 +330,21 @@ fn traverse(
         let mut depth = level_a[r as usize].load(Ordering::Relaxed);
 
         while !frontier.is_empty() {
-            if hybrid {
-                // Beamer's direction heuristic, evaluated pre-expansion.
-                // Bottom-up is a single contiguous phase per traversal,
-                // forest restarts included: once the frontier thins
-                // back out the sweep never re-engages — late levels have
-                // few unvisited vertices, so a re-entered sweep would
-                // pay the full vertex scan for almost no claims (and the
-                // shrinking `remaining_arcs` makes the entry test
-                // trivially true near the end, which used to cause T/B
-                // thrash).
-                if !bottom_up && !bottom_up_done {
-                    bottom_up = frontier.len() > 1
-                        && frontier_arcs >= GRAIN
-                        && frontier_arcs * alpha > remaining_arcs;
-                } else if bottom_up {
-                    bottom_up = frontier.len() * beta >= live;
-                    bottom_up_done = !bottom_up;
-                }
+            // Beamer's direction heuristic, evaluated pre-expansion.
+            // Bottom-up is a single contiguous phase per traversal,
+            // forest restarts included: once the frontier thins back
+            // out the sweep never re-engages — late levels have few
+            // unvisited vertices, so a re-entered sweep would pay the
+            // full vertex scan for almost no claims (and the shrinking
+            // `remaining_arcs` makes the entry test trivially true near
+            // the end, which used to cause T/B thrash).
+            if !bottom_up && !bottom_up_done {
+                bottom_up = frontier.len() > 1
+                    && frontier_arcs >= GRAIN
+                    && frontier_arcs * ALPHA > remaining_arcs;
+            } else if bottom_up {
+                bottom_up = frontier.len() * BETA >= live;
+                bottom_up_done = !bottom_up;
             }
             depth += 1;
             next.clear();
@@ -575,23 +561,21 @@ mod tests {
         // In a BFS tree, every graph edge spans at most one level.
         let g = gen::random_connected(800, 3000, 17);
         let csr = Csr::build(&g);
-        for tuning in [TraversalTuning::classic(), TraversalTuning::fast()] {
-            for p in [1, 4] {
-                let pool = Pool::new(p);
-                let t = bfs_tree(&pool, &csr, 0, &tuning);
-                assert_eq!(t.reached, g.n());
-                assert_valid_rooted_tree(&g, &t.parent, 0);
-                for e in g.edges() {
-                    let lu = t.level[e.u as usize] as i64;
-                    let lv = t.level[e.v as usize] as i64;
-                    assert!((lu - lv).abs() <= 1, "edge {e:?} spans levels {lu},{lv}");
-                }
-                // Parent is exactly one level up.
-                for v in 0..g.n() {
-                    if v != 0 {
-                        let p = t.parent[v as usize];
-                        assert_eq!(t.level[v as usize], t.level[p as usize] + 1);
-                    }
+        for p in [1, 4] {
+            let pool = Pool::new(p);
+            let t = bfs_tree(&pool, &csr, 0, &TraversalTuning);
+            assert_eq!(t.reached, g.n());
+            assert_valid_rooted_tree(&g, &t.parent, 0);
+            for e in g.edges() {
+                let lu = t.level[e.u as usize] as i64;
+                let lv = t.level[e.v as usize] as i64;
+                assert!((lu - lv).abs() <= 1, "edge {e:?} spans levels {lu},{lv}");
+            }
+            // Parent is exactly one level up.
+            for v in 0..g.n() {
+                if v != 0 {
+                    let p = t.parent[v as usize];
+                    assert_eq!(t.level[v as usize], t.level[p as usize] + 1);
                 }
             }
         }
@@ -607,7 +591,7 @@ mod tests {
         let s = bfs_tree_seq(&csr, 0);
         for p in [1, 4] {
             let pool = Pool::new(p);
-            let t = bfs_tree(&pool, &csr, 0, &TraversalTuning::fast());
+            let t = bfs_tree(&pool, &csr, 0, &TraversalTuning);
             assert_eq!(t.level, s.level, "p={p}");
             assert_eq!(t.levels, s.levels);
             assert_eq!(t.frontier_sizes, s.frontier_sizes);
@@ -626,18 +610,16 @@ mod tests {
         let g = gen::torus(5, 7);
         let csr = Csr::build(&g);
         let pool = Pool::new(3);
-        for tuning in [TraversalTuning::classic(), TraversalTuning::fast()] {
-            let t = bfs_tree(&pool, &csr, 3, &tuning);
-            for v in 0..g.n() {
-                let eid = t.parent_eid[v as usize];
-                if v == 3 {
-                    assert_eq!(eid, NIL);
-                    continue;
-                }
-                let e = g.edges()[eid as usize];
-                let p = t.parent[v as usize];
-                assert!((e.u == v && e.v == p) || (e.v == v && e.u == p));
+        let t = bfs_tree(&pool, &csr, 3, &TraversalTuning);
+        for v in 0..g.n() {
+            let eid = t.parent_eid[v as usize];
+            if v == 3 {
+                assert_eq!(eid, NIL);
+                continue;
             }
+            let e = g.edges()[eid as usize];
+            let p = t.parent[v as usize];
+            assert!((e.u == v && e.v == p) || (e.v == v && e.u == p));
         }
     }
 
@@ -652,9 +634,9 @@ mod tests {
         assert_eq!(t.reached, 3);
         assert_eq!(t.parent[3], NIL);
         assert_eq!(t.parent[4], NIL);
-        // The hybrid agrees on partial trees.
+        // The parallel traversal agrees on partial trees.
         let pool = Pool::new(2);
-        let h = bfs_tree(&pool, &csr, 0, &TraversalTuning::fast());
+        let h = bfs_tree(&pool, &csr, 0, &TraversalTuning);
         assert_eq!(h.reached, 3);
         assert_eq!(h.level, t.level);
     }
@@ -666,16 +648,14 @@ mod tests {
         let csr = Csr::build(&g);
         let pool = Pool::new(4);
         let s = bfs_tree_seq(&csr, 100);
-        for tuning in [TraversalTuning::classic(), TraversalTuning::fast()] {
-            let t = bfs_tree(&pool, &csr, 100, &tuning);
-            assert_eq!(t.reached, 5000);
-            assert_valid_rooted_tree(&g, &t.parent, 100);
-            // Levels must match the sequential BFS (levels are unique
-            // even though parents are not).
-            assert_eq!(t.level, s.level);
-            assert_eq!(t.levels, s.levels);
-            assert_eq!(t.frontier_sizes, s.frontier_sizes);
-        }
+        let t = bfs_tree(&pool, &csr, 100, &TraversalTuning);
+        assert_eq!(t.reached, 5000);
+        assert_valid_rooted_tree(&g, &t.parent, 100);
+        // Levels must match the sequential BFS (levels are unique even
+        // though parents are not).
+        assert_eq!(t.level, s.level);
+        assert_eq!(t.levels, s.levels);
+        assert_eq!(t.frontier_sizes, s.frontier_sizes);
     }
 
     #[test]
@@ -700,19 +680,17 @@ mod tests {
         let g = gen::random_connected(2000, 30_000, 5);
         let csr = Csr::build(&g);
         let pool = Pool::new(4);
-        for tuning in [TraversalTuning::classic(), TraversalTuning::fast()] {
-            let plain = bfs_tree(&pool, &csr, 0, &tuning);
-            let warm = bfs_tree_ws(&pool, &csr, 0, &tuning, &ws);
-            assert_eq!(warm.level, plain.level);
-            warm.recycle(&ws);
-            let before = ws.stats();
-            let again = bfs_tree_ws(&pool, &csr, 0, &tuning, &ws);
-            assert_eq!(again.level, plain.level);
-            assert_eq!(again.frontier_sizes, plain.frontier_sizes);
-            again.recycle(&ws);
-            let delta = ws.stats().delta_since(&before);
-            assert_eq!(delta.misses, 0, "steady-state rerun must not miss");
-        }
+        let plain = bfs_tree(&pool, &csr, 0, &TraversalTuning);
+        let warm = bfs_tree_ws(&pool, &csr, 0, &ws);
+        assert_eq!(warm.level, plain.level);
+        warm.recycle(&ws);
+        let before = ws.stats();
+        let again = bfs_tree_ws(&pool, &csr, 0, &ws);
+        assert_eq!(again.level, plain.level);
+        assert_eq!(again.frontier_sizes, plain.frontier_sizes);
+        again.recycle(&ws);
+        let delta = ws.stats().delta_since(&before);
+        assert_eq!(delta.misses, 0, "steady-state rerun must not miss");
     }
 
     #[test]
@@ -727,36 +705,34 @@ mod tests {
         let csr = Csr::build(&g);
         let n = g.n();
         let cc = crate::seq::components_union_find(n, g.edges());
-        for tuning in [TraversalTuning::classic(), TraversalTuning::fast()] {
-            for p in [1, 2, 4] {
-                let pool = Pool::new(p);
-                let f = bfs_forest_ws(&pool, &csr, &tuning, &BccWorkspace::new());
-                let what = format!("p={p} {tuning:?}");
-                assert_eq!(f.reached, n, "{what}");
-                assert_eq!(f.levels as usize, f.frontier_sizes.len());
-                let roots = f.parent_eid.iter().filter(|&&e| e == NIL).count();
-                assert_eq!(roots as u32, cc.count, "{what}: one root each");
-                for v in 0..n {
-                    let (p, l) = (f.parent[v as usize], f.level[v as usize]);
-                    if cc.label[v as usize] == v {
-                        // The component's smallest vertex is vertex 0 or
-                        // a leaf of it.
-                        let top = u32::from(v != 0);
-                        assert_eq!((p, l), (0, top), "{what}: root {v}");
-                        assert_eq!(f.parent_eid[v as usize], NIL);
-                        // Its tree is a BFS tree of the component.
-                        let t = bfs_tree_seq(&csr, v);
-                        for w in 0..n as usize {
-                            if t.parent[w] != NIL {
-                                assert_eq!(f.level[w], t.level[w] + top, "{what}: w={w}");
-                            }
+        for p in [1, 2, 4] {
+            let pool = Pool::new(p);
+            let f = bfs_forest_ws(&pool, &csr, &BccWorkspace::new());
+            let what = format!("p={p}");
+            assert_eq!(f.reached, n, "{what}");
+            assert_eq!(f.levels as usize, f.frontier_sizes.len());
+            let roots = f.parent_eid.iter().filter(|&&e| e == NIL).count();
+            assert_eq!(roots as u32, cc.count, "{what}: one root each");
+            for v in 0..n {
+                let (p, l) = (f.parent[v as usize], f.level[v as usize]);
+                if cc.label[v as usize] == v {
+                    // The component's smallest vertex is vertex 0 or a
+                    // leaf of it.
+                    let top = u32::from(v != 0);
+                    assert_eq!((p, l), (0, top), "{what}: root {v}");
+                    assert_eq!(f.parent_eid[v as usize], NIL);
+                    // Its tree is a BFS tree of the component.
+                    let t = bfs_tree_seq(&csr, v);
+                    for w in 0..n as usize {
+                        if t.parent[w] != NIL {
+                            assert_eq!(f.level[w], t.level[w] + top, "{what}: w={w}");
                         }
-                        continue;
                     }
-                    assert_eq!(l, f.level[p as usize] + 1, "{what}: v={v}");
-                    let e = g.edges()[f.parent_eid[v as usize] as usize];
-                    assert!((e.u, e.v) == (v, p) || (e.v, e.u) == (v, p), "{what}");
+                    continue;
                 }
+                assert_eq!(l, f.level[p as usize] + 1, "{what}: v={v}");
+                let e = g.edges()[f.parent_eid[v as usize] as usize];
+                assert!((e.u, e.v) == (v, p) || (e.v, e.u) == (v, p), "{what}");
             }
         }
     }
@@ -767,7 +743,7 @@ mod tests {
         let csr = Csr::build(&g);
         let s = bfs_tree_seq(&csr, 0);
         let pool = Pool::new(4);
-        let f = bfs_forest_ws(&pool, &csr, &TraversalTuning::fast(), &BccWorkspace::new());
+        let f = bfs_forest_ws(&pool, &csr, &BccWorkspace::new());
         assert_eq!(f.level, s.level);
         assert_eq!(f.frontier_sizes, s.frontier_sizes);
         assert_valid_rooted_tree(&g, &f.parent, 0);
@@ -781,10 +757,10 @@ mod tests {
         let t = bfs_tree_seq(&csr, 0);
         assert_eq!(t.reached, 0);
         let pool = Pool::new(2);
-        let h = bfs_tree(&pool, &csr, 0, &TraversalTuning::fast());
+        let h = bfs_tree(&pool, &csr, 0, &TraversalTuning);
         assert_eq!(h.reached, 0);
         assert_eq!(h.levels, 0);
-        let f = bfs_forest_ws(&pool, &csr, &TraversalTuning::fast(), &BccWorkspace::new());
+        let f = bfs_forest_ws(&pool, &csr, &BccWorkspace::new());
         assert_eq!((f.reached, f.levels), (0, 0));
     }
 }

@@ -3,13 +3,13 @@
 //!
 //! Three ways to get a spanning structure, mirroring the paper's §3:
 //!
-//! * [`sv`] — the Shiloach–Vishkin graft-and-shortcut connected
-//!   components algorithm on an edge list, recording the grafting edges
-//!   to obtain a spanning forest. TV's step 1 and step 6 both use it.
-//! * [`bfs`] — level-synchronous breadth-first search producing a
-//!   *rooted* tree directly (merging the paper's Spanning-tree and
-//!   Root-tree steps), and the BFS tree required by TV-filter's
-//!   correctness lemmas (Lemma 1 needs T to be a BFS tree).
+//! * [`sv`] — FastSV-style Shiloach–Vishkin connected components on an
+//!   edge list (one hooking sweep), recording the grafting edges to
+//!   obtain a spanning forest. TV's step 1 and step 6 both use it.
+//! * [`bfs`] — level-synchronous, direction-optimizing breadth-first
+//!   search producing a *rooted* tree directly (merging the paper's
+//!   Spanning-tree and Root-tree steps), and the BFS tree required by
+//!   TV-filter's correctness lemmas (Lemma 1 needs T to be a BFS tree).
 //! * [`traversal`] — the Bader–Cong work-stealing graph-traversal
 //!   spanning tree, the fastest rooted-spanning-tree method of their
 //!   earlier study, used by TV-opt.
@@ -22,15 +22,14 @@ pub mod bfs;
 pub mod seq;
 pub mod sv;
 pub mod traversal;
-pub mod tuning;
 
 pub use as_sync::awerbuch_shiloach;
 pub use bfs::{
-    bfs_forest_ws, bfs_tree, bfs_tree_par, bfs_tree_seq, bfs_tree_ws, BfsDirection, BfsTree,
+    bfs_forest_ws, bfs_tree, bfs_tree_seq, bfs_tree_ws, BfsDirection, BfsTree, TraversalTuning,
 };
 pub use sv::{
-    connected_components, connected_components_masked_with_ws, connected_components_with,
-    connected_components_with_ws, SvResult,
+    connected_components, connected_components_masked_with_ws, connected_components_with_ws,
+    SvResult, SvVariant,
 };
 pub use traversal::{work_stealing_forest, work_stealing_tree};
 
@@ -46,4 +45,3 @@ pub(crate) fn next_root(parent: &[std::sync::atomic::AtomicU32], scan: &mut usiz
     }
     (*scan < parent.len()).then_some(*scan as u32)
 }
-pub use tuning::{BfsStrategy, SvVariant, TraversalTuning};

@@ -1,25 +1,23 @@
-//! Shiloach–Vishkin-family connected components with spanning-forest
-//! recording: the classic synchronous graft-and-shortcut rounds and a
-//! FastSV-style asynchronous variant.
+//! FastSV-style Shiloach–Vishkin connected components with
+//! spanning-forest recording (Zhang, Azad & Hu's FastSV).
 //!
-//! **Classic** ([`SvVariant::Classic`]): rounds of (a) *graft* — for
-//! every edge whose endpoints currently have different roots, CAS the
-//! larger root onto the smaller label — and (b) *shortcut* —
-//! pointer-jump every vertex until the structure is flat, iterated to a
-//! fixpoint. Work is O((n + m) · rounds) with O(log n) rounds, and the
-//! fixpoint check costs one extra verification round.
+//! Each edge is resolved *completely* in a single sweep — chase both
+//! endpoints to their roots (halving the paths walked as we go), hook
+//! the higher root onto the lower by CAS, and on a lost race re-chase
+//! and retry instead of deferring to a next round. A lost CAS means
+//! another thread merged that root, so total retries are bounded by the
+//! n − 1 possible merges; after one sweep plus a flattening pass the
+//! labeling is final — no verification round, `rounds == 1` whenever
+//! there are edges. Sweep and flatten dispatch on the pool only from
+//! [`GRAIN`](bcc_smp::GRAIN) edges plus vertices up
+//! ([`Pool::run_sized`]); a smaller input runs on the calling thread.
 //!
-//! **FastSV** ([`SvVariant::FastSv`]): each edge is resolved *completely*
-//! in a single sweep — chase both endpoints to their roots (halving the
-//! paths walked as we go), hook the higher root onto the lower by CAS,
-//! and on a lost race re-chase and retry instead of deferring to a next
-//! round. A lost CAS means another thread merged that root, so total
-//! retries are bounded by the n − 1 possible merges; after one sweep
-//! plus a flattening pass the labeling is final — no verification
-//! round, `rounds == 1` whenever there are edges.
+//! The paper's classic synchronous graft-and-shortcut rounds (§3.2) are
+//! not kept: at n = 50k they were fastest in none of the grid's
+//! parallel cells (docs/ALGORITHMS.md §9).
 //!
-//! FastSV's sweep makes only three kinds of write to the label array
-//! (the concurrent-hook spec; Liu–Tarjan's link/compress framework):
+//! The sweep makes only three kinds of write to the label array (the
+//! concurrent-hook spec; Liu–Tarjan's link/compress framework):
 //!
 //! * the **hook CAS** `label[hi]: hi → lo`, with `lo < hi` both roots
 //!   when read. It succeeds only while `hi` is still a root, so each
@@ -39,14 +37,22 @@
 //! slot's component. The trees left after the sweep are therefore the
 //! components, and the n − k winning edges form a spanning forest of
 //! the kept edges (the paper's observation that "grafting defines the
-//! parent relationship naturally", §3.2). Classic SV's grafts and
-//! shortcut stores keep the same invariants round by round.
+//! parent relationship naturally", §3.2).
 
-use crate::tuning::SvVariant;
 use bcc_graph::Edge;
 use bcc_smp::atomic::as_atomic_u32;
 use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
+
+/// The connectivity algorithm of [`connected_components_masked_with_ws`]:
+/// FastSV is the only one. The type is kept so that the function's
+/// signature, which the repository benchmark (`perfbench/`) calls,
+/// stays as it was; no code branches on it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum SvVariant {
+    /// FastSV-style single sweep (see the module docs).
+    FastSv,
+}
 
 /// Output of [`connected_components`].
 #[derive(Clone, Debug)]
@@ -59,9 +65,10 @@ pub struct SvResult {
     pub tree_edges: Vec<u32>,
     /// Number of connected components (isolated vertices included).
     pub num_components: u32,
-    /// Graft rounds executed (exposed for the benchmarks). Classic runs
-    /// O(log n) rounds plus a verification round; FastSV resolves every
-    /// edge in its single sweep, so this is 1 whenever edges exist.
+    /// Graft rounds executed: FastSV resolves every edge in its single
+    /// sweep, so this is 1 whenever the edge list is non-empty (0
+    /// otherwise). Kept for the repository benchmark's
+    /// `connectivity.sv_rounds` counter.
     pub rounds: u32,
 }
 
@@ -75,8 +82,7 @@ impl SvResult {
     }
 }
 
-/// Connected components over `edges` on vertex set `0..n` with the
-/// default variant ([`SvVariant::FastSv`]).
+/// Connected components over `edges` on vertex set `0..n`.
 ///
 /// ```
 /// use bcc_connectivity::sv::connected_components;
@@ -91,29 +97,18 @@ impl SvResult {
 /// assert_ne!(r.label[0], r.label[3]);
 /// ```
 pub fn connected_components(pool: &Pool, n: u32, edges: &[Edge]) -> SvResult {
-    connected_components_with(pool, n, edges, SvVariant::FastSv)
+    connected_components_with_ws(pool, n, edges, &BccWorkspace::new())
 }
 
-/// Connected components with an explicit algorithm [`SvVariant`].
-pub fn connected_components_with(
-    pool: &Pool,
-    n: u32,
-    edges: &[Edge],
-    variant: SvVariant,
-) -> SvResult {
-    connected_components_with_ws(pool, n, edges, variant, &BccWorkspace::new())
-}
-
-/// [`connected_components_with`] with the result's arrays and all
-/// scratch taken from `ws`; return them with [`SvResult::recycle`].
+/// [`connected_components`] with the result's arrays and all scratch
+/// taken from `ws`; return them with [`SvResult::recycle`].
 pub fn connected_components_with_ws(
     pool: &Pool,
     n: u32,
     edges: &[Edge],
-    variant: SvVariant,
     ws: &BccWorkspace,
 ) -> SvResult {
-    connected_components_masked_with_ws(pool, n, edges, &|_| true, variant, ws)
+    connected_components_masked_with_ws(pool, n, edges, &|_| true, SvVariant::FastSv, ws)
 }
 
 /// [`connected_components_with_ws`] restricted to the edge subset where
@@ -123,13 +118,13 @@ pub fn connected_components_with_ws(
 /// filtering a graph in place (TV-filter and FAST-BCC mask out BFS-tree
 /// edges to find their certificate's non-tree forest) get original edge
 /// ids back with zero O(m) scratch — the predicate replaces a compacted
-/// copy of the kept edges.
+/// copy of the kept edges. `_variant` names the one algorithm there is.
 pub fn connected_components_masked_with_ws(
     pool: &Pool,
     n: u32,
     edges: &[Edge],
     keep: &(impl Fn(usize) -> bool + Sync),
-    variant: SvVariant,
+    _variant: SvVariant,
     ws: &BccWorkspace,
 ) -> SvResult {
     let mut label: Vec<u32> = ws.take_iota(n as usize);
@@ -138,12 +133,14 @@ pub fn connected_components_masked_with_ws(
     let mut graft_edge: Vec<u32> = ws.take_filled(n as usize, NIL);
     let mut rounds = 0u32;
     if n > 0 && !edges.is_empty() {
-        let label_a = as_atomic_u32(&mut label);
-        let graft_a = as_atomic_u32(&mut graft_edge);
-        rounds = match variant {
-            SvVariant::Classic => classic_sv(pool, label_a, graft_a, edges, keep),
-            SvVariant::FastSv => fast_sv(pool, label_a, graft_a, edges, keep),
-        };
+        fast_sv(
+            pool,
+            as_atomic_u32(&mut label),
+            as_atomic_u32(&mut graft_edge),
+            edges,
+            keep,
+        );
+        rounds = 1;
     }
     let mut tree_edges: Vec<u32> = ws.take(graft_edge.len());
     tree_edges.extend(graft_edge.iter().copied().filter(|&e| e != NIL));
@@ -156,104 +153,17 @@ pub fn connected_components_masked_with_ws(
     }
 }
 
-/// The classic synchronous graft-and-shortcut rounds (paper §3.2).
-/// Returns the number of rounds.
-fn classic_sv(
-    pool: &Pool,
-    label_a: &[AtomicU32],
-    graft_a: &[AtomicU32],
-    edges: &[Edge],
-    keep: &(impl Fn(usize) -> bool + Sync),
-) -> u32 {
-    let (n_us, m) = (label_a.len(), edges.len());
-    let changed = AtomicBool::new(true);
-    let shortcut_live = AtomicBool::new(true);
-    let round_ctr = AtomicU32::new(0);
-
-    pool.run(|ctx| {
-        loop {
-            // --- check fixpoint from the previous round ---
-            ctx.barrier();
-            if !changed.load(Ordering::Acquire) {
-                break;
-            }
-            ctx.barrier();
-            if ctx.is_leader() {
-                changed.store(false, Ordering::Release);
-                round_ctr.fetch_add(1, Ordering::Relaxed);
-            }
-            ctx.barrier();
-
-            // --- graft phase ---
-            let mut local_changed = false;
-            for i in ctx.block_range(m) {
-                if !keep(i) {
-                    continue;
-                }
-                let e = edges[i];
-                let ru = find_root(label_a, e.u);
-                let rv = find_root(label_a, e.v);
-                if ru == rv {
-                    continue;
-                }
-                let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
-                if label_a[hi as usize]
-                    .compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    // This root merges exactly once: record the edge.
-                    let prev = graft_a[hi as usize].swap(i as u32, Ordering::Relaxed);
-                    debug_assert_eq!(prev, NIL);
-                }
-                // A lost CAS means someone grafted hi concurrently; the
-                // edge is reconsidered next round if still needed.
-                local_changed = true;
-            }
-            if local_changed {
-                changed.store(true, Ordering::Release);
-            }
-            ctx.barrier();
-
-            // --- shortcut phase: jump until flat ---
-            loop {
-                ctx.barrier();
-                if ctx.is_leader() {
-                    shortcut_live.store(false, Ordering::Release);
-                }
-                ctx.barrier();
-                let mut any = false;
-                for v in ctx.block_range(n_us) {
-                    let d = label_a[v].load(Ordering::Relaxed);
-                    let dd = label_a[d as usize].load(Ordering::Relaxed);
-                    if d != dd {
-                        label_a[v].store(dd, Ordering::Relaxed);
-                        any = true;
-                    }
-                }
-                if any {
-                    shortcut_live.store(true, Ordering::Release);
-                }
-                ctx.barrier();
-                if !shortcut_live.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-        }
-    });
-    round_ctr.load(Ordering::Relaxed)
-}
-
 /// FastSV-style asynchronous hooking: one sweep over the edges with
-/// in-place CAS retry and path halving, then one flattening pass.
-/// Returns the number of rounds (always 1).
+/// in-place CAS retry and path halving, then one flattening pass, on
+/// the pool from [`GRAIN`](bcc_smp::GRAIN) edges plus vertices up.
 fn fast_sv(
     pool: &Pool,
     label_a: &[AtomicU32],
     graft_a: &[AtomicU32],
     edges: &[Edge],
     keep: &(impl Fn(usize) -> bool + Sync),
-) -> u32 {
-    pool.run(|ctx| {
+) {
+    pool.run_sized(edges.len() + label_a.len(), |ctx| {
         // --- single hooking sweep: resolve each edge to completion ---
         for i in ctx.block_range(edges.len()) {
             if !keep(i) {
@@ -293,7 +203,6 @@ fn fast_sv(
             }
         }
     });
-    1
 }
 
 /// Follows labels to the current root (labels only decrease, so this
@@ -387,18 +296,16 @@ pub(crate) mod tests {
     use crate::seq;
     use bcc_graph::{gen, Graph, GraphBuilder};
 
-    const VARIANTS: [SvVariant; 2] = [SvVariant::Classic, SvVariant::FastSv];
-
-    fn check_against_oracle(g: &Graph, p: usize, variant: SvVariant) {
+    fn check_against_oracle(g: &Graph, p: usize) {
         let pool = Pool::new(p);
-        let res = connected_components_with(&pool, g.n(), g.edges(), variant);
+        let res = connected_components(&pool, g.n(), g.edges());
         let oracle = seq::components_union_find(g.n(), g.edges());
 
         // Same partition (labels equal iff oracle labels equal).
         for e in g.edges() {
             assert_eq!(
                 res.label[e.u as usize], res.label[e.v as usize],
-                "edge endpoints must share a label ({variant:?})"
+                "edge endpoints must share a label"
             );
         }
         let mut pairs: Vec<(u32, u32)> = res
@@ -430,23 +337,23 @@ pub(crate) mod tests {
         let fres = seq::components_union_find(g.n(), &forest);
         assert_eq!(
             fres.count, oracle.count,
-            "forest must connect exactly the same components ({variant:?})"
+            "forest must connect exactly the same components"
         );
     }
 
     #[test]
     fn matches_oracle_on_families() {
-        for variant in VARIANTS {
-            for p in [1, 2, 4] {
-                check_against_oracle(&gen::path(50), p, variant);
-                check_against_oracle(&gen::cycle(33), p, variant);
-                check_against_oracle(&gen::star(40), p, variant);
-                check_against_oracle(&gen::complete(20), p, variant);
-                check_against_oracle(&gen::torus(4, 5), p, variant);
-                check_against_oracle(&gen::random_connected(500, 1500, p as u64), p, variant);
-                // Disconnected:
-                check_against_oracle(&gen::random_gnm(500, 400, p as u64), p, variant);
-            }
+        for p in [1, 2, 4] {
+            check_against_oracle(&gen::path(50), p);
+            check_against_oracle(&gen::cycle(33), p);
+            check_against_oracle(&gen::star(40), p);
+            check_against_oracle(&gen::complete(20), p);
+            check_against_oracle(&gen::torus(4, 5), p);
+            check_against_oracle(&gen::random_connected(500, 1500, p as u64), p);
+            // Above the grain, so the sweep runs on the pool:
+            check_against_oracle(&gen::random_connected(3000, 9000, p as u64), p);
+            // Disconnected:
+            check_against_oracle(&gen::random_gnm(500, 400, p as u64), p);
         }
     }
 
@@ -465,20 +372,18 @@ pub(crate) mod tests {
         ];
         let oracle = seq::components_union_find(6, &edges);
         assert_eq!(oracle.count, 4); // {0,1} {2} {3,4} {5}
-        for variant in VARIANTS {
-            for p in [1, 3] {
-                let pool = Pool::new(p);
-                let r = connected_components_with(&pool, 6, &edges, variant);
-                assert_eq!(r.num_components, 4, "{variant:?}");
-                assert_eq!(r.tree_edges.len(), 2);
-                assert_eq!(r.label[0], r.label[1]);
-                assert_eq!(r.label[3], r.label[4]);
-                assert_ne!(r.label[0], r.label[2]);
-                // A self-loop is never a tree edge.
-                for &i in &r.tree_edges {
-                    let e = edges[i as usize];
-                    assert_ne!(e.u, e.v);
-                }
+        for p in [1, 3] {
+            let pool = Pool::new(p);
+            let r = connected_components(&pool, 6, &edges);
+            assert_eq!(r.num_components, 4);
+            assert_eq!(r.tree_edges.len(), 2);
+            assert_eq!(r.label[0], r.label[1]);
+            assert_eq!(r.label[3], r.label[4]);
+            assert_ne!(r.label[0], r.label[2]);
+            // A self-loop is never a tree edge.
+            for &i in &r.tree_edges {
+                let e = edges[i as usize];
+                assert_ne!(e.u, e.v);
             }
         }
     }
@@ -486,29 +391,26 @@ pub(crate) mod tests {
     #[test]
     fn empty_and_trivial() {
         let pool = Pool::new(2);
-        for variant in VARIANTS {
-            let empty = GraphBuilder::new(0).build().unwrap();
-            let r = connected_components_with(&pool, empty.n(), empty.edges(), variant);
-            assert_eq!(r.num_components, 0);
-            assert!(r.tree_edges.is_empty());
-            assert_eq!(r.rounds, 0);
+        let empty = GraphBuilder::new(0).build().unwrap();
+        let r = connected_components(&pool, empty.n(), empty.edges());
+        assert_eq!(r.num_components, 0);
+        assert!(r.tree_edges.is_empty());
+        assert_eq!(r.rounds, 0);
 
-            let isolated = GraphBuilder::new(5).build().unwrap();
-            let r = connected_components_with(&pool, isolated.n(), isolated.edges(), variant);
-            assert_eq!(r.num_components, 5);
-            assert_eq!(r.label, vec![0, 1, 2, 3, 4]);
-        }
+        let isolated = GraphBuilder::new(5).build().unwrap();
+        let r = connected_components(&pool, isolated.n(), isolated.edges());
+        assert_eq!(r.num_components, 5);
+        assert_eq!(r.label, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn single_edge() {
         let pool = Pool::new(3);
         let g = GraphBuilder::new(2).edges([(0, 1)]).build().unwrap();
-        for variant in VARIANTS {
-            let r = connected_components_with(&pool, g.n(), g.edges(), variant);
-            assert_eq!(r.num_components, 1);
-            assert_eq!(r.tree_edges, vec![0]);
-        }
+        let r = connected_components(&pool, g.n(), g.edges());
+        assert_eq!(r.num_components, 1);
+        assert_eq!(r.tree_edges, vec![0]);
+        assert_eq!(r.rounds, 1);
     }
 
     #[test]
@@ -525,13 +427,11 @@ pub(crate) mod tests {
         edges.push((4, 14));
         edges.push((5, 15));
         let g = GraphBuilder::new(20).edges(edges).build().unwrap();
-        for variant in VARIANTS {
-            for p in [1, 4] {
-                let pool = Pool::new(p);
-                let r = connected_components_with(&pool, g.n(), g.edges(), variant);
-                assert_eq!(r.num_components, 1);
-                assert_eq!(r.tree_edges.len(), 19);
-            }
+        for p in [1, 4] {
+            let pool = Pool::new(p);
+            let r = connected_components(&pool, g.n(), g.edges());
+            assert_eq!(r.num_components, 1);
+            assert_eq!(r.tree_edges.len(), 19);
         }
     }
 
@@ -558,7 +458,7 @@ pub(crate) mod tests {
         // minimum (flattening is part of the algorithm, not a cleanup).
         let g = gen::random_connected(400, 900, 9);
         let pool = Pool::new(4);
-        let r = connected_components_with(&pool, g.n(), g.edges(), SvVariant::FastSv);
+        let r = connected_components(&pool, g.n(), g.edges());
         let oracle = seq::components_union_find(g.n(), g.edges());
         // Component minimum per oracle label.
         let mut min_of = std::collections::HashMap::new();
@@ -578,23 +478,21 @@ pub(crate) mod tests {
         let ws = BccWorkspace::new();
         let pool = Pool::new(4);
         let g = gen::random_gnm(300, 500, 11);
-        for variant in VARIANTS {
-            let plain = connected_components_with(&pool, g.n(), g.edges(), variant);
-            // Warm-up run populates the shelves; the rerun must be all hits.
-            let mut warm = connected_components_with_ws(&pool, g.n(), g.edges(), variant, &ws);
-            assert_eq!(warm.num_components, plain.num_components);
-            normalize_labels_ws(&pool, &mut warm.label, &ws);
-            warm.recycle(&ws);
-            let before = ws.stats();
-            let mut again = connected_components_with_ws(&pool, g.n(), g.edges(), variant, &ws);
-            assert_eq!(again.num_components, plain.num_components);
-            assert_eq!(again.tree_edges.len(), plain.tree_edges.len());
-            let k = normalize_labels_ws(&pool, &mut again.label, &ws);
-            assert_eq!(k, again.num_components);
-            again.recycle(&ws);
-            let delta = ws.stats().delta_since(&before);
-            assert_eq!(delta.misses, 0, "steady-state rerun must not miss");
-        }
+        let plain = connected_components(&pool, g.n(), g.edges());
+        // Warm-up run populates the shelves; the rerun must be all hits.
+        let mut warm = connected_components_with_ws(&pool, g.n(), g.edges(), &ws);
+        assert_eq!(warm.num_components, plain.num_components);
+        normalize_labels_ws(&pool, &mut warm.label, &ws);
+        warm.recycle(&ws);
+        let before = ws.stats();
+        let mut again = connected_components_with_ws(&pool, g.n(), g.edges(), &ws);
+        assert_eq!(again.num_components, plain.num_components);
+        assert_eq!(again.tree_edges.len(), plain.tree_edges.len());
+        let k = normalize_labels_ws(&pool, &mut again.label, &ws);
+        assert_eq!(k, again.num_components);
+        again.recycle(&ws);
+        let delta = ws.stats().delta_since(&before);
+        assert_eq!(delta.misses, 0, "steady-state rerun must not miss");
     }
 
     #[test]
@@ -612,43 +510,43 @@ pub(crate) mod tests {
                 .filter(|(i, _)| i % 2 == 0)
                 .map(|(_, &e)| e)
                 .collect();
-            for variant in VARIANTS {
-                for p in [1, 4] {
-                    let pool = Pool::new(p);
-                    let masked = connected_components_masked_with_ws(
-                        &pool,
-                        g.n(),
-                        g.edges(),
-                        &|i| i % 2 == 0,
-                        variant,
-                        &ws,
-                    );
-                    let dense = connected_components_with(&pool, g.n(), &subset, variant);
-                    assert_eq!(masked.num_components, dense.num_components, "{variant:?}");
-                    assert_eq!(masked.tree_edges.len(), dense.tree_edges.len());
-                    for &i in &masked.tree_edges {
-                        assert_eq!(i % 2, 0, "tree edge {i} was masked out");
-                    }
-                    // Same partition.
-                    for v in 0..g.n() as usize {
-                        for w in 0..g.n() as usize {
-                            if v < w {
-                                assert_eq!(
-                                    masked.label[v] == masked.label[w],
-                                    dense.label[v] == dense.label[w],
-                                );
-                            }
+            for p in [1, 4] {
+                let pool = Pool::new(p);
+                let masked = connected_components_masked_with_ws(
+                    &pool,
+                    g.n(),
+                    g.edges(),
+                    &|i| i % 2 == 0,
+                    SvVariant::FastSv,
+                    &ws,
+                );
+                let dense = connected_components(&pool, g.n(), &subset);
+                assert_eq!(masked.num_components, dense.num_components);
+                assert_eq!(masked.tree_edges.len(), dense.tree_edges.len());
+                for &i in &masked.tree_edges {
+                    assert_eq!(i % 2, 0, "tree edge {i} was masked out");
+                }
+                // Same partition.
+                for v in 0..g.n() as usize {
+                    for w in 0..g.n() as usize {
+                        if v < w {
+                            assert_eq!(
+                                masked.label[v] == masked.label[w],
+                                dense.label[v] == dense.label[w],
+                            );
                         }
                     }
-                    masked.recycle(&ws);
                 }
+                masked.recycle(&ws);
             }
         }
     }
 
     /// Contention shapes for the concurrent-hook specs (this module's
     /// and [`crate::as_sync`]'s): edge orders that make threads hook,
-    /// halve and lose CAS races on the same slots.
+    /// halve and lose CAS races on the same slots. Each has at least
+    /// [`GRAIN`](bcc_smp::GRAIN) edges plus vertices, so FastSV runs
+    /// it on the pool.
     pub(crate) fn contention_shapes() -> Vec<(&'static str, u32, Vec<Edge>)> {
         // A path listed from its top end down: every hook moves the
         // root a neighbouring block is chasing.
@@ -662,7 +560,7 @@ pub(crate) mod tests {
         star.extend(spokes.iter().map(|&s| Edge::new(s, hub)));
         // Two cliques interleaved with hundreds of parallel edges
         // between three fixed pairs across them.
-        let k = 40u32;
+        let k = 60u32;
         let clique = |base: u32| {
             (0..k).flat_map(move |a| (a + 1..k).map(move |b| Edge::new(base + b, base + a)))
         };
@@ -675,12 +573,16 @@ pub(crate) mod tests {
         let loops = (0..n)
             .flat_map(|v| [Edge::new(v, v), Edge::new(v ^ 1, v), Edge::new(v, v)])
             .collect();
-        vec![
+        let shapes = vec![
             ("descending path", n, path),
             ("doubled hub", n, star),
             ("joined clusters", 2 * k, clusters),
             ("self-loops", n, loops),
-        ]
+        ];
+        for (shape, n, edges) in &shapes {
+            assert!(edges.len() + *n as usize >= bcc_smp::GRAIN, "{shape}");
+        }
+        shapes
     }
 
     #[test]
@@ -697,39 +599,28 @@ pub(crate) mod tests {
                 let oracle = seq::components_union_find(n, &kept);
                 for p in [2, 4, 8] {
                     let pool = Pool::new(p);
-                    for variant in VARIANTS {
-                        for run in 0..runs {
-                            let what =
-                                format!("{shape} masked={masked} p={p} {variant:?} run {run}");
-                            let r = connected_components_masked_with_ws(
-                                &pool, n, &edges, &keep, variant, &ws,
-                            );
-                            assert_eq!(r.label, oracle.label, "{what}: component minima");
-                            assert_eq!(r.num_components, oracle.count, "{what}");
-                            assert_eq!(r.tree_edges.len() as u32, n - oracle.count, "{what}");
-                            assert!(r.tree_edges.iter().all(|&i| keep(i as usize)), "{what}");
-                            let forest: Vec<Edge> =
-                                r.tree_edges.iter().map(|&i| edges[i as usize]).collect();
-                            let spans = seq::components_union_find(n, &forest);
-                            assert_eq!(spans.label, oracle.label, "{what}: forest partition");
-                            r.recycle(&ws);
-                        }
+                    for run in 0..runs {
+                        let what = format!("{shape} masked={masked} p={p} run {run}");
+                        let r = connected_components_masked_with_ws(
+                            &pool,
+                            n,
+                            &edges,
+                            &keep,
+                            SvVariant::FastSv,
+                            &ws,
+                        );
+                        assert_eq!(r.label, oracle.label, "{what}: component minima");
+                        assert_eq!(r.num_components, oracle.count, "{what}");
+                        assert_eq!(r.tree_edges.len() as u32, n - oracle.count, "{what}");
+                        assert!(r.tree_edges.iter().all(|&i| keep(i as usize)), "{what}");
+                        let forest: Vec<Edge> =
+                            r.tree_edges.iter().map(|&i| edges[i as usize]).collect();
+                        let spans = seq::components_union_find(n, &forest);
+                        assert_eq!(spans.label, oracle.label, "{what}: forest partition");
+                        r.recycle(&ws);
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn rounds_are_reported_and_fastsv_is_strictly_lower() {
-        let pool = Pool::new(2);
-        let g = gen::path(1000);
-        let classic = connected_components_with(&pool, g.n(), g.edges(), SvVariant::Classic);
-        let fast = connected_components_with(&pool, g.n(), g.edges(), SvVariant::FastSv);
-        assert_eq!(classic.num_components, 1);
-        assert_eq!(fast.num_components, 1);
-        assert!(classic.rounds >= 2, "classic pays a verification round");
-        assert_eq!(fast.rounds, 1, "FastSV resolves everything in one sweep");
-        assert!(fast.rounds < classic.rounds);
     }
 }

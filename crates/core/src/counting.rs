@@ -24,7 +24,7 @@
 //! number of biconnected components, computed in O(d + log n) parallel
 //! time — useful as a fast estimator and as the paper artifact.
 
-use bcc_connectivity::bfs::bfs_tree_par;
+use bcc_connectivity::bfs::{bfs_tree, TraversalTuning};
 use bcc_connectivity::sv::connected_components;
 use bcc_graph::{Csr, Edge, Graph};
 use bcc_smp::{Pool, NIL};
@@ -49,7 +49,7 @@ pub fn double_bfs_upper_bound(pool: &Pool, g: &Graph) -> Result<u32, crate::BccE
         return Ok(0);
     }
     let csr = Csr::build(g);
-    let bfs = bfs_tree_par(pool, &csr, 0);
+    let bfs = bfs_tree(pool, &csr, 0, &TraversalTuning);
     if bfs.reached != n {
         return Err(crate::BccError::Disconnected);
     }

@@ -50,8 +50,7 @@ use crate::pipeline::{
     finalize, forest_roots, trivial_result, tv_tail, Algorithm, BccError, BccResult,
 };
 use bcc_connectivity::bfs::bfs_forest_ws;
-use bcc_connectivity::sv::connected_components_masked_with_ws;
-use bcc_connectivity::tuning::TraversalTuning;
+use bcc_connectivity::sv::{connected_components_masked_with_ws, SvVariant};
 use bcc_connectivity::BfsDirection;
 use bcc_euler::{bfs_tree_info_ws, dfs_euler_tour_ws, tree_computations_ws};
 use bcc_graph::{Csr, Edge, Graph};
@@ -66,7 +65,6 @@ pub(crate) fn certificate_impl(
     pool: &Pool,
     g: &Graph,
     alg: Algorithm,
-    tuning: TraversalTuning,
     connected: bool,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
@@ -78,17 +76,14 @@ pub(crate) fn certificate_impl(
         return Ok(r);
     }
 
-    // Adjacency conversion is input preparation shared by every BFS
-    // strategy: keep it out of the Spanning-tree step so the ablation
-    // columns compare traversals, not CSR construction (it still counts
-    // toward `total`).
+    // Adjacency conversion is input preparation: keep it out of the
+    // Spanning-tree step so that step times the traversal, not CSR
+    // construction (it still counts toward `total`).
     let csr = Csr::build(g);
 
     // Step 1: BFS skeleton T, a BFS forest from vertex 0.
     let root = 0u32;
-    let mut bfs = rec.step(Step::SpanningTree, || {
-        bfs_forest_ws(pool, &csr, &tuning, ws)
-    });
+    let mut bfs = rec.step(Step::SpanningTree, || bfs_forest_ws(pool, &csr, ws));
     if connected && forest_roots(&bfs.parent_eid) != 1 {
         bfs.recycle(ws);
         return Err(BccError::Disconnected);
@@ -128,7 +123,7 @@ pub(crate) fn certificate_impl(
     // a simple graph). Masking every tree-parallel edge restores that
     // setting; the parallels are placed by the condition-1 rule below,
     // which gives each exactly its tree twin's label.
-    let (cert_edges, cert_is_tree, forest_rounds) = rec.step(Step::Filtering, || {
+    let (cert_edges, cert_is_tree) = rec.step(Step::Filtering, || {
         let forest = connected_components_masked_with_ws(
             pool,
             n,
@@ -137,7 +132,7 @@ pub(crate) fn certificate_impl(
                 let e = edges[i];
                 parent[e.u as usize] != e.v && parent[e.v as usize] != e.u
             },
-            tuning.sv,
+            SvVariant::FastSv,
             ws,
         );
         let mut cert_edges: Vec<Edge> = ws.take(2 * n as usize);
@@ -153,13 +148,12 @@ pub(crate) fn certificate_impl(
             cert_edges.push(edges[i as usize]);
             cert_is_tree.push(false);
         }
-        let forest_rounds = forest.rounds;
         forest.recycle(ws);
-        (cert_edges, cert_is_tree, forest_rounds)
+        (cert_edges, cert_is_tree)
     });
 
     // Steps 4–6 on the certificate.
-    let tail = tv_tail(pool, n, &cert_edges, &cert_is_tree, &info, tuning, ws, rec);
+    let tail = tv_tail(pool, n, &cert_edges, &cert_is_tree, &info, ws, rec);
 
     // Placement (step 4 of Alg. 2): tree edges take their child
     // endpoint's aux label; every other edge — certificate-F and
@@ -199,8 +193,6 @@ pub(crate) fn certificate_impl(
         filtered_edges: m - cert_edges.len(),
         aux_vertices: tail.aux_vertices,
         aux_edges: tail.aux_edges,
-        sv_rounds_spanning: forest_rounds,
-        sv_rounds_cc: tail.sv_rounds_cc,
         bfs_levels: bfs.levels,
         bfs_bottom_up_levels: bfs.bottom_up_levels(),
         bfs_directions: bfs

@@ -62,7 +62,3 @@ pub use tarjan::tarjan_bcc;
 /// [`BccConfig::workspace`] is usable without a second crate
 /// dependency.
 pub use bcc_smp::{BccWorkspace, WorkspaceStats};
-
-/// Traversal ablation knobs, re-exported from [`bcc_connectivity`] so
-/// [`BccConfig::tuning`] is usable without a second crate dependency.
-pub use bcc_connectivity::{BfsStrategy, SvVariant, TraversalTuning};

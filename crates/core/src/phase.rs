@@ -79,12 +79,6 @@ pub struct PipelineStats {
     /// Edges of the auxiliary graph (|R'_c| — the paper's Fig. 1
     /// quantity).
     pub aux_edges: usize,
-    /// Graft rounds of the spanning-tree SV run: TV-SMP's step 1, or
-    /// the forest-of-`G − T` run of TV-filter and FAST-BCC (0 for
-    /// TV-opt, whose tree comes from a traversal).
-    pub sv_rounds_spanning: u32,
-    /// Graft rounds of the step-6 SV run.
-    pub sv_rounds_cc: u32,
     /// BFS levels (TV-filter and FAST-BCC only; the `O(d)` term of
     /// Alg. 2). On a disconnected input, the other components' trees
     /// count one level below vertex 0.
@@ -93,7 +87,7 @@ pub struct PipelineStats {
     /// empty otherwise). Feeds effective-diameter estimates in the benchmarks.
     pub bfs_frontier_sizes: Vec<u32>,
     /// BFS levels the direction-optimizing heuristic ran bottom-up
-    /// (0 under the pure top-down strategy).
+    /// (TV-filter and FAST-BCC only).
     pub bfs_bottom_up_levels: u32,
     /// Chosen direction per BFS level, compactly: `T` = top-down,
     /// `B` = bottom-up (e.g. `"TTBBT"`; empty when no BFS ran).

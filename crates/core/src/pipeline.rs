@@ -30,8 +30,8 @@
 //! pipeline; `run` fails when the forest has more than one component.
 //!
 //! The entry point is [`BccConfig`]: select an algorithm, optionally a
-//! traversal tuning and a telemetry sink, then [`run`](BccConfig::run)
-//! it on a pool. Each run yields a [`BccRun`] — the component labels plus a
+//! telemetry sink and a workspace, then [`run`](BccConfig::run) it on a
+//! pool. Each run yields a [`BccRun`] — the component labels plus a
 //! structured [`PhaseReport`] (per-step durations, barrier-wait and
 //! load-imbalance when the pool carries telemetry) that regenerates the
 //! paper's Fig. 4 breakdown.
@@ -55,7 +55,6 @@ use crate::tarjan::tarjan_bcc;
 use crate::verify::canonicalize_edge_labels;
 use bcc_connectivity::sv::connected_components_with_ws;
 use bcc_connectivity::traversal::work_stealing_forest;
-use bcc_connectivity::tuning::TraversalTuning;
 use bcc_euler::{dfs_euler_tour_ws, euler_tour_classic_ws, tree_computations_ws, Ranker, TreeInfo};
 use bcc_graph::{Csr, Edge, Graph};
 use bcc_smp::telemetry::Telemetry;
@@ -155,58 +154,39 @@ impl BccResult {
     }
 }
 
-/// Configured biconnected-components computation: the algorithm plus
-/// the knobs that used to be separate entry points.
+/// Configured biconnected-components computation: the algorithm, an
+/// optional telemetry sink and an optional scratch workspace. Every
+/// parallel pipeline runs one traversal configuration: FastSV for its
+/// Shiloach–Vishkin steps and the direction-optimizing BFS for its BFS
+/// trees.
 ///
 /// ```
-/// use bcc_core::{Algorithm, BccConfig, TraversalTuning};
+/// use bcc_core::{Algorithm, BccConfig};
 /// use bcc_graph::gen;
 /// use bcc_smp::Pool;
 ///
 /// let pool = Pool::new(2);
 /// let g = gen::torus(4, 4);
-/// let run = BccConfig::new(Algorithm::TvSmp)
-///     .tuning(TraversalTuning::classic())
-///     .run(&pool, &g)
-///     .unwrap();
+/// let run = BccConfig::new(Algorithm::TvSmp).run(&pool, &g).unwrap();
 /// assert_eq!(run.result.num_components, 1);
 /// assert_eq!(run.report.algorithm, "TV-SMP");
 /// ```
 #[derive(Clone, Debug)]
 pub struct BccConfig {
     alg: Algorithm,
-    tuning: TraversalTuning,
     telemetry: Option<Arc<Telemetry>>,
     workspace: Option<Arc<BccWorkspace>>,
 }
 
 impl BccConfig {
-    /// A configuration running `alg` with default knobs (the fast
-    /// traversal variants, telemetry taken from the pool if it has
-    /// any).
+    /// A configuration running `alg` with telemetry taken from the pool
+    /// if it has any, and a private workspace per run.
     pub fn new(alg: Algorithm) -> Self {
         BccConfig {
             alg,
-            tuning: TraversalTuning::default(),
             telemetry: None,
             workspace: None,
         }
-    }
-
-    /// Selects the traversal variants: the BFS direction strategy used
-    /// by the TV-filter and FAST-BCC spanning trees, and the SV flavor
-    /// used for TV-SMP's spanning tree, for the TV-filter/FAST-BCC
-    /// forest of `G − T`, and for the shared step-6 tail. Defaults to
-    /// [`TraversalTuning::fast`]; pass [`TraversalTuning::classic`] (or
-    /// a parsed ablation spec) to benchmark the baselines.
-    pub fn tuning(mut self, tuning: TraversalTuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
-    /// The configured traversal tuning.
-    pub fn traversal_tuning(&self) -> TraversalTuning {
-        self.tuning
     }
 
     /// Reads telemetry deltas from `sink` instead of the pool's own
@@ -256,7 +236,7 @@ impl BccConfig {
         let start = Instant::now();
         let ws = self.resolve_workspace();
         let mut rec = PhaseRecorder::new(self.sink(pool), &ws);
-        let result = run_pipeline(pool, g, self.alg, self.tuning, connected, &ws, &mut rec)?;
+        let result = run_pipeline(pool, g, self.alg, connected, &ws, &mut rec)?;
         Ok(self.package(pool, g, rec, result, start))
     }
 
@@ -308,17 +288,16 @@ fn run_pipeline(
     pool: &Pool,
     g: &Graph,
     alg: Algorithm,
-    tuning: TraversalTuning,
     connected: bool,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> Result<BccResult, BccError> {
     match alg {
         Algorithm::Sequential => Ok(sequential_impl(g)),
-        Algorithm::TvSmp => tv_smp_impl(pool, g, tuning, connected, ws, rec),
-        Algorithm::TvOpt => tv_opt_impl(pool, g, tuning, connected, ws, rec),
+        Algorithm::TvSmp => tv_smp_impl(pool, g, connected, ws, rec),
+        Algorithm::TvOpt => tv_opt_impl(pool, g, connected, ws, rec),
         Algorithm::TvFilter | Algorithm::FastBcc => {
-            crate::fast_bcc::certificate_impl(pool, g, alg, tuning, connected, ws, rec)
+            crate::fast_bcc::certificate_impl(pool, g, alg, connected, ws, rec)
         }
     }
 }
@@ -347,7 +326,6 @@ pub(crate) fn sequential_impl(g: &Graph) -> BccResult {
 fn tv_smp_impl(
     pool: &Pool,
     g: &Graph,
-    tuning: TraversalTuning,
     connected: bool,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
@@ -360,7 +338,7 @@ fn tv_smp_impl(
     // Step 1: Spanning-tree (Shiloach–Vishkin on the edge list): a
     // spanning forest, labelled by component minima.
     let sv = rec.step(Step::SpanningTree, || {
-        connected_components_with_ws(pool, n, g.edges(), tuning.sv, ws)
+        connected_components_with_ws(pool, n, g.edges(), ws)
     });
     if connected && sv.num_components != 1 {
         sv.recycle(ws);
@@ -380,7 +358,6 @@ fn tv_smp_impl(
             .filter(|&v| sv.label[v as usize] == v)
             .map(|r| Edge::new(r, root)),
     );
-    let sv_rounds = sv.rounds;
     sv.recycle(ws);
 
     // Step 2: Euler-tour (circular adjacency by sorting + cross
@@ -395,7 +372,7 @@ fn tv_smp_impl(
     });
 
     // Steps 4–6.
-    let tail = tv_tail(pool, n, g.edges(), &is_tree, &info, tuning, ws, rec);
+    let tail = tv_tail(pool, n, g.edges(), &is_tree, &info, ws, rec);
     tour.recycle(ws);
     info.recycle(ws);
     ws.give(is_tree);
@@ -405,8 +382,6 @@ fn tv_smp_impl(
         effective_edges: g.m(),
         aux_vertices: tail.aux_vertices,
         aux_edges: tail.aux_edges,
-        sv_rounds_spanning: sv_rounds,
-        sv_rounds_cc: tail.sv_rounds_cc,
         ..PipelineStats::default()
     };
     Ok(finalize(tail.edge_labels, stats))
@@ -415,7 +390,6 @@ fn tv_smp_impl(
 fn tv_opt_impl(
     pool: &Pool,
     g: &Graph,
-    tuning: TraversalTuning,
     connected: bool,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
@@ -459,7 +433,7 @@ fn tv_opt_impl(
         tree_computations_ws(pool, &tour, root, ws)
     });
 
-    let tail = tv_tail(pool, n, g.edges(), &is_tree, &info, tuning, ws, rec);
+    let tail = tv_tail(pool, n, g.edges(), &is_tree, &info, ws, rec);
     tour.recycle(ws);
     info.recycle(ws);
     ws.give(is_tree);
@@ -469,7 +443,6 @@ fn tv_opt_impl(
         effective_edges: g.m(),
         aux_vertices: tail.aux_vertices,
         aux_edges: tail.aux_edges,
-        sv_rounds_cc: tail.sv_rounds_cc,
         ..PipelineStats::default()
     };
     Ok(finalize(tail.edge_labels, stats))
@@ -487,8 +460,6 @@ pub(crate) struct TailOutput {
     pub(crate) aux_vertices: u32,
     /// Auxiliary-graph edge count (|R'_c|).
     pub(crate) aux_edges: usize,
-    /// SV rounds of the step-6 connectivity run.
-    pub(crate) sv_rounds_cc: u32,
 }
 
 /// Steps 4–6: Low-high (the O(n)-space level sweep,
@@ -499,14 +470,12 @@ pub(crate) struct TailOutput {
 /// the result for TV-SMP/TV-opt) and `aux_vertex_labels` (returned for
 /// the certificate pipeline's placement pass) survive — callers give
 /// them back once done.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn tv_tail(
     pool: &Pool,
     n: u32,
     edges: &[Edge],
     is_tree_edge: &[bool],
     info: &TreeInfo,
-    tuning: TraversalTuning,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
 ) -> TailOutput {
@@ -528,7 +497,7 @@ pub(crate) fn tv_tail(
     let aux_vertices = aux.num_vertices;
     let aux_edges = aux.edges.len();
     let out = rec.step(Step::ConnectedComponents, || {
-        let cc = connected_components_with_ws(pool, aux.num_vertices, &aux.edges, tuning.sv, ws);
+        let cc = connected_components_with_ws(pool, aux.num_vertices, &aux.edges, ws);
         let mut edge_labels = vec![0u32; m];
         {
             let out = SharedSlice::new(&mut edge_labels);
@@ -558,7 +527,6 @@ pub(crate) fn tv_tail(
             aux_vertex_labels: cc.label,
             aux_vertices,
             aux_edges,
-            sv_rounds_cc: cc.rounds,
         }
     });
     aux.recycle(ws);
@@ -743,7 +711,6 @@ mod tests {
         assert_eq!(o.stats.effective_edges, 5_000);
         assert!(f.stats.aux_vertices < o.stats.aux_vertices);
         assert!(f.stats.aux_edges < o.stats.aux_edges);
-        assert!(o.stats.sv_rounds_cc >= 1);
     }
 
     #[test]

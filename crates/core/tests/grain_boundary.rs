@@ -13,9 +13,8 @@
 //!
 //! The results must not depend on which side of the grain ran them.
 
-use bcc_connectivity::bfs::{bfs_tree, bfs_tree_seq, BfsTree};
+use bcc_connectivity::bfs::{bfs_tree, bfs_tree_seq, BfsTree, TraversalTuning};
 use bcc_connectivity::seq::assert_valid_rooted_tree;
-use bcc_connectivity::TraversalTuning;
 use bcc_core::{compute_low_high, compute_low_high_two_pass, Algorithm, BccConfig};
 use bcc_euler::{bfs_tree_info, dfs_euler_tour, tree_computations, TreeInfo};
 use bcc_graph::{gen, Csr, Edge, Graph, GraphBuilder};
@@ -110,10 +109,8 @@ fn levels_on_both_sides_of_the_grain_agree_with_the_references() {
     }
     for p in [1, 2, 4] {
         let pool = Pool::new(p);
-        for tuning in [TraversalTuning::classic(), TraversalTuning::fast()] {
-            let t = bfs_tree(&pool, &csr, 0, &tuning);
-            assert_bfs_tree(&g, &t, &want, &format!("p={p} {tuning:?}"));
-        }
+        let t = bfs_tree(&pool, &csr, 0, &TraversalTuning);
+        assert_bfs_tree(&g, &t, &want, &format!("p={p}"));
         let info = bfs_tree_info(&pool, &want.parent, &want.level, 0);
         assert_matches_tour(&g, &want, &info, &pool, &format!("p={p}"));
         let lh = compute_low_high(&pool, g.edges(), &is_tree, &info);
@@ -132,7 +129,7 @@ fn narrow_levels_dispatch_no_pool_phase() {
         .threads(2)
         .telemetry(Arc::clone(&sink))
         .build();
-    let t = bfs_tree(&pool, &csr, 0, &TraversalTuning::classic());
+    let t = bfs_tree(&pool, &csr, 0, &TraversalTuning);
     let bfs_phases = sink.snapshot().phase_runs;
     let info = bfs_tree_info(&pool, &t.parent, &t.level, 0);
     let info_phases = sink.snapshot().phase_runs - bfs_phases;

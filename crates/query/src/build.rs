@@ -19,7 +19,6 @@
 
 use crate::index::{BiconnectivityIndex, ComponentIndex};
 use bcc_connectivity::sv::{connected_components_with_ws, normalize_labels_ws};
-use bcc_connectivity::SvVariant;
 use bcc_core::{Algorithm, BccConfig, BccError, BccResult, BlockCutTree};
 use bcc_euler::LcaIndex;
 use bcc_graph::{Edge, Graph, SplitPart};
@@ -223,7 +222,7 @@ impl BiconnectivityIndex {
     /// (the epoch store) pass one workspace across rebuilds so that
     /// pass reuses its buffers instead of allocating them afresh.
     pub fn from_graph_with(pool: &Pool, g: &Graph, ws: &BccWorkspace) -> Result<Self, BccError> {
-        let cc = connected_components_with_ws(pool, g.n(), g.edges(), SvVariant::FastSv, ws);
+        let cc = connected_components_with_ws(pool, g.n(), g.edges(), ws);
         let mut labels = cc.label;
         ws.give(cc.tree_edges);
         let k = normalize_labels_ws(pool, &mut labels, ws);

@@ -492,13 +492,8 @@ impl IndexStore {
         // Re-derive the region's connectivity (this is where merges
         // and splits resolve) and split it into connected parts.
         let ws = &self.workspace;
-        let cc = bcc_connectivity::sv::connected_components_with_ws(
-            &self.pool,
-            rn,
-            &region_edges,
-            bcc_connectivity::SvVariant::FastSv,
-            ws,
-        );
+        let cc =
+            bcc_connectivity::sv::connected_components_with_ws(&self.pool, rn, &region_edges, ws);
         let mut labels = cc.label;
         ws.give(cc.tree_edges);
         let k = bcc_connectivity::sv::normalize_labels_ws(&self.pool, &mut labels, ws);

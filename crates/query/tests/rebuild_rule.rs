@@ -1,7 +1,7 @@
 //! The store's one rebuild rule: every component is labeled by
 //! Hopcroft–Tarjan on the committing thread, and the store's pool runs
-//! only the region's FastSV sweep and the passes that reach `GRAIN`
-//! elements. Both tests run on one graph that has a
+//! only the passes that reach `GRAIN` elements, the region's FastSV
+//! sweep among them. Both tests run on one graph that has a
 //! component on each side of the grain: a random connected component
 //! of `GRAIN + 100` vertices, three 40-vertex rings and a few isolated
 //! vertices.
@@ -186,6 +186,9 @@ fn below_grain_commit_takes_fewer_pool_phases_than_tv_filter() {
         t.insert(r0, r0 + RING / 2);
     });
     let commit_phases = sink.snapshot().phase_runs - before;
+    // The ring's region (40 vertices, 41 edges) is below the grain at
+    // every step, its FastSV sweep included: the commit wakes no worker.
+    assert_eq!(commit_phases, 0, "a chord into a {RING}-vertex ring");
 
     let before = sink.snapshot().phase_runs;
     BccConfig::new(Algorithm::TvFilter)

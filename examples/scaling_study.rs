@@ -58,13 +58,8 @@ fn main() {
                 // Largest thread count wins (the loop ascends).
                 traversal_note = format!(
                     "TV-filter traversal work at p = {p}: BFS ran {} levels \
-                     ({} bottom-up, schedule {}); spanning-forest SV took {} \
-                     round(s), step-6 SV {} round(s).",
-                    r.stats.bfs_levels,
-                    r.stats.bfs_bottom_up_levels,
-                    r.stats.bfs_directions,
-                    r.stats.sv_rounds_spanning,
-                    r.stats.sv_rounds_cc,
+                     ({} bottom-up, schedule {}).",
+                    r.stats.bfs_levels, r.stats.bfs_bottom_up_levels, r.stats.bfs_directions,
                 );
             }
         }

@@ -26,8 +26,8 @@
 //! assert_eq!(result.bridges(&g), vec![3]); // edge index of (2,3)
 //! ```
 //!
-//! For explicit control over thread count, tuning, and telemetry use
-//! the [`BccConfig`] builder; each run returns the labels plus a
+//! For explicit control over thread count, telemetry and scratch reuse
+//! use the [`BccConfig`] builder; each run returns the labels plus a
 //! structured [`PhaseReport`]:
 //!
 //! ```
